@@ -44,7 +44,6 @@ from .generators import LadderSpec, TreeSpec, make_ladder, make_random_balanced,
 from .operators import (
     KINDS,
     TruncatedOperator,
-    WeightedVector,
     assemble,
     green_residual,
     green_residual_batch,

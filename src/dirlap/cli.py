@@ -4,8 +4,7 @@ Subcommands: gen, check, spectrum, cheeger, evolve, certify.  Exit codes:
 0 = hypotheses/bounds verified, 1 = verified false, 2 = input error,
 3 = numeric failure.  Every JSON report embeds the resolved configuration,
 the tool version and the probed interior size, so runs are auditable and a
-fixed configuration reproduces byte-identical reports.  The environment
-variable DIRLAP_THREADS caps worker parallelism of the angle sweep.
+fixed configuration reproduces byte-identical reports.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .semigroup import evolve_trace
 from .spectral import (
     accretivity_certificate,
     check_sector,
+    cheeger_bound_check,
     cheeger_bruteforce,
     numrange_boundary,
 )
@@ -95,10 +95,8 @@ def _resolve_ball(g: DirectedGraph, args, default_root: str | None):
     return ball(g, root, radius)
 
 
-def _config_dict(args, keys) -> dict:
-    cfg = {key: getattr(args, key) for key in keys if hasattr(args, key)}
-    cfg["command"] = args.command
-    return cfg
+# Parsed arguments that name output files or the handler, not the computation.
+_NOT_CONFIG = frozenset({"func", "out", "out_csv", "dump_matrix"})
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -108,6 +106,14 @@ def _emit(report: dict, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_report(payload: dict, args, ball_) -> None:
+    """Add the resolved configuration, the version and the interior size, then emit."""
+    payload["config"] = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    payload["version"] = __version__
+    payload["interior_size"] = len(ball_.interior)
+    _emit(payload, args.out)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -155,10 +161,7 @@ def cmd_check(args) -> int:
     payload = report.to_dict(labels=g.labels)
     payload["kirchhoff_ok"] = balance.ok
     payload["worst_vertex"] = None if balance.worst_vertex is None else g.label(balance.worst_vertex)
-    payload["config"] = _config_dict(args, ("graph", "gen", "N", "k", "measure", "depth", "n", "seed", "density", "root", "radius", "tol_kirchhoff"))
-    payload["version"] = __version__
-    payload["interior_size"] = len(ball_.interior)
-    _emit(payload, args.out)
+    _emit_report(payload, args, ball_)
     return 0 if balance.ok else 1
 
 
@@ -186,11 +189,8 @@ def cmd_spectrum(args) -> int:
         "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle},
         "sector_ok": ok,
         "angles": args.angles,
-        "config": _config_dict(args, ("graph", "gen", "N", "k", "measure", "depth", "n", "seed", "density", "root", "radius", "angles", "constant")),
-        "version": __version__,
-        "interior_size": len(ball_.interior),
     }
-    _emit(payload, args.out)
+    _emit_report(payload, args, ball_)
     return 0 if ok else 1
 
 
@@ -205,26 +205,21 @@ def cmd_cheeger(args) -> int:
         # complete (certified) enumeration for small graphs, bounded work above
         cap = len(g) - 1 if len(g) <= 20 else 10
     result = cheeger_bruteforce(g_sym, max_subset_size=cap)
-    lambda0 = result.value ** 2 / (2.0 * g.max_degree)
-    sample = numrange_boundary(assemble(g, ball_, "laplacian"), args.angles)
-    ok = sample.min_real >= lambda0 - 1e-9
+    bound = cheeger_bound_check(g, ball_, result.value, args.angles)
     # An uncertified h is only an upper bound, so a failed comparison proves
     # nothing; the exit code still reports the bound as unverified.
-    verdict = "pass" if ok else ("fail" if result.certified else "inconclusive")
+    verdict = "pass" if bound.ok else ("fail" if result.certified else "inconclusive")
     payload = {
         "h": result.value,
         "witness": [g.label(v) for v in result.witness],
         "certified": result.certified,
         "max_degree": g.max_degree,
-        "lambda0": lambda0,
-        "min_real": sample.min_real,
+        "lambda0": bound.lambda0,
+        "min_real": bound.min_real,
         "verdict": verdict,
-        "config": _config_dict(args, ("graph", "gen", "N", "k", "measure", "depth", "n", "seed", "density", "root", "radius", "max_subset_size", "angles")),
-        "version": __version__,
-        "interior_size": len(ball_.interior),
     }
-    _emit(payload, args.out)
-    return 0 if ok else 1
+    _emit_report(payload, args, ball_)
+    return 0 if bound.ok else 1
 
 
 def cmd_evolve(args) -> int:
@@ -244,10 +239,7 @@ def cmd_evolve(args) -> int:
             zip(trace.times, trace.operator_norms, trace.bounds, trace.state_norms),
         )
     payload = trace.to_dict()
-    payload["config"] = _config_dict(args, ("graph", "gen", "N", "k", "measure", "depth", "n", "seed", "density", "root", "radius", "t", "lambda0"))
-    payload["version"] = __version__
-    payload["interior_size"] = len(ball_.interior)
-    _emit(payload, args.out)
+    _emit_report(payload, args, ball_)
     return 0 if trace.ok else 1
 
 
@@ -255,10 +247,7 @@ def cmd_certify(args) -> int:
     g, default_root = _build_graph(args)
     ball_ = _resolve_ball(g, args, default_root)
     cert = accretivity_certificate(g, ball_, n_angles=args.angles)
-    payload = cert.to_dict()
-    payload["config"] = _config_dict(args, ("graph", "gen", "N", "k", "measure", "depth", "n", "seed", "density", "root", "radius", "angles"))
-    payload["version"] = __version__
-    _emit(payload, args.out)
+    _emit_report(cert.to_dict(), args, ball_)
     ok = cert.verdicts["m_accretive_supported"] and cert.sector_ok
     return 0 if ok else 1
 
@@ -268,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dirlap",
         description="Non-symmetric Laplacians on directed weighted graphs: "
         "balance checks, numerical range, Cheeger bounds and heat semigroups.",
-        epilog="Set DIRLAP_THREADS to parallelize the numerical range sweep.",
     )
     parser.add_argument("--version", action="version", version=f"dirlap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

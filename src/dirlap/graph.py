@@ -8,6 +8,13 @@ takes an explicit set of *interior* vertices over which suprema are taken;
 vertices polluted by the truncation boundary are simply left out by the
 caller.
 
+The graph is stored once, as a read-only undirected adjacency in CSR form:
+row ``x`` owns the slots ``ptr[x]:ptr[x+1]``, slot ``k`` names the neighbor
+``nbr[k]`` (ascending within each row) and carries the weight pair
+``b(x, nbr[k])`` and ``b(nbr[k], x)``, with 0.0 for an absent direction.
+Every accessor and checker reads these arrays; per-vertex sums add the slots
+of a row in ascending-neighbor order.
+
 Checkers implemented in this module:
 
 * Kirchhoff balance: total incoming weight equals total outgoing weight,
@@ -25,9 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -107,17 +114,7 @@ class DirectedGraph:
     never hides inside an interior set.
     """
 
-    __slots__ = (
-        "_labels",
-        "_index",
-        "_m",
-        "_out",
-        "_in",
-        "_nbrs",
-        "_max_degree",
-        "_edge_count",
-        "exact_weights",
-    )
+    __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "exact_weights")
 
     def __init__(
         self,
@@ -143,8 +140,10 @@ class DirectedGraph:
             raise GraphError("graph needs at least one vertex")
 
         n = len(labels)
-        out: list[dict[int, float]] = [dict() for _ in range(n)]
-        inc: list[dict[int, float]] = [dict() for _ in range(n)]
+        us: list[int] = []
+        vs: list[int] = []
+        ws: list[float] = []
+        seen: set[tuple[int, int]] = set()
         for pos, (src, dst, w) in enumerate(edges):
             try:
                 u = index[str(src)]
@@ -156,42 +155,43 @@ class DirectedGraph:
             w = float(w)
             if not math.isfinite(w) or w <= 0.0:
                 raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): weight must be finite and > 0, got {w}")
-            if v in out[u]:
+            if (u, v) in seen:
                 raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): duplicate edge")
-            out[u][v] = w
-            inc[v][u] = w
+            seen.add((u, v))
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
 
-        nbrs = [sorted(set(out[x]) | set(inc[x])) for x in range(n)]
-        for x in range(n):
-            if not nbrs[x]:
-                raise GraphError(f"vertex {labels[x]!r} has no incident edge")
+        # One slot per ordered pair of adjacent vertices, sorted by (row, neighbor):
+        # edge u -> v fills b_out of slot (u, v) and b_in of slot (v, u).
+        pairs = np.array(us + vs, dtype=np.int64) * n + np.array(vs + us, dtype=np.int64)
+        keys, slot = np.unique(pairs, return_inverse=True)
+        b_out = np.zeros(len(keys))
+        b_in = np.zeros(len(keys))
+        b_out[slot[: len(us)]] = ws
+        b_in[slot[len(us) :]] = ws
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
+        nbr = keys % n
 
-        # Weak connectivity of the undirected skeleton.
-        seen = [False] * n
-        queue: deque[int] = deque([0])
-        seen[0] = True
-        reached = 1
-        while queue:
-            x = queue.popleft()
-            for y in nbrs[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    reached += 1
-                    queue.append(y)
-        if reached != n:
-            missing = labels[seen.index(False)]
+        isolated = np.flatnonzero(np.diff(ptr) == 0)
+        if isolated.size:
+            raise GraphError(f"vertex {labels[isolated[0]]!r} has no incident edge")
+        dist = _distances(ptr, nbr, 0)
+        if dist.min() < 0:
+            missing = labels[int(np.argmin(dist))]
             raise GraphError(f"graph is not weakly connected: vertex {missing!r} unreachable from {labels[0]!r}")
 
         m_arr = np.asarray(measures, dtype=float)
-        m_arr.setflags(write=False)
+        for arr in (m_arr, ptr, nbr, b_out, b_in):
+            arr.setflags(write=False)
         self._labels = tuple(labels)
         self._index = index
         self._m = m_arr
-        self._out = tuple(MappingProxyType(d) for d in out)
-        self._in = tuple(MappingProxyType(d) for d in inc)
-        self._nbrs = tuple(tuple(ns) for ns in nbrs)
-        self._max_degree = max(len(ns) for ns in self._nbrs)
-        self._edge_count = sum(len(d) for d in out)
+        self._ptr = ptr
+        self._nbr = nbr
+        self._b_out = b_out
+        self._b_in = b_in
         self.exact_weights = bool(exact_weights)
 
     # -- basic accessors ---------------------------------------------------
@@ -200,7 +200,7 @@ class DirectedGraph:
         return len(self._labels)
 
     def __repr__(self) -> str:
-        return f"DirectedGraph({len(self)} vertices, {self._edge_count} directed edges)"
+        return f"DirectedGraph({len(self)} vertices, {self.edge_count} directed edges)"
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -213,11 +213,11 @@ class DirectedGraph:
 
     @property
     def max_degree(self) -> int:
-        return self._max_degree
+        return int(np.diff(self._ptr).max())
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return int(np.count_nonzero(self._b_out))
 
     def vertex_ids(self) -> range:
         return range(len(self._labels))
@@ -244,32 +244,92 @@ class DirectedGraph:
         """Edge weight b(x, y), or 0.0 when the directed edge is absent."""
         self.require_vertex(x)
         self.require_vertex(y)
-        return self._out[x].get(y, 0.0)
+        hi = self._ptr[x + 1]
+        k = bisect_left(self._nbr, y, self._ptr[x], hi)
+        return float(self._b_out[k]) if k < hi and self._nbr[k] == y else 0.0
+
+    def _row_edges(self, x: VertexId, weights: np.ndarray) -> dict[int, float]:
+        self.require_vertex(x)
+        lo, hi = self._ptr[x], self._ptr[x + 1]
+        return {y: w for y, w in zip(self._nbr[lo:hi].tolist(), weights[lo:hi].tolist()) if w}
 
     def out_edges(self, x: VertexId) -> Mapping[int, float]:
-        self.require_vertex(x)
-        return self._out[x]
+        """Targets and weights b(x, y) of the edges leaving ``x``, by ascending id."""
+        return self._row_edges(x, self._b_out)
 
     def in_edges(self, x: VertexId) -> Mapping[int, float]:
-        self.require_vertex(x)
-        return self._in[x]
+        """Sources and weights b(y, x) of the edges entering ``x``, by ascending id."""
+        return self._row_edges(x, self._b_in)
 
     def neighbors(self, x: VertexId) -> tuple[int, ...]:
         """Undirected neighbors, i.e. the ends of all incident edges."""
         self.require_vertex(x)
-        return self._nbrs[x]
+        return tuple(self._nbr[self._ptr[x] : self._ptr[x + 1]].tolist())
 
     def degree(self, x: VertexId) -> int:
         return len(self.neighbors(x))
 
+    def _slot_rows(self) -> np.ndarray:
+        """The vertex whose row holds each slot."""
+        return np.repeat(np.arange(len(self)), np.diff(self._ptr))
+
     def iter_edges(self) -> Iterable[tuple[int, int, float]]:
-        """All directed edges as (source id, target id, weight)."""
-        for x in self.vertex_ids():
-            for y, w in self._out[x].items():
-                yield x, y, w
+        """All directed edges as (source id, target id, weight), by ascending (source, target)."""
+        s = np.flatnonzero(self._b_out)
+        return zip(self._slot_rows()[s].tolist(), self._nbr[s].tolist(), self._b_out[s].tolist())
 
     def is_symmetric(self) -> bool:
-        return all(self._in[x].get(y, 0.0) == w for x in self.vertex_ids() for y, w in self._out[x].items())
+        return bool(np.array_equal(self._b_out, self._b_in))
+
+
+# -- whole-array helpers ------------------------------------------------------
+
+
+def _distances(ptr: np.ndarray, nbr: np.ndarray, x0: int) -> np.ndarray:
+    """Breadth-first distances over the slots; -1 marks unreached vertices."""
+    ptr_l, nbr_l = ptr.tolist(), nbr.tolist()
+    dist = [-1] * (len(ptr_l) - 1)
+    dist[x0] = 0
+    queue: deque[int] = deque([x0])
+    while queue:
+        x = queue.popleft()
+        for y in nbr_l[ptr_l[x] : ptr_l[x + 1]]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return np.array(dist, dtype=np.int64)
+
+
+def _vertex_array(g: DirectedGraph, xs: Iterable[VertexId]) -> np.ndarray:
+    """Validated vertex ids as an index array, in iteration order."""
+    xs = list(xs)
+    for x in xs:
+        g.require_vertex(x)
+    return np.array(xs, dtype=np.intp)
+
+
+def _row_sums(g: DirectedGraph, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of the per-slot ``values`` over each row in ``rows``.
+
+    Step k adds the k-th slot of every row that has one, so each row is
+    accumulated left to right in ascending-neighbor order, bit for bit like
+    a scalar loop over its neighbors (``np.add.reduceat`` is not).
+    """
+    start = g._ptr[rows]
+    degree = g._ptr[rows + 1] - start
+    total = np.zeros(len(rows))
+    for k in range(int(degree.max(initial=0))):
+        has = degree > k
+        total[has] += values[start[has] + k]
+    return total
+
+
+def _b_sym(g: DirectedGraph) -> np.ndarray:
+    """The symmetrized weight b'(x,y) = (b(x,y) + b(y,x))/2 of every slot.
+
+    Halving before adding keeps b' finite for any two finite weights.
+    """
+    return g._b_out / 2.0 + g._b_in / 2.0
 
 
 # -- strengths and the Kirchhoff balance ------------------------------------
@@ -277,14 +337,12 @@ class DirectedGraph:
 
 def out_strength(g: DirectedGraph, x: VertexId) -> float:
     """Total outgoing weight at ``x``."""
-    g.require_vertex(x)
-    return float(sum(g.out_edges(x).values()))
+    return float(_row_sums(g, _vertex_array(g, [x]), g._b_out)[0])
 
 
 def in_strength(g: DirectedGraph, x: VertexId) -> float:
     """Total incoming weight at ``x``."""
-    g.require_vertex(x)
-    return float(sum(g.in_edges(x).values()))
+    return float(_row_sums(g, _vertex_array(g, [x]), g._b_in)[0])
 
 
 class KirchhoffReport(NamedTuple):
@@ -302,26 +360,20 @@ def check_kirchhoff(
 
     With ``tol=None`` the tolerance is 0 for graphs built by the generators
     (``exact_weights``) and ``1e-12 * max(out, in)`` per vertex otherwise,
-    since user-supplied floating weights carry rounding.
+    since user-supplied floating weights carry rounding.  ``worst_vertex`` is
+    the first probed vertex of largest imbalance.
     """
-    worst = None
-    worst_imbalance = 0.0
-    ok = True
-    for x in interior:
-        g.require_vertex(x)
-        s_out = out_strength(g, x)
-        s_in = in_strength(g, x)
-        imbalance = abs(s_out - s_in)
-        if imbalance > worst_imbalance:
-            worst_imbalance = imbalance
-            worst = int(x)
-        if tol is None:
-            allowed = 0.0 if g.exact_weights else 1e-12 * max(s_out, s_in)
-        else:
-            allowed = tol
-        if imbalance > allowed:
-            ok = False
-    return KirchhoffReport(ok, worst_imbalance, worst)
+    rows = _vertex_array(g, interior)
+    s_out = _row_sums(g, rows, g._b_out)
+    s_in = _row_sums(g, rows, g._b_in)
+    imbalance = np.abs(s_out - s_in)
+    if tol is None:
+        allowed = 0.0 if g.exact_weights else 1e-12 * np.maximum(s_out, s_in)
+    else:
+        allowed = tol
+    worst_imbalance = float(np.fmax.reduce(imbalance, initial=0.0))
+    worst = int(rows[np.argmax(imbalance == worst_imbalance)]) if worst_imbalance > 0.0 else None
+    return KirchhoffReport(not np.any(imbalance > allowed), worst_imbalance, worst)
 
 
 def symmetrize(g: DirectedGraph) -> DirectedGraph:
@@ -329,44 +381,39 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
     The output is symmetric; idempotent on already-symmetric graphs.
     """
-    edges: list[tuple[str, str, float]] = []
-    for x in g.vertex_ids():
-        for y in g.neighbors(x):
-            if y < x:
-                continue
-            w = (g.weight(x, y) + g.weight(y, x)) / 2.0
-            edges.append((g.label(x), g.label(y), w))
-            edges.append((g.label(y), g.label(x), w))
-    vertices = [(g.label(x), g.measure(x)) for x in g.vertex_ids()]
-    return DirectedGraph(vertices, edges, exact_weights=g.exact_weights)
+    labels = g.labels
+    edges = [
+        (labels[x], labels[y], w)
+        for x, y, w in zip(g._slot_rows().tolist(), g._nbr.tolist(), _b_sym(g).tolist())
+    ]
+    return DirectedGraph(zip(labels, g._m.tolist()), edges, exact_weights=g.exact_weights)
 
 
 # -- asymmetry constants -----------------------------------------------------
 
 
+def _asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
+    d = g._b_out - g._b_in
+    return _row_sums(g, rows, d * d / _b_sym(g)) / g._m[rows]
+
+
+def _total_asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
+    return _row_sums(g, rows, np.abs(g._b_out - g._b_in)) / g._m[rows]
+
+
 def asymmetry_at(g: DirectedGraph, x: VertexId) -> float:
     """(1/m(x)) sum over neighbors of |b(x,y)-b(y,x)|^2 / b'(x,y)."""
-    g.require_vertex(x)
-    total = 0.0
-    for y in g.neighbors(x):
-        d = g.weight(x, y) - g.weight(y, x)
-        if d != 0.0:
-            total += d * d / ((g.weight(x, y) + g.weight(y, x)) / 2.0)
-    return total / g.measure(x)
+    return float(_asymmetry(g, _vertex_array(g, [x]))[0])
 
 
 def check_asymmetry(g: DirectedGraph, interior: Iterable[VertexId]) -> float:
     """Maximum of :func:`asymmetry_at` over the probed vertices (0.0 if empty)."""
-    return max((asymmetry_at(g, x) for x in interior), default=0.0)
+    return float(np.max(_asymmetry(g, _vertex_array(g, interior)), initial=0.0))
 
 
 def total_asymmetry_at(g: DirectedGraph, x: VertexId) -> float:
     """(1/m(x)) sum over neighbors of |b(x,y)-b(y,x)|."""
-    g.require_vertex(x)
-    total = 0.0
-    for y in g.neighbors(x):
-        total += abs(g.weight(x, y) - g.weight(y, x))
-    return total / g.measure(x)
+    return float(_total_asymmetry(g, _vertex_array(g, [x]))[0])
 
 
 def check_total_asymmetry(g: DirectedGraph, interior: Iterable[VertexId]) -> float | None:
@@ -376,8 +423,8 @@ def check_total_asymmetry(g: DirectedGraph, interior: Iterable[VertexId]) -> flo
     truncation radii to detect growth; a single finite value never proves
     boundedness on the infinite graph.
     """
-    values = [total_asymmetry_at(g, x) for x in interior]
-    return max(values) if values else None
+    values = _total_asymmetry(g, _vertex_array(g, interior))
+    return float(values.max()) if values.size else None
 
 
 # -- distances, balls, cutoffs ----------------------------------------------
@@ -386,16 +433,7 @@ def check_total_asymmetry(g: DirectedGraph, interior: Iterable[VertexId]) -> flo
 def combinatorial_distance(g: DirectedGraph, x0: VertexId) -> np.ndarray:
     """Breadth-first distances over undirected edges, indexed by vertex id."""
     g.require_vertex(x0)
-    dist = np.full(len(g), -1, dtype=np.int64)
-    dist[x0] = 0
-    queue: deque[int] = deque([x0])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return _distances(g._ptr, g._nbr, int(x0))
 
 
 def spheres(g: DirectedGraph, x0: VertexId, n_max: int | None = None) -> list[tuple[int, ...]]:
@@ -462,25 +500,20 @@ def build_cutoffs(g: DirectedGraph, x0: VertexId, radii: Sequence[int]) -> Cutof
     if not radii or any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise GraphError("radii must be strictly increasing positive integers")
     dist = combinatorial_distance(g, x0).astype(float)
+    rows = g._slot_rows()
+    every = np.arange(len(g))
+    b_sym = _b_sym(g)
     sets = []
     functions = []
     per_radius = []
     for r in radii:
         chi = np.clip(2.0 - dist / r, 0.0, 1.0)
         chi.setflags(write=False)
-        best = 0.0
-        for x in g.vertex_ids():
-            if chi[x] == 0.0 and all(chi[y] == 0.0 for y in g.neighbors(x)):
-                continue
-            energy = 0.0
-            for y in g.neighbors(x):
-                diff = chi[x] - chi[y]
-                if diff != 0.0:
-                    energy += (g.weight(x, y) + g.weight(y, x)) / 2.0 * diff * diff
-            best = max(best, energy / g.measure(x))
+        diff = chi[rows] - chi[g._nbr]
+        energy = _row_sums(g, every, b_sym * diff * diff)
         sets.append(frozenset(int(v) for v in np.nonzero(dist <= r)[0]))
         functions.append(chi)
-        per_radius.append(best)
+        per_radius.append(float(np.max(energy / g._m, initial=0.0)))
     return CutoffSequence(
         root=int(x0),
         radii=tuple(radii),
@@ -516,23 +549,13 @@ def divergence_criterion(g: DirectedGraph, x0: VertexId, n_max: int) -> Divergen
         raise TruncationError(
             f"sphere {int(dist.max()) + 1} is empty; use a host graph of radius >= {n_max}"
         )
-    a_plus: dict[int, float] = {}
-    a_minus: dict[int, float] = {}
-    for n in range(0, n_max + 1):
-        sphere = np.nonzero(dist == n)[0]
-        for x in sphere:
-            up = 0.0
-            down = 0.0
-            for y in g.neighbors(int(x)):
-                w_sym = (g.weight(int(x), y) + g.weight(y, int(x))) / 2.0
-                if dist[y] == n + 1:
-                    up += w_sym
-                elif dist[y] == n - 1:
-                    down += w_sym
-            if n <= n_max - 1:
-                a_plus[n] = max(a_plus.get(n, 0.0), up / g.measure(int(x)))
-            if n >= 1:
-                a_minus[n] = max(a_minus.get(n, 0.0), down / g.measure(int(x)))
+    every = np.arange(len(g))
+    step = dist[g._nbr] - dist[g._slot_rows()]
+    b_sym = _b_sym(g)
+    up = _row_sums(g, every, np.where(step == 1, b_sym, 0.0)) / g._m
+    down = _row_sums(g, every, np.where(step == -1, b_sym, 0.0)) / g._m
+    a_plus = {n: float(np.max(up[dist == n], initial=0.0)) for n in range(0, n_max)}
+    a_minus = {n: float(np.max(down[dist == n], initial=0.0)) for n in range(1, n_max + 1)}
     partial = sum(1.0 / math.sqrt(a_plus[n] + a_minus[n + 1]) for n in range(0, n_max))
     return DivergenceReport(a_plus, a_minus, partial)
 

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ball, DirectedGraph, GraphError, in_strength, out_strength
+from .graph import Ball, DirectedGraph, GraphError, _row_sums, _vertex_array
 
 __all__ = [
     "KINDS",
     "TruncatedOperator",
-    "WeightedVector",
     "assemble",
     "weighted_dot",
     "weighted_norm",
@@ -105,24 +104,32 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
     """Assemble the truncated operator of the given kind on a ball."""
     if kind not in KINDS:
         raise GraphError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
-    if kind == "symmetric_part" or kind == "skew_part":
-        lap = assemble(g, ball_, "laplacian").matrix
-        adj = assemble(g, ball_, "adjoint").matrix
-        matrix = (lap + adj) / 2.0 if kind == "symmetric_part" else (lap - adj) / 2.0
+    rows = _vertex_array(g, ball_.vertices)
+    n = len(rows)
+    measures = g.measures[rows]
+    pos = np.full(len(g), -1)
+    pos[rows] = np.arange(n)
+    # Slots joining two ball vertices; the diagonal keeps every host slot.
+    slot_rows = g._slot_rows()
+    inside = np.flatnonzero((pos[slot_rows] >= 0) & (pos[g._nbr] >= 0))
+    slot_measures = g.measures[slot_rows[inside]]
+
+    def entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _row_sums(g, rows, weights) / measures, 0.0 - weights[inside] / slot_measures
+
+    if kind == "laplacian":
+        diag, off = entries(g._b_out)
+    elif kind == "adjoint":
+        diag, off = entries(g._b_in)
     else:
-        index = {v: i for i, v in enumerate(ball_.vertices)}
-        n = len(ball_.vertices)
-        matrix = np.zeros((n, n))
-        for x, i in index.items():
-            m_x = g.measure(x)
-            strength = out_strength(g, x) if kind == "laplacian" else in_strength(g, x)
-            matrix[i, i] = strength / m_x
-            edges = g.out_edges(x) if kind == "laplacian" else g.in_edges(x)
-            for y, w in edges.items():
-                j = index.get(y)
-                if j is not None:
-                    matrix[i, j] -= w / m_x
-    measures = np.array([g.measure(x) for x in ball_.vertices])
+        (lap_diag, lap_off), (adj_diag, adj_off) = entries(g._b_out), entries(g._b_in)
+        if kind == "symmetric_part":
+            diag, off = (lap_diag + adj_diag) / 2.0, (lap_off + adj_off) / 2.0
+        else:
+            diag, off = (lap_diag - adj_diag) / 2.0, (lap_off - adj_off) / 2.0
+    matrix = np.zeros((n, n))
+    matrix[pos[slot_rows[inside]], pos[g._nbr[inside]]] = off
+    matrix[np.diag_indices(n)] = diag
     return TruncatedOperator(matrix, measures, kind, tuple(ball_.vertices), g, ball_)
 
 
@@ -140,26 +147,6 @@ def weighted_dot(u: np.ndarray, v: np.ndarray, measure: np.ndarray) -> complex:
 
 def weighted_norm(u: np.ndarray, measure: np.ndarray) -> float:
     return float(np.sqrt(np.sum(measure * np.abs(np.asarray(u)) ** 2)))
-
-
-@dataclass(frozen=True)
-class WeightedVector:
-    """A function on ball vertices together with its measure weights."""
-
-    values: np.ndarray
-    measure: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))
-        object.__setattr__(self, "measure", np.asarray(self.measure, dtype=float))
-        if self.values.shape != self.measure.shape:
-            raise GraphError("values and measure must have equal length")
-
-    def norm(self) -> float:
-        return weighted_norm(self.values, self.measure)
-
-    def dot(self, other: "WeightedVector") -> complex:
-        return weighted_dot(self.values, other.values, self.measure)
 
 
 def similarity_to_standard(op: TruncatedOperator) -> np.ndarray:
@@ -223,15 +210,11 @@ def green_residual_batch(
     rows = list(ball_.vertices)
     fh[rows] = F
     hh[rows] = H
-    src, dst, w = [], [], []
-    for x, y, wt in g.iter_edges():
-        src.append(x)
-        dst.append(y)
-        w.append(wt)
-    w_arr = np.asarray(w)
+    edges = np.flatnonzero(g._b_out)
+    src, dst, w = g._slot_rows()[edges], g._nbr[edges], g._b_out[edges]
     df = fh[src] - fh[dst]
     dh = hh[src] - hh[dst]
-    rhs = np.sum(w_arr[:, None] * df * np.conj(dh), axis=0)
+    rhs = np.sum(w[:, None] * df * np.conj(dh), axis=0)
     return np.abs(lhs - rhs)
 
 

@@ -31,6 +31,21 @@ __all__ = [
 ]
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"{what} has non-finite entries")
+    return a
+
+
+def _singular_values(a: np.ndarray, what: str) -> np.ndarray:
+    """Singular values of a finite matrix, largest first."""
+    _finite(a, what)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular values of {what} failed: {exc}") from exc
+
+
 def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:
     """Apply exp(-tA) to a vector; t must be nonnegative (one-sided semigroup)."""
     if t < 0:
@@ -40,7 +55,7 @@ def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarra
         raise GraphError(f"expected a vector of length {op.n}")
     if t == 0.0:
         return values.copy()
-    return scipy.linalg.expm(-t * op.matrix) @ values
+    return _finite(scipy.linalg.expm(-t * op.matrix) @ values, f"exp(-{t} A) v")
 
 
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
@@ -50,7 +65,7 @@ def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
     if t == 0.0:
         return 1.0
     propagator = scipy.linalg.expm(-t * similarity_to_standard(op))
-    return float(np.linalg.svd(propagator, compute_uv=False)[0])
+    return float(_singular_values(propagator, f"exp(-{t} A)")[0])
 
 
 def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
@@ -60,7 +75,7 @@ def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
         raise GraphError("resolvent bound needs Re(lambda) > 0")
     shifted = similarity_to_standard(op).astype(complex)
     shifted[np.diag_indices_from(shifted)] += lam
-    smallest = np.linalg.svd(shifted, compute_uv=False)[-1]
+    smallest = _singular_values(shifted, f"A + {lam}")[-1]
     if smallest == 0.0:
         # Cannot occur for accretive truncations with Re(lambda) > 0.
         raise NumericError(f"(A + {lam}) is singular")

@@ -19,10 +19,8 @@ numerical range from below by h^2 / (2 * max degree).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,13 +55,6 @@ __all__ = [
 ]
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DIRLAP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class NumericalRangeSample:
     """Boundary points of the numerical range from an angle sweep.
@@ -80,12 +71,18 @@ class NumericalRangeSample:
 
 
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
-    """Sample the numerical range boundary at ``n_angles`` equispaced angles."""
+    """Sample the numerical range boundary at ``n_angles`` equispaced angles.
+
+    Raises :class:`NumericError` when the Hermitian part, a boundary point
+    or ``min_real`` is not finite.
+    """
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
     a_std = similarity_to_standard(op)
     sym = (a_std + a_std.T) / 2.0
     skew = (a_std - a_std.T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise NumericError("the Hermitian part has non-finite entries")
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
 
     def boundary_point(phi: float) -> complex:
@@ -99,18 +96,16 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
         v = vecs[:, -1]
         return complex(np.vdot(v, a_std @ v))
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(boundary_point, angles))
-    else:
-        points = [boundary_point(phi) for phi in angles]
-
+    points = np.array([boundary_point(phi) for phi in angles], dtype=complex)
+    if not np.all(np.isfinite(points)):
+        raise NumericError("the sweep produced a non-finite boundary point")
     try:
         min_real = float(np.linalg.eigvalsh(sym)[0])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed on the Hermitian part: {exc}") from exc
-    return NumericalRangeSample(np.asarray(points, dtype=complex), angles, min_real)
+    if not math.isfinite(min_real):
+        raise NumericError(f"min_real is not finite: {min_real}")
+    return NumericalRangeSample(points, angles, min_real)
 
 
 @dataclass(frozen=True)
@@ -182,12 +177,17 @@ def _require_unit_symmetric(g: DirectedGraph) -> None:
         raise GraphError("Cheeger constants require unit vertex measure")
 
 
-def _boundary_quotient(g: DirectedGraph, subset: frozenset[int]) -> float:
+def _out_edges(g: DirectedGraph) -> list[Mapping[int, float]]:
+    """Every vertex's out-edges, fetched once for the many quotients that follow."""
+    return [g.out_edges(x) for x in g.vertex_ids()]
+
+
+def _boundary_quotient(out_edges: list[Mapping[int, float]], subset: frozenset[int]) -> float:
     total = 0.0
     for x in subset:
-        for y in g.neighbors(x):
+        for y, w in out_edges[x].items():
             if y not in subset:
-                total += math.sqrt(g.weight(x, y))
+                total += math.sqrt(w)
     return total / len(subset)
 
 
@@ -234,12 +234,13 @@ def cheeger_bruteforce(
     witness: frozenset[int] = frozenset()
     exhausted = False
     count = 0
+    out_edges = _out_edges(g)
     for subset in _connected_subsets(g, k_max):
         count += 1
         if count > budget:
             exhausted = True
             break
-        q = _boundary_quotient(g, subset)
+        q = _boundary_quotient(out_edges, subset)
         if q < best:
             best = q
             witness = subset
@@ -265,7 +266,8 @@ def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> Cheeger
         if not prev <= s:
             raise GraphError(f"family member {i} does not contain member {i - 1}")
         prev = s
-    quotients = [_boundary_quotient(g, s) for s in sets]
+    out_edges = _out_edges(g)
+    quotients = [_boundary_quotient(out_edges, s) for s in sets]
     idx = int(np.argmin(quotients))
     return CheegerResult(
         value=quotients[idx],
@@ -276,21 +278,18 @@ def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> Cheeger
     )
 
 
-class CheegerBound:
+class CheegerBound(NamedTuple):
     """Outcome of the lower bound min Re W >= h^2 / (2 max_degree)."""
 
-    __slots__ = ("lambda0", "min_real", "ok")
+    lambda0: float
+    min_real: float
+    ok: bool
 
-    def __init__(self, lambda0: float, min_real: float, ok: bool):
-        self.lambda0 = lambda0
-        self.min_real = min_real
-        self.ok = ok
 
-    def __iter__(self):
-        return iter((self.lambda0, self.min_real, self.ok))
-
-    def __repr__(self):
-        return f"CheegerBound(lambda0={self.lambda0!r}, min_real={self.min_real!r}, ok={self.ok!r})"
+def _cheeger_bound(h: float, g: DirectedGraph, min_real: float) -> CheegerBound:
+    """Compare ``min_real`` with lambda0 = h^2 / (2 M), M the max degree of ``g``."""
+    lambda0 = h**2 / (2.0 * g.max_degree)
+    return CheegerBound(lambda0, min_real, min_real >= lambda0 - 1e-9)
 
 
 def cheeger_bound_check(
@@ -301,9 +300,8 @@ def cheeger_bound_check(
         raise GraphError("Cheeger constant must be >= 0")
     if not np.all(g.measures == 1.0):
         raise GraphError("the Cheeger lower bound requires unit vertex measure")
-    lambda0 = h * h / (2.0 * g.max_degree)
     sample = numrange_boundary(assemble(g, ball_, "laplacian"), n_angles)
-    return CheegerBound(lambda0, sample.min_real, sample.min_real >= lambda0 - 1e-9)
+    return _cheeger_bound(h, g, sample.min_real)
 
 
 # -- aggregated certificate --------------------------------------------------------
@@ -403,11 +401,7 @@ def accretivity_certificate(
         g_sym = symmetrize(g)
         cap = min(cheeger_cap, len(g) - 1)
         result = cheeger_bruteforce(g_sym, max_subset_size=cap, budget=500_000)
-        bound = CheegerBound(
-            result.value ** 2 / (2.0 * g.max_degree),
-            sample.min_real,
-            sample.min_real >= result.value ** 2 / (2.0 * g.max_degree) - 1e-9,
-        )
+        bound = _cheeger_bound(result.value, g, sample.min_real)
         cheeger_ok = bound.ok if result.certified else None
         cheeger_info = {
             "h": result.value,

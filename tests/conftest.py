@@ -41,6 +41,16 @@ def unit_measure_copy(g):
     return dl.DirectedGraph(vertices, edges, exact_weights=g.exact_weights)
 
 
+def naive_adjacency(g):
+    """Edge weights {(x, y): b(x, y)} and ascending neighbor lists, from the edge list alone."""
+    weights = {(x, y): w for x, y, w in g.iter_edges()}
+    nbrs = {x: set() for x in g.vertex_ids()}
+    for x, y in weights:
+        nbrs[x].add(y)
+        nbrs[y].add(x)
+    return weights, {x: sorted(ys) for x, ys in nbrs.items()}
+
+
 def interior_random_vectors(op, count, rng, complex_values=True):
     """Random vectors supported on the interior rows of a truncation."""
     rows = op.interior_rows

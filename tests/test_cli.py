@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import dirlap as dl
 from dirlap.cli import main
@@ -200,6 +201,22 @@ def test_certify_positive_and_negative(tmp_path, capsys):
     assert code == 1
     bad = json.loads((tmp_path / "bad.json").read_text())
     assert bad["kirchhoff"]["worst_vertex"] == "u"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "certify", "cheeger", "evolve"])
+def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command):
+    # b = 1e308 both ways: every weight is valid, but b + b~ and the
+    # Hermitian part overflow, so no verdict may be reported.
+    g = dl.DirectedGraph([("a", 1.0), ("b", 1.0)], [("a", "b", 1e308), ("b", "a", 1e308)])
+    path = tmp_path / "overflow.json"
+    dl.save_graph(g, path)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, command, "--graph", str(path), "--radius", "2", "--out", str(report))
+    assert code == 3 and "numeric failure" in err
+    assert not report.exists()
+    code, _, _ = run(capsys, "check", "--graph", str(path), "--radius", "2", "--out", str(report))
+    assert code == 0
+    assert "NaN" not in report.read_text() and "Infinity" not in report.read_text()
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -8,6 +8,20 @@ from hypothesis import strategies as st
 import dirlap as dl
 from dirlap import GraphError, TruncationError, UnknownVertexError
 
+from conftest import naive_adjacency
+
+
+def naive_vertex_sums(g, term):
+    """sum over y of term(x, y, b(x,y), b(y,x)) at every vertex, in ascending-neighbor order."""
+    weights, nbrs = naive_adjacency(g)
+    sums = []
+    for x in g.vertex_ids():
+        total = 0.0
+        for y in nbrs[x]:
+            total += term(x, y, weights.get((x, y), 0.0), weights.get((y, x), 0.0))
+        sums.append(total)
+    return sums
+
 
 # -- construction invariants --------------------------------------------------
 
@@ -262,18 +276,14 @@ def test_cutoffs_shape_and_constant(ladder_sqrt):
     assert cut.constant == max(cut.per_radius)
 
 
-def test_cutoffs_constant_matches_naive(ladder_sqrt):
-    g = ladder_sqrt
-    cut = dl.build_cutoffs(g, 0, [3])
-    chi = cut.functions[0]
-    naive = 0.0
-    for x in g.vertex_ids():
-        energy = sum(
-            (g.weight(x, y) + g.weight(y, x)) / 2.0 * (chi[x] - chi[y]) ** 2
-            for y in g.neighbors(x)
-        )
-        naive = max(naive, energy / g.measure(x))
-    assert cut.per_radius[0] == pytest.approx(naive, rel=1e-15)
+def test_cutoffs_constant_matches_naive(ladder_sqrt, random_graphs):
+    for g in [ladder_sqrt, *random_graphs]:
+        cut = dl.build_cutoffs(g, 0, [1, 3])
+        for chi, constant in zip(cut.functions, cut.per_radius):
+            energies = naive_vertex_sums(
+                g, lambda x, y, bxy, byx: (bxy + byx) / 2.0 * (chi[x] - chi[y]) * (chi[x] - chi[y])
+            )
+            assert constant == max(e / m for e, m in zip(energies, g.measures))
 
 
 def test_cutoffs_ladder_constants_stay_bounded():
@@ -288,6 +298,37 @@ def test_cutoffs_bad_radii(ladder_sqrt):
         dl.build_cutoffs(ladder_sqrt, 0, [3, 3])
     with pytest.raises(GraphError):
         dl.build_cutoffs(ladder_sqrt, 0, [0, 2])
+
+
+def test_checkers_match_naive_loops(ladder_sqrt, tree4, random_graphs):
+    for g in [ladder_sqrt, tree4, *random_graphs]:
+        m = g.measures
+        asym = naive_vertex_sums(g, lambda x, y, bxy, byx: (bxy - byx) * (bxy - byx) / ((bxy + byx) / 2.0))
+        total = naive_vertex_sums(g, lambda x, y, bxy, byx: abs(bxy - byx))
+        s_out = naive_vertex_sums(g, lambda x, y, bxy, byx: bxy)
+        s_in = naive_vertex_sums(g, lambda x, y, bxy, byx: byx)
+        imbalance = [abs(a - b) for a, b in zip(s_out, s_in)]
+        for x in g.vertex_ids():
+            assert dl.asymmetry_at(g, x) == asym[x] / m[x]
+            assert dl.total_asymmetry_at(g, x) == total[x] / m[x]
+            assert dl.out_strength(g, x) == s_out[x] and dl.in_strength(g, x) == s_in[x]
+        balance = dl.check_kirchhoff(g, g.vertex_ids())
+        assert balance.max_imbalance == max(imbalance)
+        assert balance.worst_vertex == (imbalance.index(max(imbalance)) if max(imbalance) > 0 else None)
+
+        dist = dl.combinatorial_distance(g, 0)
+        n_max = int(dist.max())
+        rep = dl.divergence_criterion(g, 0, n_max)
+        for step, side in ((1, rep.a_plus), (-1, rep.a_minus)):
+            toward = naive_vertex_sums(
+                g, lambda x, y, bxy, byx: (bxy + byx) / 2.0 if dist[y] == dist[x] + step else 0.0
+            )
+            expected = {}
+            for x in g.vertex_ids():
+                n = int(dist[x])
+                if n + step in range(n_max + 1) and n in range(n_max + 1):
+                    expected[n] = max(expected.get(n, 0.0), toward[x] / m[x])
+            assert side == expected
 
 
 # -- divergence criterion ----------------------------------------------------------

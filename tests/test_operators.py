@@ -4,30 +4,55 @@ import pytest
 import dirlap as dl
 from dirlap import GraphError
 
-from conftest import interior_random_vectors
+from conftest import interior_random_vectors, naive_adjacency
 
 RNG = np.random.default_rng(20240817)
 
 
 def naive_green_sides(g, ball_, f, h):
     """Both sides of the Green identity, recomputed with plain loops."""
+    weights, nbrs = naive_adjacency(g)
     rows = {v: i for i, v in enumerate(ball_.vertices)}
     fh = {v: f[i] for v, i in rows.items()}
     hh = {v: h[i] for v, i in rows.items()}
 
     def lap(values, x):
         total = 0.0
-        for y, w in g.out_edges(x).items():
-            total += w * (values.get(x, 0.0) - values.get(y, 0.0))
-        return total / g.measure(x)
+        for y in nbrs[x]:
+            total += weights.get((x, y), 0.0) * (values.get(x, 0.0) - values.get(y, 0.0))
+        return total / g.measures[x]
 
-    lhs = sum(g.measure(x) * lap(fh, x) * np.conj(hh.get(x, 0.0)) for x in rows)
-    lhs += np.conj(sum(g.measure(x) * lap(hh, x) * np.conj(fh.get(x, 0.0)) for x in rows))
+    lhs = sum(g.measures[x] * lap(fh, x) * np.conj(hh.get(x, 0.0)) for x in rows)
+    lhs += np.conj(sum(g.measures[x] * lap(hh, x) * np.conj(fh.get(x, 0.0)) for x in rows))
     rhs = sum(
         w * (fh.get(x, 0.0) - fh.get(y, 0.0)) * np.conj(hh.get(x, 0.0) - hh.get(y, 0.0))
-        for x, y, w in g.iter_edges()
+        for (x, y), w in weights.items()
     )
     return lhs, rhs
+
+
+def naive_matrices(g, ball_):
+    """The four truncated operators, assembled entry by entry with plain loops."""
+    weights, nbrs = naive_adjacency(g)
+    index = {v: i for i, v in enumerate(ball_.vertices)}
+    lap = np.zeros((len(index), len(index)))
+    adj = np.zeros_like(lap)
+    for x, i in index.items():
+        m_x = g.measures[x]
+        for matrix, forward in ((lap, True), (adj, False)):
+            strength = 0.0
+            for y in nbrs[x]:
+                w = weights.get((x, y) if forward else (y, x), 0.0)
+                strength += w
+                if y in index and w != 0.0:
+                    matrix[i, index[y]] -= w / m_x
+            matrix[i, i] = strength / m_x
+    return {
+        "laplacian": lap,
+        "adjoint": adj,
+        "symmetric_part": (lap + adj) / 2.0,
+        "skew_part": (lap - adj) / 2.0,
+    }
 
 
 # -- assembly -------------------------------------------------------------------
@@ -36,6 +61,14 @@ def naive_green_sides(g, ball_, f, h):
 def test_two_vertex_symmetric_matrix(two_vertex_symmetric):
     op = dl.assemble(two_vertex_symmetric, dl.full_ball(two_vertex_symmetric, 0), "laplacian")
     assert op.matrix.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+
+
+def test_assemble_matches_naive_loops(ladder_sqrt, tree4, random_graphs):
+    cases = [(ladder_sqrt, dl.ball(ladder_sqrt, 0, 5)), (tree4, dl.ball(tree4, 0, 3))]
+    cases += [(g, dl.ball(g, 0, 1)) for g in random_graphs]
+    for g, b in cases:
+        for kind, expected in naive_matrices(g, b).items():
+            assert dl.assemble(g, b, kind).matrix.tobytes() == expected.tobytes()
 
 
 def test_full_diagonal_keeps_out_of_ball_strength(ladder_sqrt):
@@ -111,12 +144,6 @@ def test_weighted_dot_unit_measure_is_standard():
     u = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
     v = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
     assert dl.weighted_dot(u, v, np.ones(5)) == pytest.approx(complex(np.vdot(v, u)))
-
-
-def test_weighted_vector():
-    vec = dl.WeightedVector(np.array([1.0, 1.0]), np.array([2.0, 3.0]))
-    assert vec.norm() == pytest.approx(np.sqrt(5.0))
-    assert vec.dot(dl.WeightedVector(np.array([1.0, 0.0]), np.array([2.0, 3.0]))) == 2.0
 
 
 def test_similarity_identity_for_unit_measure(ladder_unit):

@@ -81,14 +81,6 @@ def test_numrange_needs_four_angles(two_vertex_symmetric):
         dl.numrange_boundary(op, 3)
 
 
-def test_numrange_threaded_matches_serial(monkeypatch, ladder_sqrt):
-    op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 5), "laplacian")
-    serial = dl.numrange_boundary(op, 24)
-    monkeypatch.setenv("DIRLAP_THREADS", "4")
-    threaded = dl.numrange_boundary(op, 24)
-    assert np.array_equal(serial.points, threaded.points)
-
-
 # -- sector checks -------------------------------------------------------------------
 
 
