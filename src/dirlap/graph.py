@@ -89,7 +89,13 @@ class TruncationError(GraphError):
 
 
 class NumericError(RuntimeError):
-    """An eigenvalue or factorization routine failed."""
+    """A computed value is not finite, or an eigenvalue or factorization routine failed."""
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"{what} has non-finite entries")
+    return a
 
 
 class DirectedGraph:
@@ -313,7 +319,8 @@ def _row_sums(g: DirectedGraph, rows: np.ndarray, values: np.ndarray) -> np.ndar
 
     Step k adds the k-th slot of every row that has one, so each row is
     accumulated left to right in ascending-neighbor order, bit for bit like
-    a scalar loop over its neighbors (``np.add.reduceat`` is not).
+    a scalar loop over its neighbors (``np.add.reduceat`` is not).  Finite
+    weights can still overflow, so a non-finite sum raises :class:`NumericError`.
     """
     start = g._ptr[rows]
     degree = g._ptr[rows + 1] - start
@@ -321,7 +328,7 @@ def _row_sums(g: DirectedGraph, rows: np.ndarray, values: np.ndarray) -> np.ndar
     for k in range(int(degree.max(initial=0))):
         has = degree > k
         total[has] += values[start[has] + k]
-    return total
+    return _finite(total, "the vector of per-vertex weight sums")
 
 
 def _b_sym(g: DirectedGraph) -> np.ndarray:

@@ -155,8 +155,13 @@ def similarity_to_standard(op: TruncatedOperator) -> np.ndarray:
     The standard numerical range and operator norm of the result equal the
     measure-weighted ones of ``op``.
     """
-    d = np.sqrt(op.measure_vector)
-    return op.matrix * d[:, None] / d[None, :]
+    return _similar(op.matrix, op.measure_vector)
+
+
+def _similar(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
+    """D^(1/2) M D^(-1/2) with D = diag(measure), for any matrix M acting on the ball."""
+    d = np.sqrt(measure)
+    return matrix * d[:, None] / d[None, :]
 
 
 def quadratic_form(op: TruncatedOperator, values: np.ndarray) -> complex:

@@ -6,9 +6,10 @@ right half-plane, and a positive lower bound on the real part of the
 numerical range turns contraction into exponential decay.  All norms are
 taken in the measure-weighted geometry via the similarity transform.
 
-Matrix exponentials use dense scaling-and-squaring; at the intended sizes
-(a few thousand rows at most) this is exact to rounding and simpler than
-Krylov alternatives.
+Each time t forms one propagator P = exp(-tA), in the weighted frame, by
+dense scaling-and-squaring (exact to rounding at the intended sizes, a few
+thousand rows at most).  Both P v and the weighted operator norm, the
+largest singular value of D^(1/2) P D^(-1/2), are read from that one P.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import GraphError, NumericError
-from .operators import TruncatedOperator, similarity_to_standard, weighted_norm
+from .graph import GraphError, NumericError, _finite
+from .operators import TruncatedOperator, _similar, similarity_to_standard, weighted_norm
 
 __all__ = [
     "EvolutionTrace",
@@ -31,12 +32,6 @@ __all__ = [
 ]
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{what} has non-finite entries")
-    return a
-
-
 def _singular_values(a: np.ndarray, what: str) -> np.ndarray:
     """Singular values of a finite matrix, largest first."""
     _finite(a, what)
@@ -46,26 +41,35 @@ def _singular_values(a: np.ndarray, what: str) -> np.ndarray:
         raise NumericError(f"singular values of {what} failed: {exc}") from exc
 
 
-def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:
-    """Apply exp(-tA) to a vector; t must be nonnegative (one-sided semigroup)."""
+def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
+    """exp(-tA) as a dense matrix; t must be nonnegative (one-sided semigroup)."""
     if t < 0:
         raise GraphError("the semigroup is one-sided: t must be >= 0")
-    values = np.asarray(values)
-    if values.shape[0] != op.n:
-        raise GraphError(f"expected a vector of length {op.n}")
     if t == 0.0:
-        return values.copy()
-    return _finite(scipy.linalg.expm(-t * op.matrix) @ values, f"exp(-{t} A) v")
+        return np.eye(op.n)
+    return _finite(scipy.linalg.expm(-t * op.matrix), f"exp(-{t} A)")
+
+
+def _apply(propagator: np.ndarray, t: float, values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values)
+    if values.shape[0] != propagator.shape[0]:
+        raise GraphError(f"expected a vector of length {propagator.shape[0]}")
+    return _finite(propagator @ values, f"exp(-{t} A) v")
+
+
+def _norm(op: TruncatedOperator, propagator: np.ndarray, t: float) -> float:
+    """Weighted operator norm of a propagator: the largest singular value after similarity."""
+    return float(_singular_values(_similar(propagator, op.measure_vector), f"exp(-{t} A)")[0])
+
+
+def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:
+    """Apply exp(-tA) to a vector; t must be nonnegative (one-sided semigroup)."""
+    return _apply(_propagator(op, t), t, values)
 
 
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
     """Weighted operator norm of exp(-tA), the largest singular value after similarity."""
-    if t < 0:
-        raise GraphError("the semigroup is one-sided: t must be >= 0")
-    if t == 0.0:
-        return 1.0
-    propagator = scipy.linalg.expm(-t * similarity_to_standard(op))
-    return float(_singular_values(propagator, f"exp(-{t} A)")[0])
+    return _norm(op, _propagator(op, t), t)
 
 
 def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
@@ -126,11 +130,13 @@ def evolve_trace(
         raise GraphError("time grid must not be empty")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise GraphError("time grid must be sorted and nonnegative")
-    v0 = np.asarray(v0)
-    op_norms = np.array([operator_norm_expm(op, float(t)) for t in times])
-    state_norms = np.array(
-        [weighted_norm(expm_apply(op, float(t), v0), op.measure_vector) for t in times]
-    )
+
+    def norms_at(t: float) -> tuple[float, float]:
+        # Both norms come from one propagator, freed before the next is formed.
+        p = _propagator(op, t)
+        return _norm(op, p, t), weighted_norm(_apply(p, t, v0), op.measure_vector)
+
+    op_norms, state_norms = np.array([norms_at(float(t)) for t in times]).T
     if lambda0 is None:
         bounds = np.ones_like(times)
     else:
@@ -147,9 +153,4 @@ def positivity_check(op: TruncatedOperator, t: float) -> bool:
     """
     if op.kind == "skew_part":
         raise GraphError("positivity is not defined for the skew part")
-    if t < 0:
-        raise GraphError("the semigroup is one-sided: t must be >= 0")
-    if t == 0.0:
-        return True
-    propagator = scipy.linalg.expm(-t * op.matrix)
-    return bool(np.all(propagator >= -1e-12))
+    return bool(np.all(_propagator(op, t) >= -1e-12))

@@ -29,6 +29,7 @@ from .graph import (
     DirectedGraph,
     GraphError,
     NumericError,
+    _finite,
     build_cutoffs,
     check_asymmetry,
     check_kirchhoff,
@@ -70,6 +71,16 @@ class NumericalRangeSample:
     min_real: float
 
 
+def _hermitian_part(a_std: np.ndarray) -> tuple[np.ndarray, float]:
+    """The finite Hermitian part of ``a_std`` and its smallest eigenvalue, min Re W(a_std)."""
+    sym = _finite((a_std + a_std.T) / 2.0, "the Hermitian part")
+    try:
+        eigenvalues = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolve failed on the Hermitian part: {exc}") from exc
+    return sym, float(_finite(eigenvalues, "the spectrum of the Hermitian part")[0])
+
+
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
     """Sample the numerical range boundary at ``n_angles`` equispaced angles.
 
@@ -79,10 +90,8 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
     a_std = similarity_to_standard(op)
-    sym = (a_std + a_std.T) / 2.0
+    sym, min_real = _hermitian_part(a_std)
     skew = (a_std - a_std.T) / 2.0
-    if not np.all(np.isfinite(sym)):
-        raise NumericError("the Hermitian part has non-finite entries")
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
 
     def boundary_point(phi: float) -> complex:
@@ -97,15 +106,7 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
         return complex(np.vdot(v, a_std @ v))
 
     points = np.array([boundary_point(phi) for phi in angles], dtype=complex)
-    if not np.all(np.isfinite(points)):
-        raise NumericError("the sweep produced a non-finite boundary point")
-    try:
-        min_real = float(np.linalg.eigvalsh(sym)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolve failed on the Hermitian part: {exc}") from exc
-    if not math.isfinite(min_real):
-        raise NumericError(f"min_real is not finite: {min_real}")
-    return NumericalRangeSample(points, angles, min_real)
+    return NumericalRangeSample(_finite(points, "the swept boundary"), angles, min_real)
 
 
 @dataclass(frozen=True)
@@ -292,16 +293,14 @@ def _cheeger_bound(h: float, g: DirectedGraph, min_real: float) -> CheegerBound:
     return CheegerBound(lambda0, min_real, min_real >= lambda0 - 1e-9)
 
 
-def cheeger_bound_check(
-    g: DirectedGraph, ball_: Ball, h: float, n_angles: int = 36
-) -> CheegerBound:
+def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound:
     """Check min Re W(truncation) >= h^2 / (2 M) with M the host max degree."""
     if h < 0:
         raise GraphError("Cheeger constant must be >= 0")
     if not np.all(g.measures == 1.0):
         raise GraphError("the Cheeger lower bound requires unit vertex measure")
-    sample = numrange_boundary(assemble(g, ball_, "laplacian"), n_angles)
-    return _cheeger_bound(h, g, sample.min_real)
+    _, min_real = _hermitian_part(similarity_to_standard(assemble(g, ball_, "laplacian")))
+    return _cheeger_bound(h, g, min_real)
 
 
 # -- aggregated certificate --------------------------------------------------------

@@ -135,6 +135,11 @@ def test_cheeger_command(tmp_path, capsys):
     assert payload["min_real"] >= payload["lambda0"] - 1e-9
     assert payload["max_degree"] == 3
     assert payload["witness"]
+    assert "angles" not in payload["config"]
+    # min_real does not depend on the angles, so the option is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["cheeger", "--gen", "ladder", "--measure", "unit", "--angles", "8"])
+    assert exc.value.code == 2
 
 
 def test_cheeger_rejects_nonunit_measure(capsys):
@@ -203,18 +208,34 @@ def test_certify_positive_and_negative(tmp_path, capsys):
     assert bad["kirchhoff"]["worst_vertex"] == "u"
 
 
-@pytest.mark.parametrize("command", ["spectrum", "certify", "cheeger", "evolve"])
-def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command):
-    # b = 1e308 both ways: every weight is valid, but b + b~ and the
-    # Hermitian part overflow, so no verdict may be reported.
-    g = dl.DirectedGraph([("a", 1.0), ("b", 1.0)], [("a", "b", 1e308), ("b", "a", 1e308)])
-    path = tmp_path / "overflow.json"
-    dl.save_graph(g, path)
+# b = 1e308 both ways: every weight is valid, but b + b~ and the Hermitian
+# part overflow, so no verdict may be reported; its strengths stay finite.
+PAIR = [("a", "b", 1e308), ("b", "a", 1e308)]
+
+
+@pytest.mark.parametrize(
+    "command, edges",
+    [pytest.param(cmd, PAIR, id=cmd) for cmd in ("spectrum", "certify", "cheeger", "evolve")]
+    + [
+        # a's strengths overflow, so the Kirchhoff imbalance inf - inf is NaN.
+        pytest.param("check", PAIR + [("a", "c", 1e308), ("c", "a", 1e308)], id="check-strength"),
+        # (b - b~)^2 overflows, so the asymmetry constant is infinite.
+        pytest.param("check", [("a", "b", 1e308), ("b", "a", 1.0)], id="check-asymmetry"),
+    ],
+)
+def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edges):
+    def save(edges, name):
+        vertices = sorted({v for x, y, _ in edges for v in (x, y)})
+        dl.save_graph(dl.DirectedGraph([(v, 1.0) for v in vertices], edges), tmp_path / name)
+        return str(tmp_path / name)
+
     report = tmp_path / "report.json"
-    code, _, err = run(capsys, command, "--graph", str(path), "--radius", "2", "--out", str(report))
-    assert code == 3 and "numeric failure" in err
+    argv = ("--radius", "2", "--out", str(report))
+    code, _, err = run(capsys, command, "--graph", save(edges, "g.json"), *argv)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("dirlap: numeric failure: ")
     assert not report.exists()
-    code, _, _ = run(capsys, "check", "--graph", str(path), "--radius", "2", "--out", str(report))
+    code, _, _ = run(capsys, "check", "--graph", save(PAIR, "pair.json"), *argv)
     assert code == 0
     assert "NaN" not in report.read_text() and "Infinity" not in report.read_text()
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dirlap as dl
-from dirlap import GraphError
+from dirlap import GraphError, NumericError
 
 RNG = np.random.default_rng(4321)
 
@@ -91,6 +92,31 @@ def test_fast_decay_unit_ladder(ladder_unit):
         assert dl.operator_norm_expm(op, t) <= math.exp(-t / 6.0) + 1e-9
 
 
+def test_operator_norm_matches_standard_frame(ladder_sqrt):
+    # The norm is read in the weighted frame, D^(1/2) exp(-tA) D^(-1/2);
+    # the reference exponentiates the similar matrix S = D^(1/2) A D^(-1/2).
+    op = laplacian_on_ball(ladder_sqrt, 8)
+    s = dl.similarity_to_standard(op)
+    for t in (0.1, 1.0, 5.0):
+        expected = np.linalg.norm(scipy.linalg.expm(-t * s), 2)
+        assert dl.operator_norm_expm(op, t) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        lambda op: dl.expm_apply(op, 1.0, np.ones(op.n)),
+        lambda op: dl.operator_norm_expm(op, 1.0),
+        lambda op: dl.positivity_check(op, 1.0),
+    ],
+    ids=["expm_apply", "operator_norm_expm", "positivity_check"],
+)
+def test_infinite_propagator_is_a_numeric_failure(verdict):
+    op = dl.TruncatedOperator(np.array([[-1000.0]]), np.ones(1), "laplacian")
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        verdict(op)
+
+
 def test_operator_norm_monotone(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 6)
     norms = [dl.operator_norm_expm(op, t) for t in (0.0, 0.3, 0.9, 2.0, 4.0)]
@@ -173,6 +199,24 @@ def test_trace_single_time_zero(ladder_unit):
     assert trace.ok and trace.operator_norms[0] == 1.0
 
 
+def test_trace_forms_one_propagator_per_time(ladder_sqrt, ladder_unit, random_graphs, monkeypatch):
+    ops = [laplacian_on_ball(ladder_sqrt, 6), laplacian_on_ball(ladder_unit, 6)]
+    ops += [dl.assemble(g, dl.full_ball(g, 0), "laplacian") for g in random_graphs]
+    times = [0.0, 0.25, 1.0, 3.0]
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    for op in ops:
+        v0 = RNG.standard_normal(op.n)
+        calls.clear()
+        trace = dl.evolve_trace(op, v0, times)
+        assert len(calls) == 3
+        for i, t in enumerate(times):
+            assert trace.operator_norms[i] == dl.operator_norm_expm(op, t)
+            state = dl.expm_apply(op, t, v0)
+            assert trace.state_norms[i] == dl.weighted_norm(state, op.measure_vector)
+
+
 def test_trace_grid_validation(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 4)
     with pytest.raises(GraphError):
@@ -195,8 +239,6 @@ def test_positivity_two_vertex_closed_form(two_vertex_symmetric):
             [1.0 - math.exp(-2 * t), 1.0 + math.exp(-2 * t)],
         ]
     )
-    import scipy.linalg
-
     assert np.allclose(scipy.linalg.expm(-t * op.matrix), expected, rtol=1e-12)
     assert dl.positivity_check(op, t)
 

@@ -220,9 +220,12 @@ def test_cheeger_nested_validation(ladder_unit):
 
 
 def test_cheeger_bound_check_ladder(ladder_unit):
-    bound = dl.cheeger_bound_check(ladder_unit, dl.ball(ladder_unit, 0, 10), 1.0)
+    ball_ = dl.ball(ladder_unit, 0, 10)
+    bound = dl.cheeger_bound_check(ladder_unit, ball_, 1.0)
     assert bound.lambda0 == pytest.approx(1.0 / 6.0)
     assert bound.ok and bound.min_real >= 1.0 / 6.0 - 1e-9
+    sample = dl.numrange_boundary(dl.assemble(ladder_unit, ball_, "laplacian"))
+    assert bound.min_real == sample.min_real
     lam0, min_real, ok = bound
     assert (lam0, min_real, ok) == (bound.lambda0, bound.min_real, bound.ok)
 
