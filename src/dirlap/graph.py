@@ -314,13 +314,17 @@ def _vertex_array(g: DirectedGraph, xs: Iterable[VertexId]) -> np.ndarray:
     return np.array(xs, dtype=np.intp)
 
 
-def _row_sums(g: DirectedGraph, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _row_sums(
+    g: DirectedGraph, rows: np.ndarray, values: np.ndarray, per_measure: bool = False
+) -> np.ndarray:
     """Sum of the per-slot ``values`` over each row in ``rows``.
 
     Step k adds the k-th slot of every row that has one, so each row is
     accumulated left to right in ascending-neighbor order, bit for bit like
-    a scalar loop over its neighbors (``np.add.reduceat`` is not).  Finite
-    weights can still overflow, so a non-finite sum raises :class:`NumericError`.
+    a scalar loop over its neighbors (``np.add.reduceat`` is not).  With
+    ``per_measure`` each sum is divided by the measure of its row.  Finite
+    weights and measures can still overflow, so a non-finite result (checked
+    after the division) raises :class:`NumericError`.
     """
     start = g._ptr[rows]
     degree = g._ptr[rows + 1] - start
@@ -328,6 +332,8 @@ def _row_sums(g: DirectedGraph, rows: np.ndarray, values: np.ndarray) -> np.ndar
     for k in range(int(degree.max(initial=0))):
         has = degree > k
         total[has] += values[start[has] + k]
+    if per_measure:
+        total = total / g._m[rows]
     return _finite(total, "the vector of per-vertex weight sums")
 
 
@@ -401,11 +407,11 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
 def _asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
     d = g._b_out - g._b_in
-    return _row_sums(g, rows, d * d / _b_sym(g)) / g._m[rows]
+    return _row_sums(g, rows, d * d / _b_sym(g), per_measure=True)
 
 
 def _total_asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
-    return _row_sums(g, rows, np.abs(g._b_out - g._b_in)) / g._m[rows]
+    return _row_sums(g, rows, np.abs(g._b_out - g._b_in), per_measure=True)
 
 
 def asymmetry_at(g: DirectedGraph, x: VertexId) -> float:
@@ -517,10 +523,10 @@ def build_cutoffs(g: DirectedGraph, x0: VertexId, radii: Sequence[int]) -> Cutof
         chi = np.clip(2.0 - dist / r, 0.0, 1.0)
         chi.setflags(write=False)
         diff = chi[rows] - chi[g._nbr]
-        energy = _row_sums(g, every, b_sym * diff * diff)
+        energy = _row_sums(g, every, b_sym * diff * diff, per_measure=True)
         sets.append(frozenset(int(v) for v in np.nonzero(dist <= r)[0]))
         functions.append(chi)
-        per_radius.append(float(np.max(energy / g._m, initial=0.0)))
+        per_radius.append(float(np.max(energy, initial=0.0)))
     return CutoffSequence(
         root=int(x0),
         radii=tuple(radii),
@@ -559,8 +565,8 @@ def divergence_criterion(g: DirectedGraph, x0: VertexId, n_max: int) -> Divergen
     every = np.arange(len(g))
     step = dist[g._nbr] - dist[g._slot_rows()]
     b_sym = _b_sym(g)
-    up = _row_sums(g, every, np.where(step == 1, b_sym, 0.0)) / g._m
-    down = _row_sums(g, every, np.where(step == -1, b_sym, 0.0)) / g._m
+    up = _row_sums(g, every, np.where(step == 1, b_sym, 0.0), per_measure=True)
+    down = _row_sums(g, every, np.where(step == -1, b_sym, 0.0), per_measure=True)
     a_plus = {n: float(np.max(up[dist == n], initial=0.0)) for n in range(0, n_max)}
     a_minus = {n: float(np.max(down[dist == n], initial=0.0)) for n in range(1, n_max + 1)}
     partial = sum(1.0 / math.sqrt(a_plus[n] + a_minus[n + 1]) for n in range(0, n_max))

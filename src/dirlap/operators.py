@@ -115,7 +115,7 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
     slot_measures = g.measures[slot_rows[inside]]
 
     def entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _row_sums(g, rows, weights) / measures, 0.0 - weights[inside] / slot_measures
+        return _row_sums(g, rows, weights, per_measure=True), 0.0 - weights[inside] / slot_measures
 
     if kind == "laplacian":
         diag, off = entries(g._b_out)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,24 +218,27 @@ PAIR = [("a", "b", 1e308), ("b", "a", 1e308)]
 
 
 @pytest.mark.parametrize(
-    "command, edges",
-    [pytest.param(cmd, PAIR, id=cmd) for cmd in ("spectrum", "certify", "cheeger", "evolve")]
+    "command, edges, measure_a",
+    [pytest.param(cmd, PAIR, 1.0, id=cmd) for cmd in ("spectrum", "certify", "cheeger", "evolve")]
     + [
         # a's strengths overflow, so the Kirchhoff imbalance inf - inf is NaN.
-        pytest.param("check", PAIR + [("a", "c", 1e308), ("c", "a", 1e308)], id="check-strength"),
+        pytest.param("check", PAIR + [("a", "c", 1e308), ("c", "a", 1e308)], 1.0, id="check-strength"),
         # (b - b~)^2 overflows, so the asymmetry constant is infinite.
-        pytest.param("check", [("a", "b", 1e308), ("b", "a", 1.0)], id="check-asymmetry"),
+        pytest.param("check", [("a", "b", 1e308), ("b", "a", 1.0)], 1.0, id="check-asymmetry"),
+        # Every weight sum is finite; dividing by m(a) overflows.
+        pytest.param("check", [("a", "b", 1e10), ("b", "a", 1.0)], 1e-300, id="check-tiny-measure"),
     ],
 )
-def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edges):
-    def save(edges, name):
+def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edges, measure_a):
+    def save(edges, name, measure_a=1.0):
         vertices = sorted({v for x, y, _ in edges for v in (x, y)})
-        dl.save_graph(dl.DirectedGraph([(v, 1.0) for v in vertices], edges), tmp_path / name)
+        measures = [(v, measure_a if v == "a" else 1.0) for v in vertices]
+        dl.save_graph(dl.DirectedGraph(measures, edges), tmp_path / name)
         return str(tmp_path / name)
 
     report = tmp_path / "report.json"
     argv = ("--radius", "2", "--out", str(report))
-    code, _, err = run(capsys, command, "--graph", save(edges, "g.json"), *argv)
+    code, _, err = run(capsys, command, "--graph", save(edges, "g.json", measure_a), *argv)
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("dirlap: numeric failure: ")
     assert not report.exists()
@@ -249,6 +256,27 @@ def test_reports_are_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_spectrum_boundary_csv_is_deterministic(tmp_path, capsys):
+    texts = []
+    for name in ("a.csv", "b.csv"):
+        code, _, _ = run(
+            capsys, "spectrum", "--gen", "ladder", "--N", "20", "--angles", "73",
+            "--out-csv", str(tmp_path / name), "--out", str(tmp_path / "s.json"),
+        )
+        assert code == 0
+        texts.append((tmp_path / name).read_bytes())
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) == 74
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported by the sweep itself, so starting the CLI does not pay for it.
+    src = str(Path(dl.__file__).resolve().parents[1])
+    code = "import sys, dirlap.cli; sys.exit('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_gen_random_stdout(capsys):

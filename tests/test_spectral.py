@@ -81,6 +81,76 @@ def test_numrange_needs_four_angles(two_vertex_symmetric):
         dl.numrange_boundary(op, 3)
 
 
+def assert_matches_dense_sweep(op, n_angles):
+    """Support values against a dense eigvalsh per angle, and the exact mirror."""
+    sample = dl.numrange_boundary(op, n_angles)
+    a = dl.similarity_to_standard(op)
+    sym, skew = (a + a.T) / 2.0, (a - a.T) / 2.0
+    expected = [
+        np.linalg.eigvalsh(math.cos(phi) * sym + 1j * math.sin(phi) * skew)[-1] for phi in sample.angles
+    ]
+    support = np.real(np.exp(1j * sample.angles) * sample.points)
+    tol = 100 * op.n * np.finfo(float).eps * np.linalg.norm(a, 2)
+    assert np.max(np.abs(support - expected)) <= tol
+    assert np.array_equal(sample.angles, 2.0 * np.pi * np.arange(n_angles) / n_angles)
+    for k in range(1, n_angles):
+        assert sample.points[n_angles - k] == np.conj(sample.points[k])
+
+
+def _truncations(request, name):
+    """Laplacians of a fixture's graphs at the CLI's default radius (radius 3 on the tree)."""
+    graphs = request.getfixturevalue(name)
+    for g in graphs if isinstance(graphs, list) else [graphs]:
+        radius = 3 if name == "tree4" else max(1, int(dl.combinatorial_distance(g, 0).max()) - 1)
+        yield dl.assemble(g, dl.ball(g, 0, radius), "laplacian")
+
+
+@pytest.mark.parametrize("n_angles", [24, 25])
+@pytest.mark.parametrize("name", ["ladder_sqrt", "ladder_unit", "tree4", "random_graphs"])
+def test_sweep_matches_dense_support_values(request, name, n_angles):
+    for op in _truncations(request, name):
+        assert op.n >= 3
+        assert_matches_dense_sweep(op, n_angles)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2.0]],
+        [[0.0, 1.0], [0.0, 0.0]],
+        [[2.0, -1.0, 0.0], [-3.0, 4.0, -1.0], [0.0, -1.0, 1.0]],
+        np.zeros((3, 3)),
+    ],
+    ids=["n1", "n2", "n3", "zero3"],
+)
+@pytest.mark.parametrize("n_angles", [8, 9])
+def test_sweep_around_the_size_cutoff(matrix, n_angles):
+    op = dl.TruncatedOperator(np.array(matrix), np.arange(1.0, len(matrix) + 1.0), "laplacian")
+    assert_matches_dense_sweep(op, n_angles)
+
+
+def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 6), "laplacian")
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((op.n, 0)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sla, "splu", singular)
+        with pytest.raises(dl.NumericError, match="no shift"):
+            dl.numrange_boundary(op, 8)
+    with monkeypatch.context() as patch:
+        patch.setattr(sla, "eigsh", no_convergence)
+        with pytest.raises(dl.NumericError, match="eigensolve failed"):
+            dl.numrange_boundary(op, 8)
+    assert_matches_dense_sweep(op, 8)
+
+
 # -- sector checks -------------------------------------------------------------------
 
 
@@ -297,3 +367,18 @@ def test_certificate_single_edge_negative(single_edge):
     assert cert.kirchhoff_max_imbalance == 3.0
     assert cert.kirchhoff_worst_vertex == "u"
     assert not cert.verdicts["m_accretive_supported"]
+
+
+@pytest.mark.parametrize("k", [0, 10, 20])
+def test_accretivity_threshold_scales_with_the_operator(k):
+    # Exactly balanced, so min Re W = 0 and only rounding, which grows with
+    # the weights, decides the sign of min_real.
+    g = dl.make_random_balanced(60, seed=0, density=2)
+    scaled = dl.DirectedGraph(
+        [(g.label(x), g.measure(x)) for x in g.vertex_ids()],
+        [(g.label(x), g.label(y), w * 2.0**k) for x, y, w in g.iter_edges()],
+        exact_weights=g.exact_weights,
+    )
+    radius = int(dl.combinatorial_distance(scaled, 0).max())
+    cert = dl.accretivity_certificate(scaled, dl.ball(scaled, 0, radius), n_angles=8)
+    assert cert.verdicts["accretive_truncation"]
