@@ -4,12 +4,12 @@ The boundary of the numerical range of a truncation is computed by the
 rotated-Hermitian-part sweep (Johnson, SIAM J. Numer. Anal. 15, 1978): for
 each angle phi, the top eigenvector v of the Hermitian part of e^{i phi} A
 gives the boundary point <Av, v>.  A is real, so only the angles in [0, pi]
-are solved and the rest are their conjugates.  From three rows on, each top
-eigenvector comes from shift-invert Lanczos on one sparse LDL^H factorization
-per angle, warm-started from the previous angle; the factorization's
-negative pivots certify that the shift lies above the spectrum.  All
-weighted quantities are reduced to standard ones through
-:func:`dirlap.operators.similarity_to_standard`.
+are solved and the rest are their conjugates.  Each top eigenvector comes
+from inverse iteration on sparse LDL^H factorizations, warm-started from the
+previous angle; the factorization's negative pivots certify that a shift
+lies above the spectrum, and a point is emitted only once a shift within
+the tolerance below certifies.  All weighted quantities are reduced to
+standard ones through :func:`dirlap.operators.similarity_to_standard`.
 
 A value derived from a matrix A of n rows may carry rounding up to
 100 n eps ||A||_F; the accretivity verdict allows that slack below zero.
@@ -74,12 +74,14 @@ class NumericalRangeSample:
     ``min_real`` is the smallest eigenvalue of the weighted-Hermitian part,
     i.e. the leftmost real part of the numerical range; for an even number
     of angles it coincides with the boundary point at angle pi up to solver
-    tolerance.
+    tolerance.  ``tolerance`` is the rounding slack 100 n eps ||A||_F of the
+    standard-frame matrix A that the sweep certified its points to.
     """
 
     points: np.ndarray
     angles: np.ndarray
     min_real: float
+    tolerance: float
 
 
 def _hermitian_part(a_std: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -93,16 +95,6 @@ def _hermitian_part(a_std: np.ndarray) -> tuple[np.ndarray, float, float]:
     return sym, float(eigenvalues[0]), float(eigenvalues[-1])
 
 
-def _tolerance(a_std: np.ndarray) -> float:
-    """Rounding slack of a value derived from ``a_std``: 100 n eps ||a_std||_F.
-
-    The Frobenius norm bounds the spectral norm from above and costs one pass
-    over the entries; BLAS ``nrm2`` scales, so it does not overflow early.
-    """
-    norm = scipy.linalg.norm(a_std.ravel(), check_finite=False)
-    return float(_finite(100.0 * a_std.shape[0] * _EPS * norm, "the norm of the operator"))
-
-
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
     """Sample the numerical range boundary at ``n_angles`` equispaced angles.
 
@@ -111,13 +103,13 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     2 pi - phi is the conjugate of the point at phi: ``points[n_angles - k]
     == conj(points[k])``.  At each solved angle the top eigenvector v of
     H = cos(phi) S + i sin(phi) K (S, K the symmetric and skew parts) gives
-    the point <Av, v>; see :func:`_shift_invert_points` for how it is found
-    from three rows on.  Below three rows, and for the zero matrix, the top
-    eigenvector comes from a dense ``eigh``.
+    the point <Av, v>, with support value Re(e^{i phi} <Av, v>) within the
+    tolerance of lambda_max(H); see :func:`_shift_invert_points`.  The zero
+    matrix has tolerance 0 and W = {0}, so all its points are 0.
 
     Raises :class:`NumericError` when the Hermitian part, a boundary point
-    or ``min_real`` is not finite, or when an eigensolve or factorization
-    fails.
+    or ``min_real`` is not finite, when an eigensolve fails, or when no
+    shift certifies within the budget of factorizations and solves.
     """
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
@@ -125,12 +117,11 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     sym, min_real, max_real = _hermitian_part(a_std)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     solved = angles[: n_angles // 2 + 1]
-    tol = _tolerance(a_std)
-    # ARPACK needs k = 1 < n - 1, and a shift margin needs a nonzero scale.
-    if op.n < 3 or tol == 0.0:
-        half = _dense_points(a_std, sym, solved)
-    else:
-        half = _shift_invert_points(a_std, sym, solved, max_real, tol)
+    # The Frobenius norm bounds the spectral norm and costs one pass; BLAS
+    # nrm2 scales, so it does not overflow early.
+    norm = scipy.linalg.norm(a_std.ravel(), check_finite=False)
+    tol = float(_finite(100.0 * op.n * _EPS * norm, "the norm of the operator"))
+    half = _shift_invert_points(a_std, sym, solved, max_real, tol) if tol else np.zeros(len(solved), complex)
     # phi = 0 and phi = pi are their own mirrors.  W is convex and closed
     # under conjugation, so the real part of their point is a point of W
     # with the same support value.
@@ -138,104 +129,103 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     if n_angles % 2 == 0:
         half[-1] = half[-1].real
     points = np.concatenate([half, np.conj(half[1 : n_angles - len(solved) + 1][::-1])])
-    return NumericalRangeSample(_finite(points, "the swept boundary"), angles, min_real)
+    return NumericalRangeSample(_finite(points, "the swept boundary"), angles, min_real, tol)
 
 
-def _dense_points(a_std: np.ndarray, sym: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Boundary points from the top eigenvector of a dense ``eigh`` at every angle."""
-    skew = (a_std - a_std.T) / 2.0
-    points = []
-    for phi in angles:
-        herm = math.cos(phi) * sym + 1j * math.sin(phi) * skew
-        try:
-            _, vecs = np.linalg.eigh(herm)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolve failed at angle {phi:.6f}: {exc}") from exc
-        v = vecs[:, -1]
-        points.append(complex(np.vdot(v, a_std @ v)))
-    return np.array(points, dtype=complex)
-
-
-# Raising a rejected shift ten-fold from a margin >= _tolerance reaches the
-# Gershgorin cap of any matrix with n >= 3 rows within this many tries.
+# Raising a rejected shift ten-fold from a margin >= tol reaches the
+# Gershgorin cap of any matrix with n >= 1 rows within this many tries.
 _SHIFT_TRIES = 16
-# Weight of the fixed start vector mixed into each warm start, so that the
-# Krylov space never misses the top eigenvector by an exact symmetry.
-_START_WEIGHT = 1e-3
+# Solves per angle.  Inverse iteration never lowers rho, and sigma - rho
+# starts below 2 sqrt(n) ||A||_F + tol <= 2**47 tol, so 47 halvings bring it
+# under tol, where rho + tol certifies.  When the halfway shift fails,
+# lambda_max lies above it, so the next solve at least doubles the top
+# eigencomponent of v against all below rho: 53 such solves lift it from
+# rounding level.
+_SOLVES = 47 + 53
 
 
 def _shift_invert_points(
-    a_std: np.ndarray,
-    sym: np.ndarray,
-    angles: np.ndarray,
-    top: float,
-    tol: float,
+    a_std: np.ndarray, sym: np.ndarray, angles: np.ndarray, top: float, tol: float
 ) -> np.ndarray:
-    """Boundary points by a certified, warm-started shift-invert continuation.
+    """Boundary points by certified inverse iteration, warm-started across angles.
 
-    At each angle the sparse H = cos(phi) S + i sin(phi) K is factored as
-    P (H - sigma I) P^T = L D L^H by SuperLU with diagonal pivots only
-    (``perm_r == perm_c`` is checked).  When every pivot is negative,
-    H - sigma I is negative definite by Sylvester's law of inertia, so sigma
-    lies above every eigenvalue of H up to the rounding of the factors
-    (Rump, BIT 46, 2006), and shift-invert Lanczos on the same factors
-    converges to the top one.  The shift starts at the support value
-    predicted from the previous point plus twice the previous prediction
-    error (at least ``tol``); a rejected shift is raised ten-fold, up to the
-    Gershgorin bound of H.  The solver starts from the previous eigenvector
-    (Braconnier & Higham, BIT 36, 1996).  At phi = 0 the shift is just above
-    ``top`` = max eig S and the start vector is fixed, so the sweep is
-    deterministic.
+    H = cos(phi) S + i sin(phi) K and each H - sigma I share one sparse
+    pattern; only the values are rewritten.  SuperLU factors P (H - sigma I)
+    P^T = L D L^H with diagonal pivots (``perm_r == perm_c`` is checked).  If
+    every pivot is negative, sigma lies above the spectrum of H by Sylvester's
+    law of inertia, up to the rounding of the factors (Rump, BIT 46, 2006).
+    The first shift is the support value predicted from the previous point
+    plus twice the previous prediction error (at least ``tol``), raised
+    ten-fold until it certifies, up to the Gershgorin bound of H.  Each solve
+    gives the Rayleigh quotient rho = <Hv, v> <= lambda_max(H).  Once rho + tol
+    certifies, lambda_max(H) lies in [rho, rho + tol), and one last solve with
+    those factors gives the point <Av, v>; until then, sigma moves halfway to
+    rho whenever that shift certifies.  v starts from the previous angle's
+    (Braconnier & Higham, BIT 36, 1996); at phi = 0 it is fixed and sigma is
+    just above ``top`` = max eig S, so the sweep is deterministic.
     """
     import scipy.sparse as sparse
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+    from scipy.sparse.linalg import splu
 
     n = a_std.shape[0]
-    a_s, sym_s = sparse.csc_matrix(a_std), sparse.csc_matrix(sym)
-    skew_s = (a_s - a_s.T) / 2.0
-    identity = sparse.identity(n, format="csc")
-    start = np.random.default_rng(0).standard_normal(n)
-    start /= np.linalg.norm(start)
+    pattern = sparse.csc_matrix((a_std != 0.0) | (a_std.T != 0.0) | np.eye(n, dtype=bool))
+    rows, indptr = pattern.indices, pattern.indptr
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = (rows == cols).astype(float)
+    sym_data, skew_data = sym[rows, cols], a_std[rows, cols] / 2.0 - a_std[cols, rows] / 2.0
 
-    def negative_definite_factors(herm, sigma: float):
+    def csc(data: np.ndarray):
+        return sparse.csc_matrix((data, rows, indptr), shape=(n, n))
+
+    a_s = csc(a_std[rows, cols])
+    herm, shifted = csc(np.zeros(len(rows), complex)), csc(np.zeros(len(rows), complex))
+
+    def negative_definite_factors(sigma: float):
+        np.subtract(herm.data, sigma * diagonal, out=shifted.data)
         try:
             lu = splu(
-                (herm - sigma * identity).tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+                shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
             )
         except RuntimeError:  # exactly singular: sigma is an eigenvalue
             return None
         certified = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real < 0.0)
         return lu if certified else None
 
+    def solve(lu, v: np.ndarray, phi: float) -> np.ndarray:
+        # w may be ~||A||_F / tol times longer than v; BLAS nrm2 scales, so
+        # its norm does not overflow for tiny weights.
+        w = lu.solve(v)
+        return _finite(w / scipy.linalg.norm(w, check_finite=False), f"the eigenvector at angle {phi:.6f}")
+
     points = np.empty(len(angles), dtype=complex)
-    v, base, margin = start, top, tol
+    v = np.random.default_rng(0).standard_normal(n).astype(complex)
+    base, margin = top, tol
     for k, phi in enumerate(angles):
         rotation = complex(math.cos(phi), math.sin(phi))
         if k:
             base = (rotation * points[k - 1]).real
-        herm = math.cos(phi) * sym_s + (1j * math.sin(phi)) * skew_s
-        cap = float(abs(herm).sum(axis=1).max()) + tol
+        herm.data[:] = math.cos(phi) * sym_data + (1j * math.sin(phi)) * skew_data
+        cap = float(np.bincount(rows, np.abs(herm.data), n).max()) + tol
         for attempt in range(_SHIFT_TRIES):
             sigma = min(base + margin * 10.0**attempt, cap)
-            lu = negative_definite_factors(herm, sigma)
+            lu = negative_definite_factors(sigma)
             if lu is not None or sigma == cap:
                 break
         if lu is None:
             raise NumericError(f"no shift above the spectrum was certified at angle {phi:.6f}")
-        try:
-            _, vecs = eigsh(
-                herm,
-                k=1,
-                sigma=sigma,
-                OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=complex),
-                v0=v + _START_WEIGHT * start,
-            )
-        except ArpackError as exc:
-            raise NumericError(f"eigensolve failed at angle {phi:.6f}: {exc}") from exc
-        v = _finite(vecs[:, 0], f"the eigenvector at angle {phi:.6f}")
+        for _ in range(_SOLVES):
+            v = solve(lu, v, phi)
+            rho = np.vdot(v, herm @ v).real
+            top_lu = negative_definite_factors(rho + tol)
+            if top_lu is not None:
+                v = solve(top_lu, v, phi)
+                break
+            half = rho + (sigma - rho) / 2.0
+            half_lu = negative_definite_factors(half)
+            if half_lu is not None:
+                sigma, lu = half, half_lu
+        else:
+            raise NumericError(f"no certified eigenvalue within {_SOLVES} solves at angle {phi:.6f}")
         points[k] = np.vdot(v, a_s @ v)
         margin = max(2.0 * ((rotation * points[k]).real - base), tol)
     return points
@@ -543,7 +533,7 @@ def accretivity_certificate(
             "ok": cheeger_ok,
         }
 
-    accretive = sample.min_real >= -_tolerance(similarity_to_standard(op))
+    accretive = sample.min_real >= -sample.tolerance
     verdicts = {
         "kirchhoff_balance": balance.ok,
         "accretive_truncation": accretive,

@@ -190,6 +190,30 @@ def test_evolve_grid_validation(capsys):
     assert code == 2 and "grid" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "--gen", "ladder", "--t", "0:nan:1"),
+        ("evolve", "--gen", "ladder", "--t", "0:inf:1"),
+        ("evolve", "--gen", "ladder", "--lambda0", "nan"),
+        ("check", "--gen", "ladder", "--k", "nan"),
+        ("check", "--gen", "random", "--density", "nan"),
+        ("check", "--gen", "ladder", "--tol-kirchhoff", "nan"),
+        ("spectrum", "--gen", "ladder", "--constant", "inf"),
+    ],
+    ids=lambda argv: " ".join(argv[3:]),
+)
+def test_non_finite_options_are_input_errors(tmp_path, capsys, argv):
+    report = tmp_path / "report.json"
+    try:
+        code = main([*argv, "--out", str(report)])
+    except SystemExit as exc:  # argparse rejects the option value
+        code = exc.code
+    assert code == 2
+    assert not report.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 def test_certify_positive_and_negative(tmp_path, capsys):
     good = tmp_path / "good.json"
     code, _, _ = run(

@@ -133,22 +133,88 @@ def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatc
     import scipy.sparse.linalg as sla
 
     op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 6), "laplacian")
+    splu = sla.splu
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    def no_convergence(*args, **kwargs):
-        raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((op.n, 0)))
+    factored = []
+
+    def first_shift_only(*args, **kwargs):
+        # The first shift of the first angle certifies; no lower shift ever
+        # does, so inverse iteration cannot certify a support value.
+        if factored:
+            singular()
+        factored.append(True)
+        return splu(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(sla, "splu", singular)
         with pytest.raises(dl.NumericError, match="no shift"):
             dl.numrange_boundary(op, 8)
     with monkeypatch.context() as patch:
-        patch.setattr(sla, "eigsh", no_convergence)
-        with pytest.raises(dl.NumericError, match="eigensolve failed"):
+        patch.setattr(sla, "splu", first_shift_only)
+        with pytest.raises(dl.NumericError, match="no certified eigenvalue .* at angle 0.000000"):
             dl.numrange_boundary(op, 8)
     assert_matches_dense_sweep(op, 8)
+
+
+def rebuilt(g, order=None, weight_scale=1.0, measure_scale=1.0):
+    """``g`` with its vertices listed in ``order`` and its weights and measures scaled."""
+    order = g.vertex_ids() if order is None else order
+    return dl.DirectedGraph(
+        [(g.label(int(x)), g.measure(int(x)) * measure_scale) for x in order],
+        [(g.label(x), g.label(y), w * weight_scale) for x, y, w in g.iter_edges()],
+        exact_weights=g.exact_weights,
+    )
+
+
+def _random30_sample(g):
+    return dl.numrange_boundary(dl.assemble(g, dl.ball(g, g.index("v0"), 3), "laplacian"), 24)
+
+
+@pytest.mark.parametrize("k", [-3, 5, 20])
+def test_sweep_scales_exactly_with_the_weights(k):
+    g = dl.make_random_balanced(30, seed=1, density=1)
+    base, scaled = _random30_sample(g), _random30_sample(rebuilt(g, weight_scale=2.0**k))
+    assert np.array_equal(scaled.points, base.points * 2.0**k)
+    assert scaled.min_real == base.min_real * 2.0**k
+
+
+def test_sweep_of_tiny_weights_does_not_overflow():
+    # Weights near 1e-250: each solve grows v by ~1 / tol ~ 1e262, whose square overflows.
+    g = dl.make_random_balanced(30, seed=1, density=1)
+    base, scaled = _random30_sample(g), _random30_sample(rebuilt(g, weight_scale=2.0**-830))
+    assert np.array_equal(scaled.points, base.points * 2.0**-830)
+
+
+@pytest.mark.parametrize("k", [-3, 5, 20])
+def test_sweep_scales_exactly_with_the_measures(k):
+    # L = B / m, so scaling every measure by 4^k scales the operator by 4^-k.
+    g = dl.make_random_balanced(30, seed=1, density=1)
+    base, scaled = _random30_sample(g), _random30_sample(rebuilt(g, measure_scale=4.0**k))
+    assert np.array_equal(scaled.points, base.points * 4.0**-k)
+    assert scaled.min_real == base.min_real * 4.0**-k
+
+
+@pytest.mark.parametrize(
+    "name, root, radius", [("ladder_sqrt", "x0", 10), ("tree4", "r", 3), ("random_graphs", "v0", 3)]
+)
+def test_relabeling_keeps_verdicts_and_support_values(request, name, root, radius):
+    graphs = request.getfixturevalue(name)
+    g = graphs[0] if isinstance(graphs, list) else graphs
+    shuffled = rebuilt(g, np.random.default_rng(5).permutation(len(g)))
+    assert shuffled.labels != g.labels
+    verdicts, support = [], []
+    for h in (g, shuffled):
+        ball_ = dl.ball(h, h.index(root), radius)
+        verdicts.append(dl.accretivity_certificate(h, ball_, n_angles=24).verdicts)
+        sample = dl.numrange_boundary(dl.assemble(h, ball_, "laplacian"), 24)
+        support.append(np.real(np.exp(1j * sample.angles) * sample.points))
+    assert verdicts[0] == verdicts[1]
+    a = dl.similarity_to_standard(dl.assemble(h, ball_, "laplacian"))
+    tol = 100 * len(a) * np.finfo(float).eps * np.linalg.norm(a, 2)
+    assert np.max(np.abs(support[0] - support[1])) <= tol
 
 
 # -- sector checks -------------------------------------------------------------------
@@ -258,10 +324,7 @@ def test_cheeger_cap_monotonicity(random_graphs):
 def test_cheeger_relabel_invariance(random_graphs):
     g = unit_measure_copy(random_graphs[2])
     g_sym = dl.symmetrize(g)
-    perm = np.random.default_rng(8).permutation(len(g_sym))
-    vertices = [(g_sym.label(int(x)), 1.0) for x in perm]
-    edges = [(g_sym.label(x), g_sym.label(y), w) for x, y, w in g_sym.iter_edges()]
-    shuffled = dl.DirectedGraph(vertices, edges)
+    shuffled = rebuilt(g_sym, np.random.default_rng(8).permutation(len(g_sym)))
     assert dl.cheeger_bruteforce(shuffled).value == pytest.approx(
         dl.cheeger_bruteforce(g_sym).value, rel=1e-15
     )
@@ -369,16 +432,27 @@ def test_certificate_single_edge_negative(single_edge):
     assert not cert.verdicts["m_accretive_supported"]
 
 
+def test_certificate_forms_one_similarity(ladder_sqrt, monkeypatch):
+    import dirlap.spectral as spectral
+
+    calls = []
+
+    def counted(op):
+        calls.append(op)
+        return dl.similarity_to_standard(op)
+
+    ball_ = dl.ball(ladder_sqrt, 0, 10)
+    expected = dl.accretivity_certificate(ladder_sqrt, ball_, n_angles=24)
+    monkeypatch.setattr(spectral, "similarity_to_standard", counted)
+    assert dl.accretivity_certificate(ladder_sqrt, ball_, n_angles=24) == expected
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("k", [0, 10, 20])
 def test_accretivity_threshold_scales_with_the_operator(k):
     # Exactly balanced, so min Re W = 0 and only rounding, which grows with
     # the weights, decides the sign of min_real.
-    g = dl.make_random_balanced(60, seed=0, density=2)
-    scaled = dl.DirectedGraph(
-        [(g.label(x), g.measure(x)) for x in g.vertex_ids()],
-        [(g.label(x), g.label(y), w * 2.0**k) for x, y, w in g.iter_edges()],
-        exact_weights=g.exact_weights,
-    )
+    scaled = rebuilt(dl.make_random_balanced(60, seed=0, density=2), weight_scale=2.0**k)
     radius = int(dl.combinatorial_distance(scaled, 0).max())
     cert = dl.accretivity_certificate(scaled, dl.ball(scaled, 0, radius), n_angles=8)
     assert cert.verdicts["accretive_truncation"]
