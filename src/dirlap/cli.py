@@ -327,10 +327,7 @@ def main(argv=None) -> int:
         # Non-finite values raise NumericError; numpy's warnings would repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except GraphError as exc:
-        print(f"dirlap: input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphError, OSError) as exc:
         print(f"dirlap: input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

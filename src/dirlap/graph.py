@@ -75,6 +75,8 @@ __all__ = [
 # Vertices are interned to dense integer ids; external names are kept as labels.
 VertexId = int
 
+_EPS = float(np.finfo(float).eps)
+
 
 class GraphError(ValueError):
     """Invalid graph data or a violated precondition."""
@@ -96,6 +98,22 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{what} has non-finite entries")
     return a
+
+
+def _tolerance(terms: int, scale: float) -> float:
+    """Rounding slack 100 terms eps scale of a value formed from ``terms`` terms of size ``scale`` (Higham)."""
+    return 100.0 * terms * _EPS * scale
+
+
+def _positive(value, what: str, *names) -> float:
+    """``value`` as a finite float > 0; otherwise a GraphError naming ``what.format(*names)``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number) or number <= 0.0:
+        raise GraphError(f"{what.format(*names)} must be finite and > 0, got {value!r}")
+    return number
 
 
 class DirectedGraph:
@@ -136,12 +154,9 @@ class DirectedGraph:
             label = str(label)
             if label in index:
                 raise GraphError(f"duplicate vertex {label!r}")
-            m = float(m)
-            if not math.isfinite(m) or m <= 0.0:
-                raise GraphError(f"vertex {label!r}: measure must be finite and > 0, got {m}")
             index[label] = len(labels)
             labels.append(label)
-            measures.append(m)
+            measures.append(_positive(m, "vertex {!r}: measure", label))
         if not labels:
             raise GraphError("graph needs at least one vertex")
 
@@ -158,9 +173,7 @@ class DirectedGraph:
                 raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): unknown vertex {exc.args[0]!r}") from None
             if u == v:
                 raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): loops are not allowed")
-            w = float(w)
-            if not math.isfinite(w) or w <= 0.0:
-                raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): weight must be finite and > 0, got {w}")
+            w = _positive(w, "edge {} ({!r} -> {!r}): weight", pos, src, dst)
             if (u, v) in seen:
                 raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): duplicate edge")
             seen.add((u, v))
@@ -658,4 +671,6 @@ def load_graph(path) -> DirectedGraph:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return graph_from_dict(data)

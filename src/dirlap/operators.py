@@ -115,6 +115,7 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
     slot_measures = g.measures[slot_rows[inside]]
 
     def entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Each off-diagonal -b/m is bounded by its row's diagonal, which _row_sums checks is finite.
         return _row_sums(g, rows, weights, per_measure=True), 0.0 - weights[inside] / slot_measures
 
     if kind == "laplacian":
@@ -123,10 +124,11 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
         diag, off = entries(g._b_in)
     else:
         (lap_diag, lap_off), (adj_diag, adj_off) = entries(g._b_out), entries(g._b_in)
+        # Halving before adding keeps every entry finite, as in graph._b_sym.
         if kind == "symmetric_part":
-            diag, off = (lap_diag + adj_diag) / 2.0, (lap_off + adj_off) / 2.0
+            diag, off = lap_diag / 2.0 + adj_diag / 2.0, lap_off / 2.0 + adj_off / 2.0
         else:
-            diag, off = (lap_diag - adj_diag) / 2.0, (lap_off - adj_off) / 2.0
+            diag, off = lap_diag / 2.0 - adj_diag / 2.0, lap_off / 2.0 - adj_off / 2.0
     matrix = np.zeros((n, n))
     matrix[pos[slot_rows[inside]], pos[g._nbr[inside]]] = off
     matrix[np.diag_indices(n)] = diag

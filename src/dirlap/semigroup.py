@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import GraphError, NumericError, _finite
+from .graph import GraphError, NumericError, _finite, _tolerance
 from .operators import TruncatedOperator, _similar, similarity_to_standard, weighted_norm
 
 __all__ = [
@@ -92,7 +92,7 @@ class EvolutionTrace:
 
     ``bounds[i]`` is min(1, exp(-lambda0 * t_i)) (just 1 when no decay rate
     was given); ``flagged`` lists the grid indices where the operator norm
-    exceeds its bound by more than 1e-9.
+    exceeds its bound by more than the rounding slack 100 n eps of a norm <= 1.
     """
 
     times: np.ndarray
@@ -141,16 +141,17 @@ def evolve_trace(
         bounds = np.ones_like(times)
     else:
         bounds = np.minimum(1.0, np.exp(-float(lambda0) * times))
-    flagged = tuple(int(i) for i in np.nonzero(op_norms > bounds + 1e-9)[0])
+    flagged = tuple(int(i) for i in np.nonzero(op_norms > bounds + _tolerance(op.n, 1.0))[0])
     return EvolutionTrace(times, op_norms, state_norms, bounds, flagged, lambda0)
 
 
 def positivity_check(op: TruncatedOperator, t: float) -> bool:
-    """True when exp(-tA) is entrywise nonnegative (up to -1e-12).
+    """True when exp(-tA) is entrywise nonnegative, up to the rounding slack 100 n eps max |exp(-tA)|.
 
     Defined for the Laplacian-like kinds whose negated matrix has nonnegative
     off-diagonal entries; the skew part generates rotations, not heat flow.
     """
     if op.kind == "skew_part":
         raise GraphError("positivity is not defined for the skew part")
-    return bool(np.all(_propagator(op, t) >= -1e-12))
+    propagator = _propagator(op, t)
+    return bool(np.all(propagator >= -_tolerance(op.n, np.abs(propagator).max())))

@@ -12,7 +12,10 @@ the tolerance below certifies.  All weighted quantities are reduced to
 standard ones through :func:`dirlap.operators.similarity_to_standard`.
 
 A value derived from a matrix A of n rows may carry rounding up to
-100 n eps ||A||_F; the accretivity verdict allows that slack below zero.
+tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`): the accretivity,
+Cheeger and sector verdicts allow tau below 0, tau below lambda0 and
+tau (1 + C/8).  The sweep runs on A scaled by a power of two to unit size,
+so its points, ``min_real`` and tau scale exactly with the weights.
 
 Sector containment uses the affine bound |Im z| <= 1/2 + (C/8) Re z with C
 the quadratic asymmetry constant of the probed vertices; the implied sector
@@ -39,6 +42,7 @@ from .graph import (
     GraphError,
     NumericError,
     _finite,
+    _tolerance,
     build_cutoffs,
     check_asymmetry,
     check_kirchhoff,
@@ -64,9 +68,6 @@ __all__ = [
     "accretivity_certificate",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
-
 @dataclass(frozen=True)
 class NumericalRangeSample:
     """Boundary points of the numerical range from an angle sweep.
@@ -84,15 +85,26 @@ class NumericalRangeSample:
     tolerance: float
 
 
-def _hermitian_part(a_std: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The finite Hermitian part of ``a_std`` and its extreme eigenvalues, min and max Re W(a_std)."""
+def _standard_frame(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray, float, float, float, int]:
+    """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0), its
+    finite Hermitian part, min and max Re W(a), the tolerance of a, and e.
+
+    Scaling by 2^-e is exact and every later step is homogeneous, so results
+    of a, scaled back by 2^e, are those of A, without over- or underflow.
+    """
+    a_std = similarity_to_standard(op)
+    # The Frobenius norm bounds the spectral norm and costs one pass; BLAS
+    # nrm2 scales, so it does not overflow early.
+    norm = _finite(scipy.linalg.norm(a_std.ravel(), check_finite=False), "the norm of the operator")
+    norm, e = math.frexp(norm)
+    np.ldexp(a_std, -e, out=a_std)
     sym = _finite((a_std + a_std.T) / 2.0, "the Hermitian part")
     try:
         eigenvalues = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed on the Hermitian part: {exc}") from exc
     _finite(eigenvalues, "the spectrum of the Hermitian part")
-    return sym, float(eigenvalues[0]), float(eigenvalues[-1])
+    return a_std, sym, float(eigenvalues[0]), float(eigenvalues[-1]), _tolerance(op.n, norm), e
 
 
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
@@ -113,14 +125,10 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     """
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
-    a_std = similarity_to_standard(op)
-    sym, min_real, max_real = _hermitian_part(a_std)
+    a_std, sym, min_real, max_real, tol, e = _standard_frame(op)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     solved = angles[: n_angles // 2 + 1]
-    # The Frobenius norm bounds the spectral norm and costs one pass; BLAS
-    # nrm2 scales, so it does not overflow early.
-    norm = scipy.linalg.norm(a_std.ravel(), check_finite=False)
-    tol = float(_finite(100.0 * op.n * _EPS * norm, "the norm of the operator"))
+    # a_std has unit size, so its tolerance is 0 only when ||A||_F = 0.
     half = _shift_invert_points(a_std, sym, solved, max_real, tol) if tol else np.zeros(len(solved), complex)
     # phi = 0 and phi = pi are their own mirrors.  W is convex and closed
     # under conjugation, so the real part of their point is a point of W
@@ -129,7 +137,8 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     if n_angles % 2 == 0:
         half[-1] = half[-1].real
     points = np.concatenate([half, np.conj(half[1 : n_angles - len(solved) + 1][::-1])])
-    return NumericalRangeSample(_finite(points, "the swept boundary"), angles, min_real, tol)
+    points = np.ldexp(_finite(points, "the swept boundary").view(float), e).view(complex)
+    return NumericalRangeSample(points, angles, math.ldexp(min_real, e), math.ldexp(tol, e))
 
 
 # Raising a rejected shift ten-fold from a margin >= tol reaches the
@@ -251,20 +260,22 @@ class Sector:
         return bool(np.all(np.abs(pts.imag) <= self.slope * (pts.real - self.vertex) + slack))
 
 
-def check_sector(sample: NumericalRangeSample, asymmetry_constant: float, slack: float = 1e-9):
+def check_sector(sample: NumericalRangeSample, asymmetry_constant: float):
     """Verify |Im z| <= 1/2 + (C/8) Re z on every sampled boundary point.
 
-    Returns the implied sector (vertex -4/C, semi-angle atan(C/8); degenerate
-    half-line at the leftmost point when C = 0) and the pass flag.
+    Each coordinate of a point carries at most the sample's tolerance tau, so
+    the check allows tau (1 + C/8).  Returns the implied sector (vertex -4/C,
+    semi-angle atan(C/8), which lies below pi/2 even where it rounds to it;
+    degenerate half-line at the leftmost point when C = 0) and the pass flag.
     """
     c = float(asymmetry_constant)
     if c < 0:
         raise GraphError("asymmetry constant must be >= 0")
-    pts = sample.points
-    ok = bool(np.all(np.abs(pts.imag) <= 0.5 + (c / 8.0) * pts.real + slack))
+    pts, slope = sample.points, c / 8.0
+    ok = bool(np.all(np.abs(pts.imag) <= 0.5 + slope * pts.real + sample.tolerance * (1.0 + slope)))
     if c == 0.0:
         return Sector(vertex=sample.min_real, half_angle=0.0), ok
-    return Sector(vertex=-4.0 / c, half_angle=math.atan(c / 8.0)), ok
+    return Sector(vertex=-4.0 / c, half_angle=min(math.atan(slope), math.nextafter(math.pi / 2.0, 0.0))), ok
 
 
 def fit_sector(sample: NumericalRangeSample, vertex: float) -> Sector:
@@ -409,10 +420,10 @@ class CheegerBound(NamedTuple):
     ok: bool
 
 
-def _cheeger_bound(h: float, g: DirectedGraph, min_real: float) -> CheegerBound:
-    """Compare ``min_real`` with lambda0 = h^2 / (2 M), M the max degree of ``g``."""
+def _cheeger_bound(h: float, g: DirectedGraph, min_real: float, tol: float) -> CheegerBound:
+    """Compare ``min_real``, computed to ``tol``, with lambda0 = h^2 / (2 M), M the max degree of ``g``."""
     lambda0 = h**2 / (2.0 * g.max_degree)
-    return CheegerBound(lambda0, min_real, min_real >= lambda0 - 1e-9)
+    return CheegerBound(lambda0, min_real, min_real >= lambda0 - tol)
 
 
 def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound:
@@ -421,8 +432,8 @@ def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound
         raise GraphError("Cheeger constant must be >= 0")
     if not np.all(g.measures == 1.0):
         raise GraphError("the Cheeger lower bound requires unit vertex measure")
-    _, min_real, _ = _hermitian_part(similarity_to_standard(assemble(g, ball_, "laplacian")))
-    return _cheeger_bound(h, g, min_real)
+    _, _, min_real, _, tol, e = _standard_frame(assemble(g, ball_, "laplacian"))
+    return _cheeger_bound(h, g, math.ldexp(min_real, e), math.ldexp(tol, e))
 
 
 # -- aggregated certificate --------------------------------------------------------
@@ -507,7 +518,8 @@ def accretivity_certificate(
         probe = sorted(sub.interior) or list(sub.vertices)
         value = check_total_asymmetry(g, probe)
         gamma_values.append(value if value is not None else 0.0)
-    growing = len(gamma_values) >= 2 and gamma_values[-1] > gamma_values[0] * (1.0 + 1e-9) + 1e-12
+    # Each value is a per-vertex sum of at most max_degree terms.
+    growing = gamma_values[-1] > gamma_values[0] + _tolerance(g.max_degree, gamma_values[0])
     trend = "growing" if growing else "bounded"
 
     cutoff_radii = sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)})
@@ -523,7 +535,7 @@ def accretivity_certificate(
         g_sym = symmetrize(g)
         cap = min(cheeger_cap, len(g) - 1)
         result = cheeger_bruteforce(g_sym, max_subset_size=cap, budget=500_000)
-        bound = _cheeger_bound(result.value, g, sample.min_real)
+        bound = _cheeger_bound(result.value, g, sample.min_real, sample.tolerance)
         cheeger_ok = bound.ok if result.certified else None
         cheeger_info = {
             "h": result.value,

@@ -71,6 +71,32 @@ def test_malformed_graph_exits_two(tmp_path, capsys):
     assert code == 2 and "line" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "UTF-8"),
+        (None, "directory"),
+        (b'{"vertices": [{"id": "a", "m": "x"}], "edges": []}', "vertex 'a'"),
+        (
+            b'{"vertices": [{"id": "a", "m": 1}, {"id": "b", "m": 1}],'
+            b' "edges": [{"from": "a", "to": "b", "b": [1]}]}',
+            "edge 0",
+        ),
+    ],
+    ids=["not-utf8", "directory", "measure-not-a-number", "weight-not-a-number"],
+)
+def test_unreadable_graph_files_are_input_errors(tmp_path, capsys, content, message):
+    path = tmp_path / "g.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, _, err = run(capsys, "check", "--graph", str(path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("dirlap: input error: ")
+    assert message in err
+
+
 def test_graph_source_required(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2 and "exactly one" in err
@@ -269,6 +295,36 @@ def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edge
     code, _, _ = run(capsys, "check", "--graph", save(PAIR, "pair.json"), *argv)
     assert code == 0
     assert "NaN" not in report.read_text() and "Infinity" not in report.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        # Unscaled, lambda0 = 1.333 > min_real = 0.823 with an uncertified h: "inconclusive".
+        (("cheeger", "--radius", "8", "--max-subset-size", "1"), -40),
+        # The total asymmetry grows with the radius on the sqrt ladder.
+        (("certify",), -50),
+        # C/8 >= 2^53, where atan(C/8) rounds to pi/2.
+        (("certify",), 56),
+        (("spectrum",), 56),
+    ],
+    ids=["cheeger-2^-40", "certify-2^-50", "certify-2^56", "spectrum-2^56"],
+)
+def test_verdicts_do_not_change_when_the_weights_scale(tmp_path, capsys, argv, k):
+    spec = dl.LadderSpec(depth=10, measure_mode="unit") if argv[0] == "cheeger" else dl.LadderSpec(depth=20)
+    doc = dl.graph_to_dict(dl.make_ladder(spec))
+    results = []
+    for scale in (1.0, 2.0**k):
+        for edge in doc["edges"]:
+            edge["b"] *= scale
+        path, report = tmp_path / "g.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, *argv, "--graph", str(path), "--root", "x0", "--out", str(report))
+        payload = json.loads(report.read_text())
+        trend = payload.get("total_asymmetry", {}).get("trend")
+        results.append((code, payload.get("verdict"), payload.get("verdicts"), trend, payload.get("sector_ok")))
+    assert results[0] == results[1]
+    assert results[0][0] == (1 if argv[0] == "cheeger" else 0)
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -120,6 +120,18 @@ def test_assemble_rejects_unknown_kind(ladder_sqrt):
         dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 2), "hamiltonian")
 
 
+def test_assemble_near_the_float_limit():
+    # a <-> b at 1e308 both ways: b + b~ overflows, b/2 + b~/2 does not.
+    edges = [("a", "b", 1e308), ("b", "a", 1e308), ("b", "c", 1.0), ("c", "b", 1.0)]
+    g = dl.DirectedGraph([(v, 1.0) for v in "abc"], edges)
+    matrices = {kind: dl.assemble(g, dl.full_ball(g, 0), kind).matrix for kind in dl.KINDS}
+    assert np.all(np.isfinite(matrices["laplacian"]))
+    # The graph is symmetric, so every kind is the Laplacian or zero.
+    assert np.array_equal(matrices["adjoint"], matrices["laplacian"])
+    assert np.array_equal(matrices["symmetric_part"], matrices["laplacian"])
+    assert not np.any(matrices["skew_part"])
+
+
 def test_synthetic_operator_validation():
     with pytest.raises(GraphError):
         dl.TruncatedOperator(np.zeros((2, 3)), np.ones(2), "laplacian")

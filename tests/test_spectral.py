@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirlap as dl
 from dirlap import GraphError
@@ -173,12 +175,13 @@ def _random30_sample(g):
     return dl.numrange_boundary(dl.assemble(g, dl.ball(g, g.index("v0"), 3), "laplacian"), 24)
 
 
-@pytest.mark.parametrize("k", [-3, 5, 20])
+@pytest.mark.parametrize("k", [-1000, -960, -3, 5, 20, 900, 1000])
 def test_sweep_scales_exactly_with_the_weights(k):
     g = dl.make_random_balanced(30, seed=1, density=1)
     base, scaled = _random30_sample(g), _random30_sample(rebuilt(g, weight_scale=2.0**k))
     assert np.array_equal(scaled.points, base.points * 2.0**k)
     assert scaled.min_real == base.min_real * 2.0**k
+    assert scaled.tolerance == base.tolerance * 2.0**k
 
 
 def test_sweep_of_tiny_weights_does_not_overflow():
@@ -256,6 +259,14 @@ def test_check_sector_tree(tree4):
     # true constant
     _, ok_small = dl.check_sector(sample, 2.0)
     assert ok_small
+
+
+def test_check_sector_half_angle_stays_below_a_right_angle(two_vertex_symmetric):
+    # atan(C/8) rounds to pi/2 once C/8 >= 2^53; the true angle lies below it.
+    op = dl.assemble(two_vertex_symmetric, dl.full_ball(two_vertex_symmetric, 0), "laplacian")
+    sector, _ = dl.check_sector(dl.numrange_boundary(op, 8), 2.0**60)
+    assert sector.half_angle == math.nextafter(math.pi / 2.0, 0.0)
+    assert math.atan(2.0**57) == math.pi / 2.0
 
 
 def test_check_sector_rejects_negative_constant(two_vertex_symmetric):
@@ -446,6 +457,33 @@ def test_certificate_forms_one_similarity(ladder_sqrt, monkeypatch):
     monkeypatch.setattr(spectral, "similarity_to_standard", counted)
     assert dl.accretivity_certificate(ladder_sqrt, ball_, n_angles=24) == expected
     assert len(calls) == 1
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 12),
+    st.integers(1, 3),
+    st.integers(-30, 30),
+    st.floats(0.0, 2.0, allow_subnormal=False),
+)
+def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, h):
+    # Even k, so that sqrt(b), and with it the Cheeger constant, scales exactly by 2^(k/2).
+    # The sector line 1/2 + (C/8) Re z is not homogeneous, so its verdicts are left out.
+    k = 2 * half_k
+    g = unit_measure_copy(dl.make_random_balanced(n, seed))
+    outcomes = []
+    for s, graph in ((0, g), (k, rebuilt(g, weight_scale=2.0**k))):
+        ball_ = dl.ball(graph, 0, radius)
+        cert = dl.accretivity_certificate(graph, ball_, n_angles=16)
+        verdicts = {key: value for key, value in cert.verdicts.items() if key != "m_sectorial_supported"}
+        bound = dl.cheeger_bound_check(graph, ball_, h * 2.0 ** (s // 2))
+        times = np.array([0.0, 0.5, 1.0, 2.0]) * 2.0**-s
+        op = dl.assemble(graph, ball_, "laplacian")
+        # bound.lambda0 = h^2 / 2M scales by 2^k with h^2.
+        trace = dl.evolve_trace(op, np.eye(op.n)[0], times, lambda0=bound.lambda0)
+        outcomes.append((verdicts, cert.total_asymmetry_trend, bound.ok, trace.flagged))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("k", [0, 10, 20])
