@@ -254,7 +254,7 @@ def cmd_evolve(args) -> int:
 def cmd_certify(args) -> int:
     g, default_root = _build_graph(args)
     ball_ = _resolve_ball(g, args, default_root)
-    cert = accretivity_certificate(g, ball_, n_angles=args.angles)
+    cert = accretivity_certificate(g, ball_)
     _emit_report(cert.to_dict(), args, ball_)
     return 0 if cert.verdicts["m_sectorial_supported"] else 1
 
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="aggregate accretivity/sectoriality certificate")
     _add_graph_source(p)
     _add_truncation(p)
-    p.add_argument("--angles", type=int, default=72)
+    p.add_argument("--angles", type=int, default=72, help="no effect: certify samples no boundary")
     p.add_argument("--out", help="certificate JSON file (default: stdout)")
     p.set_defaults(func=cmd_certify)
 

@@ -19,7 +19,10 @@ so its points, ``min_real`` and tau scale exactly with the weights.
 
 Sector containment uses the affine bound |Im z| <= 1/2 + (C/8) Re z with C
 the quadratic asymmetry constant of the probed vertices; the implied sector
-has vertex -4/C and semi-angle atan(C/8).
+has vertex -4/C and semi-angle atan(C/8).  The bound is decided on all of W,
+not on sampled points: the largest Im z - (C/8) Re z over W is the support
+value of W at the angle of -C/8 - i, and W is symmetric about the real axis,
+so one certified support value decides it.
 
 Cheeger constants follow the sqrt-of-weight convention
     h = inf over finite proper U of  sum_{x in U, y outside} sqrt(b'(x,y)) / #U
@@ -30,7 +33,7 @@ numerical range from below by h^2 / (2 * max degree).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -77,12 +80,14 @@ class NumericalRangeSample:
     of angles it coincides with the boundary point at angle pi up to solver
     tolerance.  ``tolerance`` is the rounding slack 100 n eps ||A||_F of the
     standard-frame matrix A that the sweep certified its points to.
+    ``frame`` is the scaled frame the sweep ran on, which :func:`check_sector` reads.
     """
 
     points: np.ndarray
     angles: np.ndarray
     min_real: float
     tolerance: float
+    frame: tuple = field(repr=False, compare=False)
 
 
 def _standard_frame(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray, float, float, float, int]:
@@ -116,8 +121,7 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     == conj(points[k])``.  At each solved angle the top eigenvector v of
     H = cos(phi) S + i sin(phi) K (S, K the symmetric and skew parts) gives
     the point <Av, v>, with support value Re(e^{i phi} <Av, v>) within the
-    tolerance of lambda_max(H); see :func:`_shift_invert_points`.  The zero
-    matrix has tolerance 0 and W = {0}, so all its points are 0.
+    tolerance of lambda_max(H); see :func:`_shift_invert_points`.
 
     Raises :class:`NumericError` when the Hermitian part, a boundary point
     or ``min_real`` is not finite, when an eigensolve fails, or when no
@@ -125,11 +129,11 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     """
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
-    a_std, sym, min_real, max_real, tol, e = _standard_frame(op)
+    frame = _standard_frame(op)
+    a_std, sym, min_real, max_real, tol, e = frame
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     solved = angles[: n_angles // 2 + 1]
-    # a_std has unit size, so its tolerance is 0 only when ||A||_F = 0.
-    half = _shift_invert_points(a_std, sym, solved, max_real, tol) if tol else np.zeros(len(solved), complex)
+    half = _shift_invert_points(a_std, sym, solved, max_real, tol)
     # phi = 0 and phi = pi are their own mirrors.  W is convex and closed
     # under conjugation, so the real part of their point is a point of W
     # with the same support value.
@@ -138,7 +142,7 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
         half[-1] = half[-1].real
     points = np.concatenate([half, np.conj(half[1 : n_angles - len(solved) + 1][::-1])])
     points = np.ldexp(_finite(points, "the swept boundary").view(float), e).view(complex)
-    return NumericalRangeSample(points, angles, math.ldexp(min_real, e), math.ldexp(tol, e))
+    return NumericalRangeSample(points, angles, math.ldexp(min_real, e), math.ldexp(tol, e), frame)
 
 
 # Raising a rejected shift ten-fold from a margin >= tol reaches the
@@ -154,7 +158,7 @@ _SOLVES = 47 + 53
 
 
 def _shift_invert_points(
-    a_std: np.ndarray, sym: np.ndarray, angles: np.ndarray, top: float, tol: float
+    a_std: np.ndarray, sym: np.ndarray, angles: Sequence[float], top: float, tol: float
 ) -> np.ndarray:
     """Boundary points by certified inverse iteration, warm-started across angles.
 
@@ -170,9 +174,12 @@ def _shift_invert_points(
     certifies, lambda_max(H) lies in [rho, rho + tol), and one last solve with
     those factors gives the point <Av, v>; until then, sigma moves halfway to
     rho whenever that shift certifies.  v starts from the previous angle's
-    (Braconnier & Higham, BIT 36, 1996); at phi = 0 it is fixed and sigma is
-    just above ``top`` = max eig S, so the sweep is deterministic.
+    (Braconnier & Higham, BIT 36, 1996); at the first angle it is fixed and
+    sigma is just above ``top`` = max eig S, so the sweep is deterministic.
+    ``a_std`` has unit size, so ``tol`` is 0 only for A = 0, whose points are 0.
     """
+    if not tol:
+        return np.zeros(len(angles), complex)
     import scipy.sparse as sparse
     from scipy.sparse.linalg import splu
 
@@ -260,22 +267,29 @@ class Sector:
         return bool(np.all(np.abs(pts.imag) <= self.slope * (pts.real - self.vertex) + slack))
 
 
-def check_sector(sample: NumericalRangeSample, asymmetry_constant: float):
-    """Verify |Im z| <= 1/2 + (C/8) Re z on every sampled boundary point.
-
-    Each coordinate of a point carries at most the sample's tolerance tau, so
-    the check allows tau (1 + C/8).  Returns the implied sector (vertex -4/C,
-    semi-angle atan(C/8), which lies below pi/2 even where it rounds to it;
-    degenerate half-line at the leftmost point when C = 0) and the pass flag.
-    """
-    c = float(asymmetry_constant)
+def _sector(frame: tuple, c: float) -> tuple[Sector, bool]:
+    """:func:`check_sector` on a scaled frame of :func:`_standard_frame`."""
     if c < 0:
         raise GraphError("asymmetry constant must be >= 0")
-    pts, slope = sample.points, c / 8.0
-    ok = bool(np.all(np.abs(pts.imag) <= 0.5 + slope * pts.real + sample.tolerance * (1.0 + slope)))
+    a_std, sym, min_real, max_real, tol, e = frame
+    slope = c / 8.0
+    p = _shift_invert_points(a_std, sym, [math.atan2(-1.0, -slope)], max_real, tol)[0]
+    ok = bool(p.imag - slope * p.real <= math.ldexp(0.5, -e) + tol * (1.0 + slope))
     if c == 0.0:
-        return Sector(vertex=sample.min_real, half_angle=0.0), ok
+        return Sector(vertex=math.ldexp(min_real, e), half_angle=0.0), ok
     return Sector(vertex=-4.0 / c, half_angle=min(math.atan(slope), math.nextafter(math.pi / 2.0, 0.0))), ok
+
+
+def check_sector(sample: NumericalRangeSample, asymmetry_constant: float):
+    """Verify |Im z| <= 1/2 + (C/8) Re z on the whole numerical range, not on the points.
+
+    With s = C/8, the certified point p at the angle of -s - i has Im p - s Re p
+    within tau sqrt(1 + s^2) of its largest value over W, so the check allows
+    tau (1 + s).  Returns the implied sector (vertex -4/C, semi-angle atan(C/8),
+    which lies below pi/2 even where it rounds to it; degenerate half-line at
+    the leftmost point when C = 0) and the pass flag.
+    """
+    return _sector(sample.frame, float(asymmetry_constant))
 
 
 def fit_sector(sample: NumericalRangeSample, vertex: float) -> Sector:
@@ -494,12 +508,7 @@ class Certificate:
         }
 
 
-def accretivity_certificate(
-    g: DirectedGraph,
-    ball_: Ball,
-    n_angles: int = 72,
-    cheeger_cap: int = 8,
-) -> Certificate:
+def accretivity_certificate(g: DirectedGraph, ball_: Ball, cheeger_cap: int = 8) -> Certificate:
     """Run every checker on one truncation and aggregate the verdicts.
 
     Graphs failing the Kirchhoff balance still get their truncation analyzed;
@@ -525,9 +534,10 @@ def accretivity_certificate(
     cutoff_radii = sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)})
     cutoffs = build_cutoffs(g, ball_.root, cutoff_radii)
 
-    op = assemble(g, ball_, "laplacian")
-    sample = numrange_boundary(op, n_angles)
-    sector, sector_ok = check_sector(sample, sector_constant)
+    frame = _standard_frame(assemble(g, ball_, "laplacian"))
+    sector, sector_ok = _sector(frame, sector_constant)
+    _, _, min_real, _, tol, e = frame
+    min_real, tol = math.ldexp(min_real, e), math.ldexp(tol, e)
 
     cheeger_info = None
     cheeger_ok = None
@@ -535,7 +545,7 @@ def accretivity_certificate(
         g_sym = symmetrize(g)
         cap = min(cheeger_cap, len(g) - 1)
         result = cheeger_bruteforce(g_sym, max_subset_size=cap, budget=500_000)
-        bound = _cheeger_bound(result.value, g, sample.min_real, sample.tolerance)
+        bound = _cheeger_bound(result.value, g, min_real, tol)
         cheeger_ok = bound.ok if result.certified else None
         cheeger_info = {
             "h": result.value,
@@ -545,7 +555,7 @@ def accretivity_certificate(
             "ok": cheeger_ok,
         }
 
-    accretive = sample.min_real >= -sample.tolerance
+    accretive = min_real >= -tol
     verdicts = {
         "kirchhoff_balance": balance.ok,
         "accretive_truncation": accretive,
@@ -565,7 +575,7 @@ def accretivity_certificate(
         cutoff_constant=cutoffs.constant,
         total_asymmetry_values=tuple(gamma_values),
         total_asymmetry_trend=trend,
-        min_real=sample.min_real,
+        min_real=min_real,
         sector_vertex=sector.vertex,
         sector_half_angle=sector.half_angle,
         sector_ok=sector_ok,

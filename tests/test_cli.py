@@ -327,6 +327,30 @@ def test_verdicts_do_not_change_when_the_weights_scale(tmp_path, capsys, argv, k
     assert results[0][0] == (1 if argv[0] == "cheeger" else 0)
 
 
+@pytest.mark.parametrize("angles", ["8", "24", "72", "360"])
+@pytest.mark.parametrize(
+    "argv",
+    [("--gen", "ladder", "--N", "20", "--constant", "4.0495"),
+     ("--gen", "tree", "--depth", "4", "--radius", "3", "--constant", "1.0876")],
+    ids=["ladder", "tree"],
+)
+def test_spectrum_sector_verdict_does_not_depend_on_the_angles(capsys, argv, angles):
+    # W crosses the sector line between sampled angles at every angle count.
+    code, out, _ = run(capsys, "spectrum", *argv, "--angles", angles)
+    assert code == 1
+    assert json.loads(out)["sector_ok"] is False
+
+
+def test_certify_angles_have_no_effect(capsys):
+    reports = []
+    for angles in ("8", "360"):
+        code, out, _ = run(capsys, "certify", "--gen", "ladder", "--N", "10", "--radius", "8", "--angles", angles)
+        assert code == 0
+        reports.append(json.loads(out))
+        assert reports[-1]["config"].pop("angles") == int(angles)
+    assert reports[0] == reports[1]
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

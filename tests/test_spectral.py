@@ -211,7 +211,7 @@ def test_relabeling_keeps_verdicts_and_support_values(request, name, root, radiu
     verdicts, support = [], []
     for h in (g, shuffled):
         ball_ = dl.ball(h, h.index(root), radius)
-        verdicts.append(dl.accretivity_certificate(h, ball_, n_angles=24).verdicts)
+        verdicts.append(dl.accretivity_certificate(h, ball_).verdicts)
         sample = dl.numrange_boundary(dl.assemble(h, ball_, "laplacian"), 24)
         support.append(np.real(np.exp(1j * sample.angles) * sample.points))
     assert verdicts[0] == verdicts[1]
@@ -259,6 +259,38 @@ def test_check_sector_tree(tree4):
     # true constant
     _, ok_small = dl.check_sector(sample, 2.0)
     assert ok_small
+
+
+def dense_sector_value(op, c):
+    """max over W of Im z - (C/8) Re z: the top eigenvalue of -(C/8) S - i K, by dense eigvalsh."""
+    a = dl.similarity_to_standard(op)
+    return np.linalg.eigvalsh(-(c / 8.0) * (a + a.T) / 2.0 - 0.5j * (a - a.T))[-1]
+
+
+@pytest.mark.parametrize("n_angles", [8, 24, 72, 360])
+def test_check_sector_finds_violations_between_sampled_angles(tree4, n_angles):
+    # W crosses the line between the sampled angles, where no sampled point shows it.
+    ladder = dl.make_ladder(dl.LadderSpec(depth=20))
+    cases = [
+        (dl.assemble(ladder, dl.ball(ladder, 0, 19), "laplacian"), 4.0495, 0.50136),
+        (dl.assemble(tree4, dl.ball(tree4, 0, 3), "laplacian"), 1.0876, 0.50035),
+    ]
+    for op, c, exact in cases:
+        assert dense_sector_value(op, c) == pytest.approx(exact, abs=5e-6)
+        _, ok = dl.check_sector(dl.numrange_boundary(op, n_angles), c)
+        assert not ok
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 3), st.floats(0.0, 60.0))
+def test_check_sector_matches_the_dense_support_value(seed, n, radius, c):
+    g = dl.make_random_balanced(n, seed)
+    op = dl.assemble(g, dl.ball(g, 0, radius), "laplacian")
+    sample = dl.numrange_boundary(op, 4)
+    value = dense_sector_value(op, c)
+    _, ok = dl.check_sector(sample, c)
+    # The support value is certified within tau, each coordinate carries tau.
+    assert ok == (value <= 0.5) or abs(value - 0.5) <= 2.0 * sample.tolerance * (1.0 + c / 8.0)
 
 
 def test_check_sector_half_angle_stays_below_a_right_angle(two_vertex_symmetric):
@@ -417,7 +449,7 @@ def test_connected_subset_enumeration_complete(random_graphs):
 
 
 def test_certificate_ladder(ladder_sqrt):
-    cert = dl.accretivity_certificate(ladder_sqrt, dl.ball(ladder_sqrt, 0, 10), n_angles=36)
+    cert = dl.accretivity_certificate(ladder_sqrt, dl.ball(ladder_sqrt, 0, 10))
     assert cert.kirchhoff_ok and cert.kirchhoff_max_imbalance == 0.0
     assert cert.asymmetry_constant <= 12.0
     assert cert.total_asymmetry_trend == "growing"
@@ -429,14 +461,14 @@ def test_certificate_ladder(ladder_sqrt):
 
 
 def test_certificate_tree(tree4):
-    cert = dl.accretivity_certificate(tree4, dl.ball(tree4, 0, 3), n_angles=24)
+    cert = dl.accretivity_certificate(tree4, dl.ball(tree4, 0, 3))
     assert cert.asymmetry_constant == 4.0
     assert cert.total_asymmetry_trend == "bounded"
     assert cert.verdicts["m_accretive_supported"]
 
 
 def test_certificate_single_edge_negative(single_edge):
-    cert = dl.accretivity_certificate(single_edge, dl.ball(single_edge, 0, 1), n_angles=8)
+    cert = dl.accretivity_certificate(single_edge, dl.ball(single_edge, 0, 1))
     assert not cert.kirchhoff_ok
     assert cert.kirchhoff_max_imbalance == 3.0
     assert cert.kirchhoff_worst_vertex == "u"
@@ -453,10 +485,37 @@ def test_certificate_forms_one_similarity(ladder_sqrt, monkeypatch):
         return dl.similarity_to_standard(op)
 
     ball_ = dl.ball(ladder_sqrt, 0, 10)
-    expected = dl.accretivity_certificate(ladder_sqrt, ball_, n_angles=24)
+    expected = dl.accretivity_certificate(ladder_sqrt, ball_)
     monkeypatch.setattr(spectral, "similarity_to_standard", counted)
-    assert dl.accretivity_certificate(ladder_sqrt, ball_, n_angles=24) == expected
+    assert dl.accretivity_certificate(ladder_sqrt, ball_) == expected
     assert len(calls) == 1
+
+
+def test_certificate_sweeps_no_boundary(ladder_sqrt, monkeypatch):
+    import dirlap.spectral as spectral
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the certificate swept the boundary")
+
+    ball_ = dl.ball(ladder_sqrt, 0, 10)
+    expected = dl.accretivity_certificate(ladder_sqrt, ball_)
+    monkeypatch.setattr(spectral, "numrange_boundary", no_sweep)
+    assert dl.accretivity_certificate(ladder_sqrt, ball_) == expected
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 3), st.booleans())
+def test_relabeling_keeps_the_certificate(seed, n, radius, unit):
+    g = dl.make_random_balanced(n, seed)
+    g = unit_measure_copy(g) if unit else g
+    shuffled = rebuilt(g, np.random.default_rng(seed).permutation(len(g)))
+    certs = [dl.accretivity_certificate(h, dl.ball(h, h.index("v0"), radius)) for h in (g, shuffled)]
+    assert certs[0].verdicts == certs[1].verdicts
+    assert certs[0].sector_ok == certs[1].sector_ok
+    assert certs[0].total_asymmetry_trend == certs[1].total_asymmetry_trend
+    a = dl.similarity_to_standard(dl.assemble(g, dl.ball(g, g.index("v0"), radius), "laplacian"))
+    tol = 100 * len(a) * np.finfo(float).eps * np.linalg.norm(a)
+    assert abs(certs[0].min_real - certs[1].min_real) <= tol
 
 
 @settings(deadline=None, max_examples=20)
@@ -475,7 +534,7 @@ def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, 
     outcomes = []
     for s, graph in ((0, g), (k, rebuilt(g, weight_scale=2.0**k))):
         ball_ = dl.ball(graph, 0, radius)
-        cert = dl.accretivity_certificate(graph, ball_, n_angles=16)
+        cert = dl.accretivity_certificate(graph, ball_)
         verdicts = {key: value for key, value in cert.verdicts.items() if key != "m_sectorial_supported"}
         bound = dl.cheeger_bound_check(graph, ball_, h * 2.0 ** (s // 2))
         times = np.array([0.0, 0.5, 1.0, 2.0]) * 2.0**-s
@@ -492,5 +551,5 @@ def test_accretivity_threshold_scales_with_the_operator(k):
     # the weights, decides the sign of min_real.
     scaled = rebuilt(dl.make_random_balanced(60, seed=0, density=2), weight_scale=2.0**k)
     radius = int(dl.combinatorial_distance(scaled, 0).max())
-    cert = dl.accretivity_certificate(scaled, dl.ball(scaled, 0, radius), n_angles=8)
+    cert = dl.accretivity_certificate(scaled, dl.ball(scaled, 0, radius))
     assert cert.verdicts["accretive_truncation"]
