@@ -6,14 +6,17 @@ right half-plane, and a positive lower bound on the real part of the
 numerical range turns contraction into exponential decay.  All norms are
 taken in the measure-weighted geometry via the similarity transform.
 
-Each time t forms one propagator P = exp(-tA), in the weighted frame, by
-dense scaling-and-squaring (exact to rounding at the intended sizes, a few
-thousand rows at most).  Both P v and the weighted operator norm, the
-largest singular value of D^(1/2) P D^(-1/2), are read from that one P.
+A single time t forms one propagator P = exp(-tA), in the weighted frame,
+by dense scaling-and-squaring (exact to rounding at the intended sizes, a
+few thousand rows at most).  Both P v and the weighted operator norm, the
+largest singular value of D^(1/2) P D^(-1/2), are read from that one P.  A
+time grid steps one propagator through the grid by the semigroup law, so it
+forms one scaling-and-squaring per distinct step, not one per time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,9 @@ def _singular_values(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
-    """exp(-tA) as a dense matrix; t must be nonnegative (one-sided semigroup)."""
+    """exp(-tA) as a dense matrix; t must be finite and nonnegative (one-sided semigroup)."""
+    if not math.isfinite(t):
+        raise GraphError(f"time must be finite, got {t}")
     if t < 0:
         raise GraphError("the semigroup is one-sided: t must be >= 0")
     if t == 0.0:
@@ -124,19 +129,37 @@ def evolve_trace(
     t_grid,
     lambda0: float | None = None,
 ) -> EvolutionTrace:
-    """Evolve v0 under exp(-tA) over a sorted nonnegative time grid."""
+    """Evolve v0 under exp(-tA) over a sorted, finite, nonnegative time grid.
+
+    The propagator is stepped through the grid by the semigroup law,
+    P_k = P_(k-1) exp(-h_k A) with h_k = t_k - t_(k-1) and t_(-1) = 0, so
+    only each distinct step h forms a matrix exponential: a uniform grid
+    forms one.  A step is cached by its float value only until its last use
+    on the grid, so the cache never holds a step no later time needs.  Each
+    h_k is the exact difference when t_(k-1) >= t_k / 2 (Sterbenz), so the
+    steps then sum to t_k exactly; each product adds one matrix product's
+    rounding, so the error grows linearly with the number of steps.
+    """
     times = np.asarray(list(t_grid), dtype=float)
     if times.size == 0:
         raise GraphError("time grid must not be empty")
+    if not np.all(np.isfinite(times)):
+        raise GraphError("time grid must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise GraphError("time grid must be sorted and nonnegative")
 
-    def norms_at(t: float) -> tuple[float, float]:
-        # Both norms come from one propagator, freed before the next is formed.
-        p = _propagator(op, t)
-        return _norm(op, p, t), weighted_norm(_apply(p, t, v0), op.measure_vector)
-
-    op_norms, state_norms = np.array([norms_at(float(t)) for t in times]).T
+    steps = np.diff(times, prepend=0.0).tolist()
+    last_use = {h: k for k, h in enumerate(steps)}
+    cache: dict[float, np.ndarray] = {}
+    p = None
+    op_norms, state_norms = np.empty_like(times), np.empty_like(times)
+    for k, (t, h) in enumerate(zip(times.tolist(), steps)):
+        step = cache.pop(h) if h in cache else _propagator(op, h)
+        if last_use[h] > k:
+            cache[h] = step
+        p = step if p is None else _finite(p @ step, f"exp(-{t} A)")
+        op_norms[k] = _norm(op, p, t)
+        state_norms[k] = weighted_norm(_apply(p, t, v0), op.measure_vector)
     if lambda0 is None:
         bounds = np.ones_like(times)
     else:

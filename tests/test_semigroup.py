@@ -1,11 +1,16 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirlap as dl
 from dirlap import GraphError, NumericError
+from dirlap.cli import _parse_time_grid
+from dirlap.graph import _tolerance
 
 RNG = np.random.default_rng(4321)
 
@@ -199,22 +204,164 @@ def test_trace_single_time_zero(ladder_unit):
     assert trace.ok and trace.operator_norms[0] == 1.0
 
 
-def test_trace_forms_one_propagator_per_time(ladder_sqrt, ladder_unit, random_graphs, monkeypatch):
-    ops = [laplacian_on_ball(ladder_sqrt, 6), laplacian_on_ball(ladder_unit, 6)]
-    ops += [dl.assemble(g, dl.full_ball(g, 0), "laplacian") for g in random_graphs]
-    times = [0.0, 0.25, 1.0, 3.0]
+def per_time_tolerance(op, t):
+    """The oracle's slack for a norm <= 1 of exp(-tA): rounding of tA plus rounding of the norm."""
+    a_norm = np.linalg.norm(dl.similarity_to_standard(op))
+    return _tolerance(op.n, a_norm) * max(1.0, t) + _tolerance(op.n, 1.0)
+
+
+def assert_matches_per_time(op, v0, trace):
+    """Each stepped value agrees with the one propagator the per-time functions form."""
+    v0_norm = dl.weighted_norm(v0, op.measure_vector)
+    for i, t in enumerate(trace.times):
+        tol = per_time_tolerance(op, t)
+        assert abs(trace.operator_norms[i] - dl.operator_norm_expm(op, t)) <= tol
+        state = dl.weighted_norm(dl.expm_apply(op, t, v0), op.measure_vector)
+        assert abs(trace.state_norms[i] - state) <= tol * v0_norm
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The arguments of every scipy.linalg.expm call made while the test runs."""
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
-    for op in ops:
-        v0 = RNG.standard_normal(op.n)
-        calls.clear()
-        trace = dl.evolve_trace(op, v0, times)
-        assert len(calls) == 3
-        for i, t in enumerate(times):
-            assert trace.operator_norms[i] == dl.operator_norm_expm(op, t)
-            state = dl.expm_apply(op, t, v0)
-            assert trace.state_norms[i] == dl.weighted_norm(state, op.measure_vector)
+    return calls
+
+
+def test_trace_forms_one_propagator_per_step(ladder_sqrt, ladder_unit, random_graphs, expm_calls):
+    ops = [laplacian_on_ball(ladder_sqrt, 6), laplacian_on_ball(ladder_unit, 6)]
+    ops += [dl.assemble(g, dl.full_ball(g, 0), "laplacian") for g in random_graphs]
+    for times, expected_calls in (([0.0, 0.25, 1.0, 3.0], 3), (np.arange(13) * 0.25, 1)):
+        for op in ops:
+            v0 = RNG.standard_normal(op.n)
+            expm_calls.clear()
+            trace = dl.evolve_trace(op, v0, times)
+            assert len(expm_calls) == expected_calls
+            assert trace.operator_norms[0] == 1.0
+            assert trace.state_norms[0] == dl.weighted_norm(v0, op.measure_vector)
+            assert_matches_per_time(op, v0, trace)
+
+
+def test_trace_repeated_times_form_no_extra_propagator(ladder_unit, expm_calls):
+    op = laplacian_on_ball(ladder_unit, 6)
+    v0 = RNG.standard_normal(op.n)
+    once = dl.evolve_trace(op, v0, [0.0, 0.5, 1.0])
+    expm_calls.clear()
+    repeated = dl.evolve_trace(op, v0, [0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
+    assert len(expm_calls) == 1
+    for values in ("operator_norms", "state_norms"):
+        assert np.array_equal(getattr(repeated, values), getattr(once, values)[[0, 1, 1, 2, 2, 2]])
+
+
+def test_trace_starting_after_time_zero(ladder_sqrt, expm_calls):
+    # The first time is the first step: 0.5, then 0.25 twice and 1.0.
+    op = laplacian_on_ball(ladder_sqrt, 6)
+    v0 = RNG.standard_normal(op.n)
+    trace = dl.evolve_trace(op, v0, [0.5, 0.75, 1.0, 2.0])
+    assert len(expm_calls) == 3
+    assert_matches_per_time(op, v0, trace)
+
+
+def test_trace_on_a_non_uniform_grid_frees_each_step(ladder_sqrt, monkeypatch):
+    op = laplacian_on_ball(ladder_sqrt, 6)
+    v0 = RNG.standard_normal(op.n)
+    times = np.sort(RNG.uniform(0.0, 5.0, size=8))
+    live = []
+    expm = scipy.linalg.expm
+
+    def tracked(a):
+        # No step is needed twice, so at most the step just used may still be held.
+        assert sum(ref() is not None for ref in live) <= 1
+        out = expm(a)
+        live.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "expm", tracked)
+    trace = dl.evolve_trace(op, v0, times)
+    assert len(live) == 8
+    assert_matches_per_time(op, v0, trace)
+
+
+def test_trace_on_a_cli_grid_forms_one_propagator_per_distinct_step(ladder_unit, expm_calls):
+    times = _parse_time_grid("0:5:0.1")
+    assert len(set(np.diff(times).tolist())) == 7
+    op = laplacian_on_ball(ladder_unit, 6)
+    v0 = RNG.standard_normal(op.n)
+    trace = dl.evolve_trace(op, v0, times)
+    assert len(expm_calls) == 7
+    assert_matches_per_time(op, v0, trace)
+
+
+def test_long_trace_does_not_drift_past_an_exact_bound(ladder_sqrt):
+    # On a symmetric operator the norm of exp(-tA) is exactly exp(-lambda_min t), so
+    # every norm sits on its bound and only rounding, growing with the steps, could flag it.
+    op = dl.assemble(dl.symmetrize(ladder_sqrt), dl.ball(ladder_sqrt, 0, 10), "laplacian")
+    lambda0 = float(np.linalg.eigvalsh(dl.similarity_to_standard(op))[0])
+    trace = dl.evolve_trace(op, np.eye(op.n)[0], 0.01 * np.arange(2001), lambda0=lambda0)
+    assert trace.flagged == ()
+
+
+def dyadic_measures(g, exponents):
+    """``g`` with the measure of vertex i set to 2^exponents[i]."""
+    vertices = [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), exponents)]
+    edges = [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()]
+    return dl.DirectedGraph(vertices, edges, exact_weights=g.exact_weights)
+
+
+def random_trace_case(seed, n):
+    """A random balanced graph, measure exponents in [-3, 3], a start vector, a grid of uniform and random times, and a rate."""
+    rng = np.random.default_rng(seed)
+    g = dl.make_random_balanced(n, seed)
+    exponents = rng.integers(-3, 4, size=n)
+    uniform = rng.uniform(0.0, 1.0) + rng.uniform(0.01, 0.5) * np.arange(rng.integers(1, 12))
+    times = np.sort(np.concatenate([uniform, rng.uniform(0.0, 5.0, size=rng.integers(0, 8))]))
+    return g, exponents, rng.standard_normal(n), times, rng.uniform(0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 3))
+def test_stepped_trace_matches_the_dense_propagators(seed, n, radius):
+    g, exponents, v, times, _ = random_trace_case(seed, n)
+    g = dyadic_measures(g, exponents)
+    ball_ = dl.ball(g, 0, radius)
+    op = dl.assemble(g, ball_, "laplacian")
+    v0 = v[list(ball_.vertices)]
+    assert_matches_per_time(op, v0, dl.evolve_trace(op, v0, times))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 3), st.integers(-6, 4))
+def test_trace_scales_exactly_with_the_measures(seed, n, radius, k):
+    # L = B / m: measures x4^k scale A by 4^-k, so tA, and every propagator, is unchanged at
+    # times x4^k; the weighted state norms scale by 2^k and the bounds exp(-lambda0 t) stay.
+    g, exponents, v, times, lambda0 = random_trace_case(seed, n)
+    traces = []
+    for s in (0, k):
+        scaled = dyadic_measures(g, exponents + 2 * s)
+        ball_ = dl.ball(scaled, 0, radius)
+        op = dl.assemble(scaled, ball_, "laplacian")
+        traces.append(dl.evolve_trace(op, v[list(ball_.vertices)], times * 4.0**s, lambda0 * 4.0**-s))
+    base, scaled = traces
+    assert np.array_equal(scaled.operator_norms, base.operator_norms)
+    assert np.array_equal(scaled.state_norms, base.state_norms * 2.0**k)
+    assert scaled.flagged == base.flagged
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        lambda op, t: dl.expm_apply(op, t, np.ones(op.n)),
+        lambda op, t: dl.operator_norm_expm(op, t),
+        lambda op, t: dl.positivity_check(op, t),
+        lambda op, t: dl.evolve_trace(op, np.ones(op.n), [0.0, t]),
+    ],
+    ids=["expm_apply", "operator_norm_expm", "positivity_check", "evolve_trace"],
+)
+def test_non_finite_times_are_input_errors(ladder_unit, verdict, t):
+    with pytest.raises(GraphError, match="finite"):
+        verdict(laplacian_on_ball(ladder_unit, 4), t)
 
 
 def test_trace_grid_validation(ladder_unit):
