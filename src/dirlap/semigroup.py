@@ -8,10 +8,13 @@ taken in the measure-weighted geometry via the similarity transform.
 
 A single time t forms one propagator P = exp(-tA), in the weighted frame,
 by dense scaling-and-squaring (exact to rounding at the intended sizes, a
-few thousand rows at most).  Both P v and the weighted operator norm, the
-largest singular value of D^(1/2) P D^(-1/2), are read from that one P.  A
-time grid steps one propagator through the grid by the semigroup law, so it
-forms one scaling-and-squaring per distinct step, not one per time.
+few thousand rows at most).  Both P v and the weighted operator norm are
+read from that one P.  The norm, the largest singular value of
+Q = D^(1/2) P D^(-1/2), is the square root of the top eigenvalue of Q^T Q
+(one symmetric tridiagonalization, no SVD), with Q scaled by a power of two
+so that Q^T Q stays in range.  A time grid steps one propagator through
+the grid by the semigroup law, so it forms one scaling-and-squaring per
+distinct step, not one per time.
 """
 
 from __future__ import annotations
@@ -35,15 +38,6 @@ __all__ = [
 ]
 
 
-def _singular_values(a: np.ndarray, what: str) -> np.ndarray:
-    """Singular values of a finite matrix, largest first."""
-    _finite(a, what)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular values of {what} failed: {exc}") from exc
-
-
 def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
     """exp(-tA) as a dense matrix; t must be finite and nonnegative (one-sided semigroup)."""
     if not math.isfinite(t):
@@ -63,8 +57,29 @@ def _apply(propagator: np.ndarray, t: float, values: np.ndarray) -> np.ndarray:
 
 
 def _norm(op: TruncatedOperator, propagator: np.ndarray, t: float) -> float:
-    """Weighted operator norm of a propagator: the largest singular value after similarity."""
-    return float(_singular_values(_similar(propagator, op.measure_vector), f"exp(-{t} A)")[0])
+    """Weighted operator norm of a propagator: sqrt(lambda_max(Q^T Q)), Q = D^(1/2) P D^(-1/2).
+
+    Q is first scaled by the power of two 2^-e that brings max |Q| into
+    [1/2, 1), so Q^T Q neither underflows nor overflows and the norm scales
+    exactly with P.  One symmetric top-eigenvalue solve replaces a full SVD.
+    """
+    q = _finite(_similar(propagator, op.measure_vector), f"exp(-{t} A)")
+    peak = float(np.abs(q).max())
+    if peak == 0.0:
+        return 0.0
+    e = math.frexp(peak)[1]
+    q = np.ldexp(q, -e)
+    gram = q.T @ q
+    try:
+        top = scipy.linalg.eigvalsh(gram, subset_by_index=[op.n - 1, op.n - 1])[0]
+    except np.linalg.LinAlgError:
+        # Bisection for one eigenvalue can fail when all of them lie within rounding of
+        # each other (P near the identity, t below ~1e-21); QR iteration on all of them does not.
+        try:
+            top = scipy.linalg.eigvalsh(gram, driver="ev")[-1]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"largest singular value of exp(-{t} A) failed: {exc}") from exc
+    return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
 
 
 def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:
@@ -73,7 +88,7 @@ def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarra
 
 
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
-    """Weighted operator norm of exp(-tA), the largest singular value after similarity."""
+    """Weighted operator norm of exp(-tA), read by ``_norm`` from the top eigenvalue of a Gram matrix."""
     return _norm(op, _propagator(op, t), t)
 
 
@@ -84,7 +99,12 @@ def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
         raise GraphError("resolvent bound needs Re(lambda) > 0")
     shifted = similarity_to_standard(op).astype(complex)
     shifted[np.diag_indices_from(shifted)] += lam
-    smallest = _singular_values(shifted, f"A + {lam}")[-1]
+    _finite(shifted, f"A + {lam}")
+    # sigma_min stays on the SVD: through a Gram matrix it would square the condition number.
+    try:
+        smallest = np.linalg.svd(shifted, compute_uv=False)[-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular values of A + {lam} failed: {exc}") from exc
     if smallest == 0.0:
         # Cannot occur for accretive truncations with Re(lambda) > 0.
         raise NumericError(f"(A + {lam}) is singular")
@@ -147,6 +167,8 @@ def evolve_trace(
         raise GraphError("time grid must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise GraphError("time grid must be sorted and nonnegative")
+    if lambda0 is not None and not math.isfinite(lambda0):
+        raise GraphError(f"decay rate lambda0 must be finite, got {lambda0}")
 
     steps = np.diff(times, prepend=0.0).tolist()
     last_use = {h: k for k, h in enumerate(steps)}

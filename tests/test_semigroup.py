@@ -11,6 +11,8 @@ import dirlap as dl
 from dirlap import GraphError, NumericError
 from dirlap.cli import _parse_time_grid
 from dirlap.graph import _tolerance
+from dirlap.operators import KINDS, _similar
+from dirlap.semigroup import _norm, _propagator
 
 RNG = np.random.default_rng(4321)
 
@@ -126,6 +128,63 @@ def test_operator_norm_monotone(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 6)
     norms = [dl.operator_norm_expm(op, t) for t in (0.0, 0.3, 0.9, 2.0, 4.0)]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def largest_singular_value(op, propagator):
+    return np.linalg.svd(_similar(propagator, op.measure_vector), compute_uv=False)[0]
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 12),
+    st.integers(1, 3),
+    st.sampled_from(KINDS),
+    st.floats(0.0, 5.0),
+)
+def test_norm_matches_the_dense_svd(seed, n, radius, kind, t):
+    g = dl.make_random_balanced(n, seed)
+    op = dl.assemble(g, dl.ball(g, 0, radius), kind)
+    sigma = largest_singular_value(op, _propagator(op, t))
+    assert abs(dl.operator_norm_expm(op, t) - sigma) <= _tolerance(op.n, sigma)
+    # A grid [0, t] steps I @ exp(-tA), which is exactly the one-shot propagator.
+    trace = dl.evolve_trace(op, np.ones(op.n), [0.0, t])
+    assert abs(trace.operator_norms[1] - sigma) <= _tolerance(op.n, sigma)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_norm_scales_exactly_with_the_propagator(k):
+    # Q^T Q of P 2^k would underflow or overflow without the power-of-two scaling in _norm.
+    g = dl.make_ladder(dl.LadderSpec(depth=6, measure_mode="unit"))
+    op = laplacian_on_ball(g, 6)
+    p = _propagator(op, 0.5)
+    scaled = np.ldexp(p, k)
+    norm = _norm(op, scaled, 0.5)
+    assert norm == math.ldexp(_norm(op, p, 0.5), k)
+    sigma = largest_singular_value(op, scaled)
+    assert abs(norm - sigma) <= _tolerance(op.n, sigma)
+    assert _norm(op, np.zeros_like(p), 0.5) == 0.0
+
+
+def test_norm_of_a_propagator_near_the_identity():
+    # Every eigenvalue of Q^T Q lies within rounding of 1/4 here, where LAPACK's
+    # bisection for the top one alone fails; _norm falls back to the full solve.
+    g = dl.make_random_balanced(12, 14271)
+    op = dl.assemble(g, dl.ball(g, 0, 3), "laplacian")
+    sigma = largest_singular_value(op, _propagator(op, 1e-20))
+    assert abs(dl.operator_norm_expm(op, 1e-20) - sigma) <= _tolerance(op.n, sigma)
+
+
+def test_only_the_resolvent_runs_an_svd(ladder_sqrt, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    op = laplacian_on_ball(ladder_sqrt, 6)
+    assert dl.operator_norm_expm(op, 1.0) <= 1.0 + _tolerance(op.n, 1.0)
+    assert dl.evolve_trace(op, np.ones(op.n), [0.0, 0.5, 1.0]).ok
+    with pytest.raises(AssertionError, match="svd"):
+        dl.resolvent_norm(op, 1.0)
 
 
 # -- resolvent ----------------------------------------------------------------------
@@ -362,6 +421,13 @@ def test_trace_scales_exactly_with_the_measures(seed, n, radius, k):
 def test_non_finite_times_are_input_errors(ladder_unit, verdict, t):
     with pytest.raises(GraphError, match="finite"):
         verdict(laplacian_on_ball(ladder_unit, 4), t)
+
+
+@pytest.mark.parametrize("lambda0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_decay_rate_is_an_input_error(ladder_unit, lambda0):
+    op = laplacian_on_ball(ladder_unit, 4)
+    with pytest.raises(GraphError, match="finite"):
+        dl.evolve_trace(op, np.ones(op.n), [0.0, 0.5, 1.0], lambda0=lambda0)
 
 
 def test_trace_grid_validation(ladder_unit):
