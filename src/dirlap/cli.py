@@ -149,8 +149,8 @@ def _parse_time_grid(text: str) -> np.ndarray:
         start, stop, step = (_finite_float(part) for part in text.split(":"))
     except (ValueError, argparse.ArgumentTypeError):
         raise GraphError(f"time grid {text!r} must be three finite numbers start:stop:step") from None
-    if step <= 0 or stop < start:
-        raise GraphError("time grid needs step > 0 and stop >= start")
+    if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
+        raise GraphError("time grid needs step > 0, stop >= start and a finite number of points")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 

@@ -9,7 +9,7 @@ from inverse iteration on sparse LDL^H factorizations, warm-started from the
 previous angle; the factorization's negative pivots certify that a shift
 lies above the spectrum, and a point is emitted only once a shift within
 the tolerance below certifies.  All weighted quantities are reduced to
-standard ones through :func:`dirlap.operators.similarity_to_standard`.
+standard ones once, in the :class:`Frame` that every verdict reads.
 
 A value derived from a matrix A of n rows may carry rounding up to
 tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`): the accretivity,
@@ -20,9 +20,9 @@ so its points, ``min_real`` and tau scale exactly with the weights.
 Sector containment uses the affine bound |Im z| <= 1/2 + (C/8) Re z with C
 the quadratic asymmetry constant of the probed vertices; the implied sector
 has vertex -4/C and semi-angle atan(C/8).  The bound is decided on all of W,
-not on sampled points: the largest Im z - (C/8) Re z over W is the support
-value of W at the angle of -C/8 - i, and W is symmetric about the real axis,
-so one certified support value decides it.
+not on sampled points: W is symmetric about the real axis, the largest
+Im z - (C/8) Re z over W is lambda_max(-(C/8) S - i K), and one LDL^H
+factorization decides lambda_max(-(C/8) S - i K) < 1/2 + tau (1 + C/8).
 
 Cheeger constants follow the sqrt-of-weight convention
     h = inf over finite proper U of  sum_{x in U, y outside} sqrt(b'(x,y)) / #U
@@ -71,6 +71,29 @@ __all__ = [
     "accretivity_certificate",
 ]
 
+class Frame(NamedTuple):
+    """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0).
+
+    ``a``, S = ``sym`` and K = ``skew`` share the CSC pattern of a + a^T plus
+    the diagonal; ``min_real`` and ``max_real`` bound Re W(a), and ``tol`` is
+    the tolerance of a.  The scaling is exact and every later step is
+    homogeneous, so results of a scaled back by 2^e are those of A.
+    """
+
+    a: "scipy.sparse.csc_matrix"
+    sym: "scipy.sparse.csc_matrix"
+    skew: "scipy.sparse.csc_matrix"
+    min_real: float
+    max_real: float
+    tol: float
+    e: int
+
+    @property
+    def unscaled(self) -> tuple[float, float]:
+        """``min_real`` and ``tol`` of A, scaled back by 2^e."""
+        return math.ldexp(self.min_real, self.e), math.ldexp(self.tol, self.e)
+
+
 @dataclass(frozen=True)
 class NumericalRangeSample:
     """Boundary points of the numerical range from an angle sweep.
@@ -87,17 +110,17 @@ class NumericalRangeSample:
     angles: np.ndarray
     min_real: float
     tolerance: float
-    frame: tuple = field(repr=False, compare=False)
+    frame: Frame = field(repr=False, compare=False)
 
 
-def _standard_frame(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray, float, float, float, int]:
-    """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0), its
-    finite Hermitian part, min and max Re W(a), the tolerance of a, and e.
+def _standard_frame(op: TruncatedOperator) -> Frame:
+    """The :class:`Frame` of ``op``; a subnormal entry of D^(1/2) A D^(-1/2) is a
+    :class:`NumericError`, as its rounding is not relative to ||A||_F."""
+    import scipy.sparse as sparse
 
-    Scaling by 2^-e is exact and every later step is homogeneous, so results
-    of a, scaled back by 2^e, are those of A, without over- or underflow.
-    """
     a_std = similarity_to_standard(op)
+    if np.any((a_std != 0.0) & (np.abs(a_std) < np.finfo(float).tiny)):
+        raise NumericError("the operator has subnormal entries, whose rounding no tolerance covers")
     # The Frobenius norm bounds the spectral norm and costs one pass; BLAS
     # nrm2 scales, so it does not overflow early.
     norm = _finite(scipy.linalg.norm(a_std.ravel(), check_finite=False), "the norm of the operator")
@@ -109,40 +132,15 @@ def _standard_frame(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray, floa
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed on the Hermitian part: {exc}") from exc
     _finite(eigenvalues, "the spectrum of the Hermitian part")
-    return a_std, sym, float(eigenvalues[0]), float(eigenvalues[-1]), _tolerance(op.n, norm), e
+    pattern = sparse.csc_matrix((a_std != 0.0) | (a_std.T != 0.0) | np.eye(op.n, dtype=bool))
+    rows, cols = pattern.indices, np.repeat(np.arange(op.n), np.diff(pattern.indptr))
 
+    def csc(data: np.ndarray):
+        return sparse.csc_matrix((data, rows, pattern.indptr), shape=pattern.shape)
 
-def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
-    """Sample the numerical range boundary at ``n_angles`` equispaced angles.
-
-    Only the angles phi in [0, pi] are solved.  The operator is real, so its
-    numerical range is symmetric about the real axis, and the point at angle
-    2 pi - phi is the conjugate of the point at phi: ``points[n_angles - k]
-    == conj(points[k])``.  At each solved angle the top eigenvector v of
-    H = cos(phi) S + i sin(phi) K (S, K the symmetric and skew parts) gives
-    the point <Av, v>, with support value Re(e^{i phi} <Av, v>) within the
-    tolerance of lambda_max(H); see :func:`_shift_invert_points`.
-
-    Raises :class:`NumericError` when the Hermitian part, a boundary point
-    or ``min_real`` is not finite, when an eigensolve fails, or when no
-    shift certifies within the budget of factorizations and solves.
-    """
-    if n_angles < 4:
-        raise GraphError("need at least 4 angles")
-    frame = _standard_frame(op)
-    a_std, sym, min_real, max_real, tol, e = frame
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    solved = angles[: n_angles // 2 + 1]
-    half = _shift_invert_points(a_std, sym, solved, max_real, tol)
-    # phi = 0 and phi = pi are their own mirrors.  W is convex and closed
-    # under conjugation, so the real part of their point is a point of W
-    # with the same support value.
-    half[0] = half[0].real
-    if n_angles % 2 == 0:
-        half[-1] = half[-1].real
-    points = np.concatenate([half, np.conj(half[1 : n_angles - len(solved) + 1][::-1])])
-    points = np.ldexp(_finite(points, "the swept boundary").view(float), e).view(complex)
-    return NumericalRangeSample(points, angles, math.ldexp(min_real, e), math.ldexp(tol, e), frame)
+    skew = csc(a_std[rows, cols] / 2.0 - a_std[cols, rows] / 2.0)
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    return Frame(csc(a_std[rows, cols]), csc(sym[rows, cols]), skew, low, high, _tolerance(op.n, norm), e)
 
 
 # Raising a rejected shift ten-fold from a margin >= tol reaches the
@@ -157,55 +155,53 @@ _SHIFT_TRIES = 16
 _SOLVES = 47 + 53
 
 
-def _shift_invert_points(
-    a_std: np.ndarray, sym: np.ndarray, angles: Sequence[float], top: float, tol: float
-) -> np.ndarray:
-    """Boundary points by certified inverse iteration, warm-started across angles.
+def _negative_definite(h, sigma: float):
+    """LDL^H factors of h - sigma I if they certify sigma > lambda_max(h), else None.
 
-    H = cos(phi) S + i sin(phi) K and each H - sigma I share one sparse
-    pattern; only the values are rewritten.  SuperLU factors P (H - sigma I)
-    P^T = L D L^H with diagonal pivots (``perm_r == perm_c`` is checked).  If
-    every pivot is negative, sigma lies above the spectrum of H by Sylvester's
-    law of inertia, up to the rounding of the factors (Rump, BIT 46, 2006).
-    The first shift is the support value predicted from the previous point
-    plus twice the previous prediction error (at least ``tol``), raised
-    ten-fold until it certifies, up to the Gershgorin bound of H.  Each solve
-    gives the Rayleigh quotient rho = <Hv, v> <= lambda_max(H).  Once rho + tol
-    certifies, lambda_max(H) lies in [rho, rho + tol), and one last solve with
-    those factors gives the point <Av, v>; until then, sigma moves halfway to
-    rho whenever that shift certifies.  v starts from the previous angle's
-    (Braconnier & Higham, BIT 36, 1996); at the first angle it is fixed and
-    sigma is just above ``top`` = max eig S, so the sweep is deterministic.
-    ``a_std`` has unit size, so ``tol`` is 0 only for A = 0, whose points are 0.
+    ``h`` is Hermitian CSC with its diagonal in its pattern.  SuperLU factors
+    P (h - sigma I) P^T = L D L^H with diagonal pivots (``perm_r == perm_c`` is
+    checked).  If every pivot is negative, sigma lies above the spectrum of h
+    by Sylvester's law of inertia, up to the rounding of the factors (Rump, BIT 46, 2006).
     """
-    if not tol:
-        return np.zeros(len(angles), complex)
-    import scipy.sparse as sparse
     from scipy.sparse.linalg import splu
 
-    n = a_std.shape[0]
-    pattern = sparse.csc_matrix((a_std != 0.0) | (a_std.T != 0.0) | np.eye(n, dtype=bool))
-    rows, indptr = pattern.indices, pattern.indptr
-    cols = np.repeat(np.arange(n), np.diff(indptr))
-    diagonal = (rows == cols).astype(float)
-    sym_data, skew_data = sym[rows, cols], a_std[rows, cols] / 2.0 - a_std[cols, rows] / 2.0
+    shifted = h.copy()
+    shifted.setdiag(h.diagonal() - sigma)
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular: sigma is an eigenvalue
+        return None
+    certified = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real < 0.0)
+    return lu if certified else None
 
-    def csc(data: np.ndarray):
-        return sparse.csc_matrix((data, rows, indptr), shape=(n, n))
 
-    a_s = csc(a_std[rows, cols])
-    herm, shifted = csc(np.zeros(len(rows), complex)), csc(np.zeros(len(rows), complex))
+def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
+    """Sample the numerical range boundary at ``n_angles`` equispaced angles.
 
-    def negative_definite_factors(sigma: float):
-        np.subtract(herm.data, sigma * diagonal, out=shifted.data)
-        try:
-            lu = splu(
-                shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-            )
-        except RuntimeError:  # exactly singular: sigma is an eigenvalue
-            return None
-        certified = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real < 0.0)
-        return lu if certified else None
+    Only the angles phi in [0, pi] are solved.  The operator is real, so its
+    numerical range is symmetric about the real axis, and the point at angle
+    2 pi - phi is the conjugate of the point at phi: ``points[n_angles - k]
+    == conj(points[k])``.  At each solved angle the top eigenvector v of
+    H = cos(phi) S + i sin(phi) K gives the point <Av, v>.
+
+    The first shift sigma is the predicted support value plus twice the
+    previous prediction error (at least tau), raised ten-fold up to the
+    Gershgorin bound of H until :func:`_negative_definite` certifies it.
+    Each solve gives rho = <Hv, v> <= lambda_max(H).  Once rho + tau
+    certifies, lambda_max(H) lies in [rho, rho + tau) and one last solve
+    gives the point; until then sigma moves halfway to rho when that
+    certifies.  v is warm-started (Braconnier & Higham, BIT 36, 1996) from a
+    fixed vector and sigma from just above max eig S, so the sweep is deterministic.
+
+    Raises :class:`NumericError` on a subnormal entry, when the Hermitian
+    part, a boundary point or ``min_real`` is not finite, when an eigensolve
+    fails, or when no shift certifies within the budget of solves.
+    """
+    if n_angles < 4:
+        raise GraphError("need at least 4 angles")
+    frame = _standard_frame(op)
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    solved = angles[: n_angles // 2 + 1]
 
     def solve(lu, v: np.ndarray, phi: float) -> np.ndarray:
         # w may be ~||A||_F / tol times longer than v; BLAS nrm2 scales, so
@@ -213,18 +209,20 @@ def _shift_invert_points(
         w = lu.solve(v)
         return _finite(w / scipy.linalg.norm(w, check_finite=False), f"the eigenvector at angle {phi:.6f}")
 
-    points = np.empty(len(angles), dtype=complex)
-    v = np.random.default_rng(0).standard_normal(n).astype(complex)
-    base, margin = top, tol
-    for k, phi in enumerate(angles):
+    half = np.zeros(len(solved), complex)
+    herm = frame.sym.astype(complex)
+    v = np.random.default_rng(0).standard_normal(op.n).astype(complex)
+    base, margin = frame.max_real, frame.tol
+    # a has unit size, so tol is 0 only for A = 0, whose points stay 0.
+    for k, phi in enumerate(solved if frame.tol else ()):
         rotation = complex(math.cos(phi), math.sin(phi))
         if k:
-            base = (rotation * points[k - 1]).real
-        herm.data[:] = math.cos(phi) * sym_data + (1j * math.sin(phi)) * skew_data
-        cap = float(np.bincount(rows, np.abs(herm.data), n).max()) + tol
+            base = (rotation * half[k - 1]).real
+        herm.data[:] = math.cos(phi) * frame.sym.data + (1j * math.sin(phi)) * frame.skew.data
+        cap = float(np.bincount(herm.indices, np.abs(herm.data), op.n).max()) + frame.tol
         for attempt in range(_SHIFT_TRIES):
             sigma = min(base + margin * 10.0**attempt, cap)
-            lu = negative_definite_factors(sigma)
+            lu = _negative_definite(herm, sigma)
             if lu is not None or sigma == cap:
                 break
         if lu is None:
@@ -232,19 +230,27 @@ def _shift_invert_points(
         for _ in range(_SOLVES):
             v = solve(lu, v, phi)
             rho = np.vdot(v, herm @ v).real
-            top_lu = negative_definite_factors(rho + tol)
+            top_lu = _negative_definite(herm, rho + frame.tol)
             if top_lu is not None:
                 v = solve(top_lu, v, phi)
                 break
-            half = rho + (sigma - rho) / 2.0
-            half_lu = negative_definite_factors(half)
+            halfway = rho + (sigma - rho) / 2.0
+            half_lu = _negative_definite(herm, halfway)
             if half_lu is not None:
-                sigma, lu = half, half_lu
+                sigma, lu = halfway, half_lu
         else:
             raise NumericError(f"no certified eigenvalue within {_SOLVES} solves at angle {phi:.6f}")
-        points[k] = np.vdot(v, a_s @ v)
-        margin = max(2.0 * ((rotation * points[k]).real - base), tol)
-    return points
+        half[k] = np.vdot(v, frame.a @ v)
+        margin = max(2.0 * ((rotation * half[k]).real - base), frame.tol)
+    # phi = 0 and phi = pi are their own mirrors.  W is convex and closed
+    # under conjugation, so the real part of their point is a point of W
+    # with the same support value.
+    half[0] = half[0].real
+    if n_angles % 2 == 0:
+        half[-1] = half[-1].real
+    points = np.concatenate([half, np.conj(half[1 : n_angles - len(solved) + 1][::-1])])
+    points = np.ldexp(_finite(points, "the swept boundary").view(float), frame.e).view(complex)
+    return NumericalRangeSample(points, angles, *frame.unscaled, frame)
 
 
 @dataclass(frozen=True)
@@ -267,25 +273,25 @@ class Sector:
         return bool(np.all(np.abs(pts.imag) <= self.slope * (pts.real - self.vertex) + slack))
 
 
-def _sector(frame: tuple, c: float) -> tuple[Sector, bool]:
+def _sector(frame: Frame, c: float) -> tuple[Sector, bool]:
     """:func:`check_sector` on a scaled frame of :func:`_standard_frame`."""
     if c < 0:
         raise GraphError("asymmetry constant must be >= 0")
-    a_std, sym, min_real, max_real, tol, e = frame
     slope = c / 8.0
-    p = _shift_invert_points(a_std, sym, [math.atan2(-1.0, -slope)], max_real, tol)[0]
-    ok = bool(p.imag - slope * p.real <= math.ldexp(0.5, -e) + tol * (1.0 + slope))
+    h = frame.sym.astype(complex)
+    h.data[:] = -slope * frame.sym.data - 1j * frame.skew.data
+    ok = _negative_definite(h, math.ldexp(0.5, -frame.e) + frame.tol * (1.0 + slope)) is not None
     if c == 0.0:
-        return Sector(vertex=math.ldexp(min_real, e), half_angle=0.0), ok
+        return Sector(vertex=frame.unscaled[0], half_angle=0.0), ok
     return Sector(vertex=-4.0 / c, half_angle=min(math.atan(slope), math.nextafter(math.pi / 2.0, 0.0))), ok
 
 
 def check_sector(sample: NumericalRangeSample, asymmetry_constant: float):
     """Verify |Im z| <= 1/2 + (C/8) Re z on the whole numerical range, not on the points.
 
-    With s = C/8, the certified point p at the angle of -s - i has Im p - s Re p
-    within tau sqrt(1 + s^2) of its largest value over W, so the check allows
-    tau (1 + s).  Returns the implied sector (vertex -4/C, semi-angle atan(C/8),
+    With s = C/8, one LDL^H factorization decides lambda_max(-s S - i K) <
+    1/2 + tau (1 + s) by inertia; that eigenvalue is the largest Im z - s Re z
+    over W.  Returns the implied sector (vertex -4/C, semi-angle atan(C/8),
     which lies below pi/2 even where it rounds to it; degenerate half-line at
     the leftmost point when C = 0) and the pass flag.
     """
@@ -446,8 +452,7 @@ def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound
         raise GraphError("Cheeger constant must be >= 0")
     if not np.all(g.measures == 1.0):
         raise GraphError("the Cheeger lower bound requires unit vertex measure")
-    _, _, min_real, _, tol, e = _standard_frame(assemble(g, ball_, "laplacian"))
-    return _cheeger_bound(h, g, math.ldexp(min_real, e), math.ldexp(tol, e))
+    return _cheeger_bound(h, g, *_standard_frame(assemble(g, ball_, "laplacian")).unscaled)
 
 
 # -- aggregated certificate --------------------------------------------------------
@@ -536,8 +541,7 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball, cheeger_cap: int = 8)
 
     frame = _standard_frame(assemble(g, ball_, "laplacian"))
     sector, sector_ok = _sector(frame, sector_constant)
-    _, _, min_real, _, tol, e = frame
-    min_real, tol = math.ldexp(min_real, e), math.ldexp(tol, e)
+    min_real, tol = frame.unscaled
 
     cheeger_info = None
     cheeger_ok = None

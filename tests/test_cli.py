@@ -226,6 +226,8 @@ def test_evolve_grid_validation(capsys):
         ("check", "--gen", "random", "--density", "nan"),
         ("check", "--gen", "ladder", "--tol-kirchhoff", "nan"),
         ("spectrum", "--gen", "ladder", "--constant", "inf"),
+        # Finite parts whose point count overflows.
+        ("evolve", "--gen", "ladder", "--t", "0:1e300:1e-300"),
     ],
     ids=lambda argv: " ".join(argv[3:]),
 )
@@ -265,6 +267,18 @@ def test_certify_positive_and_negative(tmp_path, capsys):
 # b = 1e308 both ways: every weight is valid, but b + b~ and the Hermitian
 # part overflow, so no verdict may be reported; its strengths stay finite.
 PAIR = [("a", "b", 1e308), ("b", "a", 1e308)]
+
+
+def test_subnormal_weights_are_a_numeric_failure(tmp_path, capsys):
+    g = dl.make_random_balanced(12, 0, 0.5)
+    edges = [(g.label(x), g.label(y), w * 1e-318) for x, y, w in g.iter_edges()]
+    vertices = [(g.label(x), g.measure(x)) for x in g.vertex_ids()]
+    dl.save_graph(dl.DirectedGraph(vertices, edges), tmp_path / "g.json")
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "certify", "--graph", str(tmp_path / "g.json"), "--out", str(report))
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "subnormal" in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

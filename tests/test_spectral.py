@@ -191,6 +191,21 @@ def test_sweep_of_tiny_weights_does_not_overflow():
     assert np.array_equal(scaled.points, base.points * 2.0**-830)
 
 
+def test_subnormal_weights_are_a_numeric_failure():
+    # Subnormal entries carry an absolute rounding of 2^-1075 each, which a
+    # tolerance relative to ||A||_F does not cover: tau would read 0.
+    g = rebuilt(dl.make_random_balanced(12, 0, 0.5), weight_scale=1e-318)
+    ball_ = dl.full_ball(g, 0)
+    verdicts = [
+        lambda: dl.numrange_boundary(dl.assemble(g, ball_, "laplacian"), 8),
+        lambda: dl.accretivity_certificate(g, ball_),
+        lambda: dl.cheeger_bound_check(unit_measure_copy(g), ball_, 0.0),
+    ]
+    for verdict in verdicts:
+        with pytest.raises(dl.NumericError, match="subnormal"):
+            verdict()
+
+
 @pytest.mark.parametrize("k", [-3, 5, 20])
 def test_sweep_scales_exactly_with_the_measures(k):
     # L = B / m, so scaling every measure by 4^k scales the operator by 4^-k.
@@ -299,6 +314,35 @@ def test_check_sector_half_angle_stays_below_a_right_angle(two_vertex_symmetric)
     sector, _ = dl.check_sector(dl.numrange_boundary(op, 8), 2.0**60)
     assert sector.half_angle == math.nextafter(math.pi / 2.0, 0.0)
     assert math.atan(2.0**57) == math.pi / 2.0
+
+
+def test_sector_verdict_is_one_factorization(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    import dirlap.spectral as spectral
+
+    ladder = dl.make_ladder(dl.LadderSpec(depth=150))
+    ball_ = dl.ball(ladder, 0, int(dl.combinatorial_distance(ladder, 0).max()) - 1)
+    sample = dl.numrange_boundary(dl.assemble(ladder, ball_, "laplacian"), 4)
+    constant = dl.check_asymmetry(ladder, ball_.vertices)
+    splu, calls = sla.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    def second_frame(*args, **kwargs):
+        raise AssertionError("check_sector formed a second similarity or eigensolve")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sla, "splu", counted)
+        patch.setattr(spectral, "similarity_to_standard", second_frame)
+        patch.setattr(np.linalg, "eigvalsh", second_frame)
+        _, ok = dl.check_sector(sample, constant)
+    assert ok and len(calls) == 1
+    monkeypatch.setattr(sla, "splu", counted)
+    assert dl.accretivity_certificate(ladder, ball_).sector_ok
+    assert len(calls) == 2
 
 
 def test_check_sector_rejects_negative_constant(two_vertex_symmetric):
