@@ -152,7 +152,13 @@ def _parse_time_grid(text: str) -> np.ndarray:
     if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
         raise GraphError("time grid needs step > 0, stop >= start and a finite number of points")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    try:
+        points = np.arange(count)
+    except (MemoryError, ValueError):
+        # numpy refuses the allocation before touching memory: more bytes than the machine
+        # has (MemoryError) or than an array may index (ValueError).
+        raise GraphError(f"time grid {text!r} has {count:.3g} points, too many to allocate") from None
+    return start + step * points
 
 
 # -- subcommands ----------------------------------------------------------------

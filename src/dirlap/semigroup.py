@@ -6,15 +6,18 @@ right half-plane, and a positive lower bound on the real part of the
 numerical range turns contraction into exponential decay.  All norms are
 taken in the measure-weighted geometry via the similarity transform.
 
-A single time t forms one propagator P = exp(-tA), in the weighted frame,
-by dense scaling-and-squaring (exact to rounding at the intended sizes, a
-few thousand rows at most).  Both P v and the weighted operator norm are
-read from that one P.  The norm, the largest singular value of
+A single time t forms one propagator P = exp(-tA) by dense
+scaling-and-squaring (exact to rounding at the intended sizes, a few
+thousand rows at most).  Both P v and the weighted operator norm are read
+from that one P.  The norm, the largest singular value of
 Q = D^(1/2) P D^(-1/2), is the square root of the top eigenvalue of Q^T Q
 (one symmetric tridiagonalization, no SVD), with Q scaled by a power of two
-so that Q^T Q stays in range.  A time grid steps one propagator through
-the grid by the semigroup law, so it forms one scaling-and-squaring per
-distinct step, not one per time.
+so that Q^T Q stays in range.  A time grid forms one scaling-and-squaring
+per distinct step, not one per time.  It does not carry the n-by-n
+propagator: one SVD of its first nonzero step keeps the r singular
+directions above n eps sigma_1 (r is small for heat flow, n for the skew
+part), and each later step acts on that n-by-r block, whose r-by-r Gram
+matrix gives the norm.  The state vector is stepped on its own.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import GraphError, NumericError, _finite, _tolerance
+from .graph import _EPS, GraphError, NumericError, _finite, _tolerance
 from .operators import TruncatedOperator, _similar, similarity_to_standard, weighted_norm
 
 __all__ = [
@@ -49,42 +52,69 @@ def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
     return _finite(scipy.linalg.expm(-t * op.matrix), f"exp(-{t} A)")
 
 
-def _apply(propagator: np.ndarray, t: float, values: np.ndarray) -> np.ndarray:
+def _vector(op: TruncatedOperator, values) -> np.ndarray:
     values = np.asarray(values)
-    if values.shape[0] != propagator.shape[0]:
-        raise GraphError(f"expected a vector of length {propagator.shape[0]}")
-    return _finite(propagator @ values, f"exp(-{t} A) v")
+    if values.shape[:1] != (op.n,):
+        raise GraphError(f"expected a vector of length {op.n}")
+    return values
 
 
-def _norm(op: TruncatedOperator, propagator: np.ndarray, t: float) -> float:
-    """Weighted operator norm of a propagator: sqrt(lambda_max(Q^T Q)), Q = D^(1/2) P D^(-1/2).
+def _largest_singular_value(q: np.ndarray, what: str) -> float:
+    """sigma_1(q) = sqrt(lambda_max(q^T q)) for a real n-by-r block q.
 
-    Q is first scaled by the power of two 2^-e that brings max |Q| into
-    [1/2, 1), so Q^T Q neither underflows nor overflows and the norm scales
-    exactly with P.  One symmetric top-eigenvalue solve replaces a full SVD.
+    q is first scaled by the power of two 2^-e that brings max |q| into
+    [1/2, 1), so q^T q neither underflows nor overflows and the value scales
+    exactly with q.  One symmetric top-eigenvalue solve of the r-by-r Gram
+    matrix replaces a full SVD.
     """
-    q = _finite(_similar(propagator, op.measure_vector), f"exp(-{t} A)")
-    peak = float(np.abs(q).max())
+    _finite(q, what)
+    peak = float(np.abs(q).max(initial=0.0))
     if peak == 0.0:
         return 0.0
     e = math.frexp(peak)[1]
     q = np.ldexp(q, -e)
     gram = q.T @ q
+    last = gram.shape[0] - 1
     try:
-        top = scipy.linalg.eigvalsh(gram, subset_by_index=[op.n - 1, op.n - 1])[0]
+        top = scipy.linalg.eigvalsh(gram, subset_by_index=[last, last])[0]
     except np.linalg.LinAlgError:
-        # Bisection for one eigenvalue can fail when all of them lie within rounding of
-        # each other (P near the identity, t below ~1e-21); QR iteration on all of them does not.
+        # Bisection for one eigenvalue can fail when all of them lie within rounding of each
+        # other (q a scaled orthogonal matrix to rounding, as exp(-tA) for t below ~1e-21);
+        # QR iteration on all of them does not.
         try:
             top = scipy.linalg.eigvalsh(gram, driver="ev")[-1]
         except np.linalg.LinAlgError as exc:
-            raise NumericError(f"largest singular value of exp(-{t} A) failed: {exc}") from exc
+            raise NumericError(f"largest singular value of {what} failed: {exc}") from exc
     return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
+
+
+def _norm(op: TruncatedOperator, propagator: np.ndarray, t: float) -> float:
+    """Weighted operator norm of a propagator: sigma_1(Q), Q = D^(1/2) P D^(-1/2)."""
+    return _largest_singular_value(_similar(propagator, op.measure_vector), f"exp(-{t} A)")
+
+
+def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> np.ndarray:
+    """D^(-1/2) U_r Sigma_r from the SVD Q = U Sigma V^T of the weighted step Q = D^(1/2) E D^(-1/2).
+
+    Keeps the r columns with sigma_j > n eps sigma_1, r = n allowed (Golub &
+    Van Loan, *Matrix Computations*, section 2.4).  As V is orthogonal, the
+    weighted norm of R E, ||W Q|| with W = D^(1/2) R D^(-1/2), equals
+    sigma_1(D^(1/2) R basis) up to ||W|| n eps sigma_1, the rounding of
+    forming R E itself.
+    """
+    q = _finite(_similar(step, op.measure_vector), f"exp(-{t} A)")
+    try:
+        u, s = scipy.linalg.svd(q, check_finite=False)[:2]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular values of exp(-{t} A) failed: {exc}") from exc
+    r = int(np.count_nonzero(s > op.n * _EPS * s[0]))
+    return u[:, :r] * (s[:r] / np.sqrt(op.measure_vector)[:, None])
 
 
 def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:
     """Apply exp(-tA) to a vector; t must be nonnegative (one-sided semigroup)."""
-    return _apply(_propagator(op, t), t, values)
+    values = _vector(op, values)
+    return _finite(_propagator(op, t) @ values, f"exp(-{t} A) v")
 
 
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
@@ -151,13 +181,19 @@ def evolve_trace(
 ) -> EvolutionTrace:
     """Evolve v0 under exp(-tA) over a sorted, finite, nonnegative time grid.
 
-    The propagator is stepped through the grid by the semigroup law,
-    P_k = P_(k-1) exp(-h_k A) with h_k = t_k - t_(k-1) and t_(-1) = 0, so
-    only each distinct step h forms a matrix exponential: a uniform grid
-    forms one.  A step is cached by its float value only until its last use
-    on the grid, so the cache never holds a step no later time needs.  Each
-    h_k is the exact difference when t_(k-1) >= t_k / 2 (Sterbenz), so the
-    steps then sum to t_k exactly; each product adds one matrix product's
+    The grid is stepped by the semigroup law, exp(-t_k A) = exp(-h_k A)
+    exp(-t_(k-1) A) with h_k = t_k - t_(k-1) and t_(-1) = 0, so only each
+    distinct step h forms a matrix exponential: a uniform grid forms one.
+    A step is cached by its float value only until its last use on the
+    grid, so the cache never holds a step no later time needs.  Each h_k is
+    the exact difference when t_(k-1) >= t_k / 2 (Sterbenz), so the steps
+    then sum to t_k exactly.
+
+    Until the first nonzero step E the propagator is the identity (norm 1).
+    After it, exp(-t_k A) = R_k E, and the n-by-r block of ``_range_basis``
+    stands in for E: each later step multiplies that block (n^2 r flops, not
+    2 n^3), and sigma_1 comes from its r-by-r Gram matrix.  v is stepped the
+    same way, v_k = exp(-h_k A) v_(k-1).  Each product adds one product's
     rounding, so the error grows linearly with the number of steps.
     """
     times = np.asarray(list(t_grid), dtype=float)
@@ -170,18 +206,26 @@ def evolve_trace(
     if lambda0 is not None and not math.isfinite(lambda0):
         raise GraphError(f"decay rate lambda0 must be finite, got {lambda0}")
 
+    v = _vector(op, v0)
+
     steps = np.diff(times, prepend=0.0).tolist()
     last_use = {h: k for k, h in enumerate(steps)}
     cache: dict[float, np.ndarray] = {}
-    p = None
-    op_norms, state_norms = np.empty_like(times), np.empty_like(times)
+    root_measure = np.sqrt(op.measure_vector)[:, None]
+    basis = None
+    op_norms, state_norms = np.ones_like(times), np.empty_like(times)
     for k, (t, h) in enumerate(zip(times.tolist(), steps)):
         step = cache.pop(h) if h in cache else _propagator(op, h)
         if last_use[h] > k:
             cache[h] = step
-        p = step if p is None else _finite(p @ step, f"exp(-{t} A)")
-        op_norms[k] = _norm(op, p, t)
-        state_norms[k] = weighted_norm(_apply(p, t, v0), op.measure_vector)
+        v = _finite(step @ v, f"exp(-{t} A) v")
+        if basis is not None:
+            basis = _finite(step @ basis, f"exp(-{t} A)")
+        elif h > 0.0:
+            basis = _range_basis(op, step, t)
+        if basis is not None:
+            op_norms[k] = _largest_singular_value(root_measure * basis, f"exp(-{t} A)")
+        state_norms[k] = weighted_norm(v, op.measure_vector)
     if lambda0 is None:
         bounds = np.ones_like(times)
     else:

@@ -242,6 +242,16 @@ def test_non_finite_options_are_input_errors(tmp_path, capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:1e15:1", "0:1:1e-300"])
+def test_time_grids_too_large_to_allocate_are_input_errors(tmp_path, capsys, grid):
+    # numpy refuses both arrays before touching memory: 8e15 bytes, and more points than an index holds.
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "evolve", "--gen", "ladder", "--t", grid, "--out", str(report))
+    assert code == 2 and out == ""
+    assert not report.exists()
+    assert err.count("\n") == 1 and "too many to allocate" in err
+
+
 def test_certify_positive_and_negative(tmp_path, capsys):
     good = tmp_path / "good.json"
     code, _, _ = run(

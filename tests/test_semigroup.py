@@ -166,25 +166,47 @@ def test_norm_scales_exactly_with_the_propagator(k):
     assert _norm(op, np.zeros_like(p), 0.5) == 0.0
 
 
-def test_norm_of_a_propagator_near_the_identity():
+def test_norm_of_a_propagator_near_the_identity(monkeypatch):
     # Every eigenvalue of Q^T Q lies within rounding of 1/4 here, where LAPACK's
     # bisection for the top one alone fails; _norm falls back to the full solve.
+    # On the grid the first step keeps all n singular values, so its Gram matrix does too.
     g = dl.make_random_balanced(12, 14271)
     op = dl.assemble(g, dl.ball(g, 0, 3), "laplacian")
-    sigma = largest_singular_value(op, _propagator(op, 1e-20))
-    assert abs(dl.operator_norm_expm(op, 1e-20) - sigma) <= _tolerance(op.n, sigma)
+    drivers = []
+    eigvalsh = scipy.linalg.eigvalsh
+    monkeypatch.setattr(
+        scipy.linalg, "eigvalsh", lambda a, **kw: drivers.append(kw.get("driver")) or eigvalsh(a, **kw)
+    )
+    times = [0.0, 1e-20, 2e-20]
+    trace = dl.evolve_trace(op, np.ones(op.n), times)
+    assert "ev" in drivers
+    for t, norm in zip(times, trace.operator_norms):
+        sigma = largest_singular_value(op, _propagator(op, t))
+        assert abs(dl.operator_norm_expm(op, t) - sigma) <= _tolerance(op.n, sigma)
+        assert abs(norm - sigma) <= _tolerance(op.n, sigma)
 
 
-def test_only_the_resolvent_runs_an_svd(ladder_sqrt, monkeypatch):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
+def test_svd_calls_per_verdict(ladder_sqrt, monkeypatch):
+    # A grid runs one SVD, of its first nonzero step; single times read a Gram matrix;
+    # sigma_min of the resolvent needs the SVD.
+    calls = []
+    for module in (np.linalg, scipy.linalg):
+        svd = module.svd
+        monkeypatch.setattr(module, "svd", lambda *a, svd=svd, **kw: calls.append(1) or svd(*a, **kw))
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    def count(verdict):
+        calls.clear()
+        verdict()
+        return len(calls)
+
     op = laplacian_on_ball(ladder_sqrt, 6)
-    assert dl.operator_norm_expm(op, 1.0) <= 1.0 + _tolerance(op.n, 1.0)
-    assert dl.evolve_trace(op, np.ones(op.n), [0.0, 0.5, 1.0]).ok
-    with pytest.raises(AssertionError, match="svd"):
-        dl.resolvent_norm(op, 1.0)
+    v0 = np.ones(op.n)
+    assert count(lambda: dl.operator_norm_expm(op, 1.0)) == 0
+    assert count(lambda: dl.positivity_check(op, 1.0)) == 0
+    assert count(lambda: dl.resolvent_norm(op, 1.0)) == 1
+    assert count(lambda: dl.evolve_trace(op, v0, np.arange(13) * 0.25)) == 1
+    assert count(lambda: dl.evolve_trace(op, v0, [0.0, 0.5, 1.0])) == 1
+    assert count(lambda: dl.evolve_trace(op, v0, [0.0])) == 0
 
 
 # -- resolvent ----------------------------------------------------------------------
@@ -387,6 +409,56 @@ def test_stepped_trace_matches_the_dense_propagators(seed, n, radius):
     op = dl.assemble(g, ball_, "laplacian")
     v0 = v[list(ball_.vertices)]
     assert_matches_per_time(op, v0, dl.evolve_trace(op, v0, times))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 12),
+    st.integers(1, 3),
+    st.sampled_from(KINDS),
+    st.booleans(),
+    st.one_of(st.just(1e-12), st.floats(0.01, 2.0)),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), max_size=8),
+)
+def test_trace_matches_the_dense_reference(seed, n, radius, kind, from_zero, first, increments):
+    # The grid starts at 0 or at t0 > 0, repeats times where an increment is 0, and a
+    # first step of 1e-12 keeps every singular value of the step in the stepped basis.
+    # Against the one-shot exp(-tA) the slack must also cover its rounding of tA.
+    g = dl.make_random_balanced(n, seed)
+    op = dl.assemble(g, dl.ball(g, 0, radius), kind)
+    times = np.cumsum([first, *increments])
+    if from_zero:
+        times = np.concatenate([[0.0], times])
+    v0 = np.random.default_rng(seed).standard_normal(op.n)
+    trace = dl.evolve_trace(op, v0, times)
+    # The dense reference: the full n-by-n product of the grid's steps, and its SVD.
+    propagator = np.eye(op.n)
+    for h, norm in zip(np.diff(times, prepend=0.0).tolist(), trace.operator_norms):
+        propagator = propagator @ _propagator(op, h)
+        sigma = largest_singular_value(op, propagator)
+        assert abs(norm - sigma) <= _tolerance(op.n, sigma)
+    assert_matches_per_time(op, v0, trace)
+
+
+def test_trace_steps_a_basis_far_smaller_than_the_truncation(monkeypatch):
+    # The benchmark ladder: exp(-0.25 A) keeps 28 of 299 singular values above n eps sigma_1.
+    g = dl.make_ladder(dl.LadderSpec(depth=150, measure_mode="unit"))
+    op = laplacian_on_ball(g, 149)
+    assert op.n == 299
+    rows = []
+    eigvalsh = scipy.linalg.eigvalsh
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda a, **kw: rows.append(len(a)) or eigvalsh(a, **kw))
+    trace = dl.evolve_trace(op, np.eye(op.n)[0], _parse_time_grid("0:5:0.25"), lambda0=0.1666)
+    assert trace.ok
+    assert len(rows) == 20 and max(rows) < op.n / 4
+
+
+def test_trace_rejects_a_vector_of_the_wrong_length(ladder_unit, expm_calls):
+    op = laplacian_on_ball(ladder_unit, 4)
+    with pytest.raises(GraphError, match=f"expected a vector of length {op.n}"):
+        dl.evolve_trace(op, np.ones(op.n + 1), [0.5, 1.0])
+    assert expm_calls == []
 
 
 @settings(deadline=None, max_examples=20)
