@@ -186,11 +186,11 @@ def cmd_spectrum(args) -> int:
     g, default_root = _build_graph(args)
     ball_ = _resolve_ball(g, args, default_root)
     op = assemble(g, ball_, "laplacian")
-    if args.dump_matrix:
-        _dump_matrix(op, args.dump_matrix)
     sample = numrange_boundary(op, args.angles)
     constant = check_asymmetry(g, ball_.vertices) if args.constant is None else args.constant
     sector, ok = check_sector(sample, constant)
+    if args.dump_matrix:
+        _dump_matrix(op, args.dump_matrix)
     if args.out_csv:
         _write_csv(
             args.out_csv,
@@ -240,12 +240,12 @@ def cmd_evolve(args) -> int:
     g, default_root = _build_graph(args)
     ball_ = _resolve_ball(g, args, default_root)
     op = assemble(g, ball_, "laplacian")
-    if args.dump_matrix:
-        _dump_matrix(op, args.dump_matrix)
     times = _parse_time_grid(args.t)
     v0 = np.zeros(op.n)
     v0[op.row_of(ball_.root)] = 1.0
     trace = evolve_trace(op, v0, times, lambda0=args.lambda0)
+    if args.dump_matrix:
+        _dump_matrix(op, args.dump_matrix)
     if args.out_csv:
         _write_csv(
             args.out_csv,

@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,19 +266,6 @@ class DirectedGraph:
         hi = self._ptr[x + 1]
         k = bisect_left(self._nbr, y, self._ptr[x], hi)
         return float(self._b_out[k]) if k < hi and self._nbr[k] == y else 0.0
-
-    def _row_edges(self, x: VertexId, weights: np.ndarray) -> dict[int, float]:
-        self.require_vertex(x)
-        lo, hi = self._ptr[x], self._ptr[x + 1]
-        return {y: w for y, w in zip(self._nbr[lo:hi].tolist(), weights[lo:hi].tolist()) if w}
-
-    def out_edges(self, x: VertexId) -> Mapping[int, float]:
-        """Targets and weights b(x, y) of the edges leaving ``x``, by ascending id."""
-        return self._row_edges(x, self._b_out)
-
-    def in_edges(self, x: VertexId) -> Mapping[int, float]:
-        """Sources and weights b(y, x) of the edges entering ``x``, by ascending id."""
-        return self._row_edges(x, self._b_in)
 
     def neighbors(self, x: VertexId) -> tuple[int, ...]:
         """Undirected neighbors, i.e. the ends of all incident edges."""

@@ -53,16 +53,16 @@ class TruncatedOperator:
     """A real matrix acting on functions supported in a ball.
 
     ``vertices[i]`` is the host vertex of row i; ``measure_vector[i]`` its
-    measure, defining the weighted inner product.  ``graph`` and ``ball`` are
-    kept for provenance and may be None for synthetic operators built in
-    tests or edge cases.  Instances are immutable and safe to share.
+    measure, defining the weighted inner product.  ``ball`` gives
+    ``interior_rows`` its interior; it is None for synthetic operators built
+    in tests or edge cases, whose rows are then all interior.  Instances are
+    immutable and safe to share.
     """
 
     matrix: np.ndarray
     measure_vector: np.ndarray
     kind: str
     vertices: tuple[int, ...] = ()
-    graph: DirectedGraph | None = None
     ball: Ball | None = None
 
     def __post_init__(self):
@@ -132,7 +132,7 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
     matrix = np.zeros((n, n))
     matrix[pos[slot_rows[inside]], pos[g._nbr[inside]]] = off
     matrix[np.diag_indices(n)] = diag
-    return TruncatedOperator(matrix, measures, kind, tuple(ball_.vertices), g, ball_)
+    return TruncatedOperator(matrix, measures, kind, tuple(ball_.vertices), ball_)
 
 
 # -- weighted geometry ---------------------------------------------------------

@@ -11,8 +11,8 @@ scaling-and-squaring (exact to rounding at the intended sizes, a few
 thousand rows at most).  Both P v and the weighted operator norm are read
 from that one P.  The norm, the largest singular value of
 Q = D^(1/2) P D^(-1/2), is the square root of the top eigenvalue of Q^T Q
-(one symmetric tridiagonalization, no SVD), with Q scaled by a power of two
-so that Q^T Q stays in range.  A time grid forms one scaling-and-squaring
+(one full symmetric eigenvalue solve, no SVD), with Q scaled by a power of
+two so that Q^T Q stays in range.  A time grid forms one scaling-and-squaring
 per distinct step, not one per time.  It does not carry the n-by-n
 propagator: one SVD of its first nonzero step keeps the r singular
 directions above n eps sigma_1 (r is small for heat flow, n for the skew
@@ -64,8 +64,11 @@ def _largest_singular_value(q: np.ndarray, what: str) -> float:
 
     q is first scaled by the power of two 2^-e that brings max |q| into
     [1/2, 1), so q^T q neither underflows nor overflows and the value scales
-    exactly with q.  One symmetric top-eigenvalue solve of the r-by-r Gram
-    matrix replaces a full SVD.
+    exactly with q.  One full symmetric eigenvalue solve of the r-by-r Gram
+    matrix (LAPACK's QR iteration, ``driver="ev"``) replaces an SVD.  Unlike
+    bisection for the top eigenvalue alone, it also converges when every
+    eigenvalue lies within rounding of the others, as for exp(-tA) within
+    ~1e-21 of the identity.
     """
     _finite(q, what)
     peak = float(np.abs(q).max(initial=0.0))
@@ -73,24 +76,11 @@ def _largest_singular_value(q: np.ndarray, what: str) -> float:
         return 0.0
     e = math.frexp(peak)[1]
     q = np.ldexp(q, -e)
-    gram = q.T @ q
-    last = gram.shape[0] - 1
     try:
-        top = scipy.linalg.eigvalsh(gram, subset_by_index=[last, last])[0]
-    except np.linalg.LinAlgError:
-        # Bisection for one eigenvalue can fail when all of them lie within rounding of each
-        # other (q a scaled orthogonal matrix to rounding, as exp(-tA) for t below ~1e-21);
-        # QR iteration on all of them does not.
-        try:
-            top = scipy.linalg.eigvalsh(gram, driver="ev")[-1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"largest singular value of {what} failed: {exc}") from exc
+        top = scipy.linalg.eigvalsh(q.T @ q, driver="ev")[-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"largest singular value of {what} failed: {exc}") from exc
     return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
-
-
-def _norm(op: TruncatedOperator, propagator: np.ndarray, t: float) -> float:
-    """Weighted operator norm of a propagator: sigma_1(Q), Q = D^(1/2) P D^(-1/2)."""
-    return _largest_singular_value(_similar(propagator, op.measure_vector), f"exp(-{t} A)")
 
 
 def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> np.ndarray:
@@ -118,8 +108,8 @@ def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarra
 
 
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
-    """Weighted operator norm of exp(-tA), read by ``_norm`` from the top eigenvalue of a Gram matrix."""
-    return _norm(op, _propagator(op, t), t)
+    """Weighted operator norm of exp(-tA): sigma_1(Q), Q = D^(1/2) exp(-tA) D^(-1/2), from its Gram matrix."""
+    return _largest_singular_value(_similar(_propagator(op, t), op.measure_vector), f"exp(-{t} A)")
 
 
 def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:

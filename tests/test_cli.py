@@ -152,6 +152,21 @@ def test_spectrum_dump_matrix(tmp_path, capsys):
     assert dense[int(i), int(j)] == float(v)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("evolve", "--gen", "ladder", "--N", "5", "--t", "5:0:1"),
+     ("spectrum", "--gen", "ladder", "--N", "5", "--angles", "3")],
+    ids=["evolve", "spectrum"],
+)
+def test_dump_matrix_is_not_written_on_an_input_error(tmp_path, capsys, argv):
+    prefix = tmp_path / "P"
+    code, out, _ = run(capsys, *argv, "--dump-matrix", str(prefix))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "P.csv").exists()
+    assert not (tmp_path / "P.triplets.txt").exists()
+
+
 def test_cheeger_command(tmp_path, capsys):
     report = tmp_path / "ch.json"
     code, _, _ = run(

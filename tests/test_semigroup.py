@@ -12,7 +12,7 @@ from dirlap import GraphError, NumericError
 from dirlap.cli import _parse_time_grid
 from dirlap.graph import _tolerance
 from dirlap.operators import KINDS, _similar
-from dirlap.semigroup import _norm, _propagator
+from dirlap.semigroup import _largest_singular_value, _propagator
 
 RNG = np.random.default_rng(4321)
 
@@ -154,21 +154,25 @@ def test_norm_matches_the_dense_svd(seed, n, radius, kind, t):
 
 @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
 def test_norm_scales_exactly_with_the_propagator(k):
-    # Q^T Q of P 2^k would underflow or overflow without the power-of-two scaling in _norm.
+    # Q^T Q of P 2^k would underflow or overflow without the power-of-two scaling in
+    # _largest_singular_value.
     g = dl.make_ladder(dl.LadderSpec(depth=6, measure_mode="unit"))
     op = laplacian_on_ball(g, 6)
     p = _propagator(op, 0.5)
     scaled = np.ldexp(p, k)
-    norm = _norm(op, scaled, 0.5)
-    assert norm == math.ldexp(_norm(op, p, 0.5), k)
+
+    def norm(propagator):
+        return _largest_singular_value(_similar(propagator, op.measure_vector), "exp(-0.5 A)")
+
+    assert norm(scaled) == math.ldexp(norm(p), k)
     sigma = largest_singular_value(op, scaled)
-    assert abs(norm - sigma) <= _tolerance(op.n, sigma)
-    assert _norm(op, np.zeros_like(p), 0.5) == 0.0
+    assert abs(norm(scaled) - sigma) <= _tolerance(op.n, sigma)
+    assert norm(np.zeros_like(p)) == 0.0
 
 
 def test_norm_of_a_propagator_near_the_identity(monkeypatch):
-    # Every eigenvalue of Q^T Q lies within rounding of 1/4 here, where LAPACK's
-    # bisection for the top one alone fails; _norm falls back to the full solve.
+    # Every eigenvalue of Q^T Q lies within rounding of 1/4 here. LAPACK's bisection for
+    # the top one alone fails on such a matrix; the full solve (driver="ev") does not.
     # On the grid the first step keeps all n singular values, so its Gram matrix does too.
     g = dl.make_random_balanced(12, 14271)
     op = dl.assemble(g, dl.ball(g, 0, 3), "laplacian")
@@ -446,12 +450,15 @@ def test_trace_steps_a_basis_far_smaller_than_the_truncation(monkeypatch):
     g = dl.make_ladder(dl.LadderSpec(depth=150, measure_mode="unit"))
     op = laplacian_on_ball(g, 149)
     assert op.n == 299
-    rows = []
+    calls = []
     eigvalsh = scipy.linalg.eigvalsh
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda a, **kw: rows.append(len(a)) or eigvalsh(a, **kw))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda a, **kw: calls.append((len(a), kw)) or eigvalsh(a, **kw))
     trace = dl.evolve_trace(op, np.eye(op.n)[0], _parse_time_grid("0:5:0.25"), lambda0=0.1666)
     assert trace.ok
+    rows = [n for n, _ in calls]
     assert len(rows) == 20 and max(rows) < op.n / 4
+    # Each norm is one full solve: no bisection for the top eigenvalue alone.
+    assert all(kw.get("driver") == "ev" and "subset_by_index" not in kw for _, kw in calls)
 
 
 def test_trace_rejects_a_vector_of_the_wrong_length(ladder_unit, expm_calls):
