@@ -102,6 +102,9 @@ def _resolve_ball(g: DirectedGraph, args, default_root: str | None):
     root_label = args.root or default_root or g.label(0)
     root = g.index(root_label)
     radius = args.radius
+    if radius is not None and radius < 1:
+        # A radius-0 ball has no interior, and the certificate's radius-1 probes would lie outside it.
+        raise GraphError(f"--radius must be >= 1, got {radius}")
     if radius is None:
         radius = max(1, int(combinatorial_distance(g, root).max()) - 1)
     return ball(g, root, radius)
@@ -136,11 +139,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _dump_matrix(op, prefix: str) -> None:
-    matrix = op.matrix
-    np.savetxt(prefix + ".csv", matrix, delimiter=",")
-    rows, cols = np.nonzero(matrix)
+    np.savetxt(prefix + ".csv", op.dense(), delimiter=",")
+    # The CSR arrays are in row-major order; stored zeros (a sink's diagonal) are skipped.
+    nonzero = op.data != 0.0
+    rows, cols, values = op._entry_rows()[nonzero], op.indices[nonzero], op.data[nonzero]
     with open(prefix + ".triplets.txt", "w", encoding="utf-8") as fh:
-        for i, j, value in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+        for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
             fh.write(f"{i} {j} {value!r}\n")
 
 

@@ -307,8 +307,18 @@ def _distances(ptr: np.ndarray, nbr: np.ndarray, x0: int) -> np.ndarray:
 
 
 def _vertex_array(g: DirectedGraph, xs: Iterable[VertexId]) -> np.ndarray:
-    """Validated vertex ids as an index array, in iteration order."""
+    """Validated vertex ids as an index array, in iteration order.
+
+    Integer ids are checked in one pass; anything else is checked one id at
+    a time, so the first bad id raises as :meth:`DirectedGraph.require_vertex` does.
+    """
     xs = list(xs)
+    try:
+        ids = np.array(xs, dtype=None if xs else np.intp)
+    except (ValueError, OverflowError):  # ragged or out-of-range input: checked below
+        ids = None
+    if ids is not None and ids.dtype.kind in "iu" and ids.ndim == 1 and np.all((0 <= ids) & (ids < len(g))):
+        return ids.astype(np.intp, copy=False)
     for x in xs:
         g.require_vertex(x)
     return np.array(xs, dtype=np.intp)
@@ -512,7 +522,12 @@ def build_cutoffs(g: DirectedGraph, x0: VertexId, radii: Sequence[int]) -> Cutof
     radii = [int(r) for r in radii]
     if not radii or any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise GraphError("radii must be strictly increasing positive integers")
-    dist = combinatorial_distance(g, x0).astype(float)
+    return _cutoffs(g, int(x0), combinatorial_distance(g, x0), radii)
+
+
+def _cutoffs(g: DirectedGraph, x0: int, dist: np.ndarray, radii: list[int]) -> CutoffSequence:
+    """:func:`build_cutoffs` from the distances ``dist`` to ``x0`` and valid ``radii``."""
+    dist = dist.astype(float)
     rows = g._slot_rows()
     every = np.arange(len(g))
     b_sym = _b_sym(g)
@@ -528,7 +543,7 @@ def build_cutoffs(g: DirectedGraph, x0: VertexId, radii: Sequence[int]) -> Cutof
         functions.append(chi)
         per_radius.append(float(np.max(energy, initial=0.0)))
     return CutoffSequence(
-        root=int(x0),
+        root=x0,
         radii=tuple(radii),
         sets=tuple(sets),
         functions=tuple(functions),

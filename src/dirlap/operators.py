@@ -15,9 +15,14 @@ Kinds:
                         symmetrized weight
 * ``"skew_part"``       (laplacian - adjoint) / 2
 
+A truncation is stored sparse, as the CSR arrays ``data``, ``indices`` and
+``indptr`` that :func:`assemble` builds straight from the graph's CSR slots;
+:meth:`TruncatedOperator.dense` forms the n-by-n matrix only where a dense
+algorithm needs it (the matrix exponential, the resolvent, matrix dumps).
+
 The inner product is the measure-weighted one, <u, v> = sum m(x) u(x)
-conj(v(x)).  :func:`similarity_to_standard` maps a truncation to the matrix
-whose standard numerical range and norms equal the weighted ones.
+conj(v(x)).  :func:`similarity_to_standard` maps a truncation to the dense
+matrix whose standard numerical range and norms equal the weighted ones.
 """
 
 from __future__ import annotations
@@ -48,9 +53,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TruncatedOperator:
-    """A real matrix acting on functions supported in a ball.
+    """A real matrix acting on functions supported in a ball, stored as CSR arrays.
+
+    ``matrix`` is a dense square array, or the triple ``(data, indices,
+    indptr)`` in the layout of ``scipy.sparse.csr_matrix``, which must hold
+    ascending column indices in each row and no duplicates.  Only the
+    read-only arrays ``data``, ``indices`` and ``indptr`` are kept, with no
+    dense copy; :meth:`dense` (or ``matrix``) forms the n-by-n array on
+    request.  A dense input keeps its nonzeros and its whole diagonal, as
+    :func:`assemble` does.
 
     ``vertices[i]`` is the host vertex of row i; ``measure_vector[i]`` its
     measure, defining the weighted inner product.  ``ball`` gives
@@ -59,29 +72,60 @@ class TruncatedOperator:
     immutable and safe to share.
     """
 
-    matrix: np.ndarray
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     measure_vector: np.ndarray
     kind: str
-    vertices: tuple[int, ...] = ()
-    ball: Ball | None = None
+    vertices: tuple[int, ...]
+    ball: Ball | None
 
-    def __post_init__(self):
-        matrix = _read_only(np.array(self.matrix, dtype=float))
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise GraphError("operator matrix must be square")
-        measure = _read_only(np.array(self.measure_vector, dtype=float))
-        if measure.shape != (matrix.shape[0],) or np.any(measure <= 0):
+    def __init__(self, matrix, measure_vector, kind: str, vertices: tuple[int, ...] = (), ball: Ball | None = None):
+        if isinstance(matrix, tuple):
+            data, indices, indptr = (np.array(a) for a in matrix)
+        else:
+            dense = np.array(matrix, dtype=float)
+            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+                raise GraphError("operator matrix must be square")
+            rows, indices = np.nonzero((dense != 0.0) | np.eye(len(dense), dtype=bool))
+            data = dense[rows, indices]
+            indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
+        n = len(indptr) - 1
+        measure = _read_only(np.array(measure_vector, dtype=float))
+        if measure.shape != (n,) or np.any(measure <= 0):
             raise GraphError("measure vector must be positive with one entry per row")
-        if self.kind not in KINDS:
-            raise GraphError(f"unknown operator kind {self.kind!r}")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "measure_vector", measure)
-        if not self.vertices:
-            object.__setattr__(self, "vertices", tuple(range(matrix.shape[0])))
+        if kind not in KINDS:
+            raise GraphError(f"unknown operator kind {kind!r}")
+        fields = {
+            "data": _read_only(np.asarray(data, dtype=float)),
+            "indices": _read_only(np.asarray(indices, dtype=np.intp)),
+            "indptr": _read_only(np.asarray(indptr, dtype=np.intp)),
+            "measure_vector": measure,
+            "kind": kind,
+            "vertices": tuple(vertices) or tuple(range(n)),
+            "ball": ball,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.measure_vector)
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def dense(self) -> np.ndarray:
+        """The n-by-n matrix as a new dense array."""
+        matrix = np.zeros((self.n, self.n))
+        matrix[self._entry_rows(), self.indices] = self.data
+        return matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The same new dense array as :meth:`dense`."""
+        return self.dense()
 
     @property
     def interior_rows(self) -> np.ndarray:
@@ -97,11 +141,20 @@ class TruncatedOperator:
             raise GraphError(f"vertex {vertex} is not in the truncation") from None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
+        """The matrix times a vector, or times each column of a 2-D array."""
+        values = np.asarray(values)
+        terms = self.data.reshape((-1,) + (1,) * (values.ndim - 1)) * values[self.indices]
+        out = np.zeros((self.n,) + values.shape[1:], dtype=terms.dtype)
+        np.add.at(out, self._entry_rows(), terms)
+        return out
 
 
 def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
-    """Assemble the truncated operator of the given kind on a ball."""
+    """Assemble the truncated operator of the given kind on a ball, straight from the CSR slots.
+
+    Row i stores its diagonal and one entry per slot joining two ball vertices;
+    that pattern is symmetric, and an entry is 0.0 where only the reverse edge exists.
+    """
     if kind not in KINDS:
         raise GraphError(f"unknown operator kind {kind!r}; expected one of {KINDS}")
     rows = _vertex_array(g, ball_.vertices)
@@ -129,10 +182,12 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
             diag, off = lap_diag / 2.0 + adj_diag / 2.0, lap_off / 2.0 + adj_off / 2.0
         else:
             diag, off = lap_diag / 2.0 - adj_diag / 2.0, lap_off / 2.0 - adj_off / 2.0
-    matrix = np.zeros((n, n))
-    matrix[pos[slot_rows[inside]], pos[g._nbr[inside]]] = off
-    matrix[np.diag_indices(n)] = diag
-    return TruncatedOperator(matrix, measures, kind, tuple(ball_.vertices), ball_)
+    every = np.arange(n)
+    row = np.concatenate([pos[slot_rows[inside]], every])
+    col = np.concatenate([pos[g._nbr[inside]], every])
+    order = np.lexsort((col, row))
+    csr = (np.concatenate([off, diag])[order], col[order], np.searchsorted(row[order], np.arange(n + 1)))
+    return TruncatedOperator(csr, measures, kind, tuple(ball_.vertices), ball_)
 
 
 # -- weighted geometry ---------------------------------------------------------
@@ -157,7 +212,7 @@ def similarity_to_standard(op: TruncatedOperator) -> np.ndarray:
     The standard numerical range and operator norm of the result equal the
     measure-weighted ones of ``op``.
     """
-    return _similar(op.matrix, op.measure_vector)
+    return _similar(op.dense(), op.measure_vector)
 
 
 def _similar(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
@@ -205,8 +260,8 @@ def green_residual_batch(
 
     op = assemble(g, ball_, "laplacian")
     m = op.measure_vector
-    lf = op.matrix @ F
-    lh = op.matrix @ H
+    lf = op.apply(F)
+    lh = op.apply(H)
     lhs = np.sum(m[:, None] * lf * np.conj(H), axis=0) + np.conj(
         np.sum(m[:, None] * lh * np.conj(F), axis=0)
     )

@@ -49,7 +49,7 @@ def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
         raise GraphError("the semigroup is one-sided: t must be >= 0")
     if t == 0.0:
         return np.eye(op.n)
-    return _finite(scipy.linalg.expm(-t * op.matrix), f"exp(-{t} A)")
+    return _finite(scipy.linalg.expm(-t * op.dense()), f"exp(-{t} A)")
 
 
 def _vector(op: TruncatedOperator, values) -> np.ndarray:

@@ -9,7 +9,18 @@ from inverse iteration on sparse LDL^H factorizations, warm-started from the
 previous angle; the factorization's negative pivots certify that a shift
 lies above the spectrum, and a point is emitted only once a shift within
 the tolerance below certifies.  All weighted quantities are reduced to
-standard ones once, in the :class:`Frame` that every verdict reads.
+standard ones once, in the :class:`Frame` that every verdict reads; it is
+built from the operator's CSR arrays in O(nnz) and holds no n-by-n array.
+
+min Re W = lambda_min(S), S the Hermitian part, decides accretivity and the
+Cheeger bound.  It comes from the same inertia machinery: inverse iteration
+on LDL^T factors of S - sigma I with every shift certified below the
+spectrum, run until the residual of the Rayleigh quotient rho is within the
+data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
+entries of a row), then one positive-definite factorization at rho - delta
+certifies lambda_min(S) in [rho - delta, rho] (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998).  An enclosure that does not certify is a
+:class:`NumericError`, never a verdict.
 
 A value derived from a matrix A of n rows may carry rounding up to
 tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`): the accretivity,
@@ -44,16 +55,17 @@ from .graph import (
     DirectedGraph,
     GraphError,
     NumericError,
+    _cutoffs,
     _finite,
     _tolerance,
-    build_cutoffs,
     check_asymmetry,
     check_kirchhoff,
     check_total_asymmetry,
+    combinatorial_distance,
 )
-from .graph import ball as make_ball
+from .graph import ball as make_ball  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
 from .graph import symmetrize
-from .operators import TruncatedOperator, assemble, similarity_to_standard
+from .operators import TruncatedOperator, assemble
 
 __all__ = [
     "NumericError",
@@ -75,16 +87,17 @@ class Frame(NamedTuple):
     """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0).
 
     ``a``, S = ``sym`` and K = ``skew`` share the CSC pattern of a + a^T plus
-    the diagonal; ``min_real`` and ``max_real`` bound Re W(a), and ``tol`` is
-    the tolerance of a.  The scaling is exact and every later step is
-    homogeneous, so results of a scaled back by 2^e are those of A.
+    the diagonal, built from the operator's CSR arrays in O(nnz) with no
+    n-by-n array; ``min_real`` = lambda_min(S) = min Re W(a), from
+    :func:`_lowest_eigenvalue`, and ``tol`` is the tolerance of a.  The
+    scaling is exact and every later step is homogeneous, so results of a
+    scaled back by 2^e are those of A.
     """
 
     a: "scipy.sparse.csc_matrix"
     sym: "scipy.sparse.csc_matrix"
     skew: "scipy.sparse.csc_matrix"
     min_real: float
-    max_real: float
     tol: float
     e: int
 
@@ -118,29 +131,36 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
     :class:`NumericError`, as its rounding is not relative to ||A||_F."""
     import scipy.sparse as sparse
 
-    a_std = similarity_to_standard(op)
-    if np.any((a_std != 0.0) & (np.abs(a_std) < np.finfo(float).tiny)):
+    n = op.n
+    rows, cols = op._entry_rows(), op.indices
+    d = np.sqrt(op.measure_vector)
+    values = op.data * d[rows] / d[cols]
+    if np.any((values != 0.0) & (np.abs(values) < np.finfo(float).tiny)):
         raise NumericError("the operator has subnormal entries, whose rounding no tolerance covers")
-    # The Frobenius norm bounds the spectral norm and costs one pass; BLAS
-    # nrm2 scales, so it does not overflow early.
-    norm = _finite(scipy.linalg.norm(a_std.ravel(), check_finite=False), "the norm of the operator")
+    # The Frobenius norm bounds the spectral norm and costs one pass over the
+    # row-major nonzeros; BLAS nrm2 scales, so it does not overflow early.
+    norm = _finite(scipy.linalg.norm(values[values != 0.0], check_finite=False), "the norm of the operator")
     norm, e = math.frexp(norm)
-    np.ldexp(a_std, -e, out=a_std)
-    sym = _finite((a_std + a_std.T) / 2.0, "the Hermitian part")
-    try:
-        eigenvalues = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolve failed on the Hermitian part: {exc}") from exc
-    _finite(eigenvalues, "the spectrum of the Hermitian part")
-    pattern = sparse.csc_matrix((a_std != 0.0) | (a_std.T != 0.0) | np.eye(op.n, dtype=bool))
-    rows, cols = pattern.indices, np.repeat(np.arange(op.n), np.diff(pattern.indptr))
+    np.ldexp(values, -e, out=values)
+    # Entries are keyed row * n + column; the CSR keys ascend, so a lookup is one search.
+    keys = rows * n + cols
+    nonzero = values != 0.0
+    pattern = np.unique(np.concatenate([keys[nonzero], (cols * n + rows)[nonzero], np.arange(n) * (n + 1)]))
+    # In column-major order: pattern entry k sits in row pattern_rows[k] of column pattern_cols[k].
+    pattern_cols, pattern_rows = np.divmod(pattern, n)
+
+    def entries(wanted: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, values[at], 0.0)
+
+    a_ij, a_ji = entries(pattern_rows * n + pattern_cols), entries(pattern_cols * n + pattern_rows)
+    indptr = np.searchsorted(pattern_cols, np.arange(n + 1))
 
     def csc(data: np.ndarray):
-        return sparse.csc_matrix((data, rows, pattern.indptr), shape=pattern.shape)
+        return sparse.csc_matrix((data, pattern_rows, indptr), shape=(n, n))
 
-    skew = csc(a_std[rows, cols] / 2.0 - a_std[cols, rows] / 2.0)
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    return Frame(csc(a_std[rows, cols]), csc(sym[rows, cols]), skew, low, high, _tolerance(op.n, norm), e)
+    sym = csc((a_ij + a_ji) / 2.0)
+    return Frame(csc(a_ij), sym, csc(a_ij / 2.0 - a_ji / 2.0), _lowest_eigenvalue(sym), _tolerance(n, norm), e)
 
 
 # Raising a rejected shift ten-fold from a margin >= tol reaches the
@@ -151,7 +171,8 @@ _SHIFT_TRIES = 16
 # under tol, where rho + tol certifies.  When the halfway shift fails,
 # lambda_max lies above it, so the next solve at least doubles the top
 # eigencomponent of v against all below rho: 53 such solves lift it from
-# rounding level.
+# rounding level.  The same budget serves _lowest_eigenvalue: its bracket
+# starts below 2 ||h||_inf + delta < 2**46 delta, as delta >= 200 eps ||h||_inf.
 _SOLVES = 47 + 53
 
 
@@ -175,6 +196,74 @@ def _negative_definite(h, sigma: float):
     return lu if certified else None
 
 
+def _lowest_eigenvalue(s) -> float:
+    """lambda_min(s) for a real symmetric CSC ``s`` with its diagonal in its pattern, certified.
+
+    Inverse iteration runs on the LDL^T factors of h - sigma I, h = -s, from
+    :func:`_negative_definite`, so every shift -sigma lies below lambda_min(s)
+    by inertia.  It keeps a bracket [low, sigma] of lambda_max(h), from the
+    Gershgorin bound down to the largest Rayleigh quotient or rejected shift.
+    After each solve it tries rho + ||h v - rho v|| when that lies in the
+    lower half of the bracket, and else its midpoint, so every solve at least
+    halves the bracket.  It stops once the residual ||s v - rho v|| of the
+    Rayleigh quotient rho = <s v, v> >= lambda_min(s) is within the data
+    slack delta = 100 (d + 2) eps ||s||_inf, d the largest number of
+    off-diagonal entries in a row: the rounding of the entries of s moves no
+    eigenvalue further (Weyl).  rho is then known to rounding, well inside
+    delta.  The last shift, or else one more factorization of
+    s - (rho - delta) I, has only positive pivots or raises
+    :class:`NumericError`, so the returned rho satisfies lambda_min(s) in
+    [rho - delta, rho].
+    """
+    h = -s
+    n = h.shape[0]
+    sums = np.bincount(h.indices, np.abs(h.data), n)
+    delta = _tolerance(int(np.diff(h.indptr).max()) + 1, float(sums.max()))
+    if delta == 0.0:
+        return 0.0
+    diag = h.diagonal()
+    gershgorin = float(np.max(diag + (sums - np.abs(diag))))
+    for attempt in range(_SHIFT_TRIES):
+        sigma = gershgorin + delta * 10.0**attempt
+        lu = _negative_definite(h, sigma)
+        if lu is not None:
+            break
+    else:
+        raise NumericError("no shift below the spectrum of the Hermitian part was certified")
+    v = np.random.default_rng(0).standard_normal(n)
+    low = -math.inf  # lambda_max lies above every Rayleigh quotient and every rejected shift
+    for _ in range(_SOLVES):
+        w = lu.solve(v)
+        v = _finite(w / scipy.linalg.norm(w, check_finite=False), "the lowest eigenvector of the Hermitian part")
+        hv = h @ v
+        rho = float(v @ hv)
+        residual = float(scipy.linalg.norm(hv - rho * v, check_finite=False))
+        if residual <= delta:
+            break
+        # Some eigenvalue lies within the residual of rho, and once v leans on
+        # the top eigenvector it is lambda_max.
+        low = max(low, rho)
+        trial = rho + max(residual, delta)
+        if low < trial < low + (sigma - low) / 2.0:
+            trial_lu = _negative_definite(h, trial)
+            if trial_lu is not None:
+                sigma, lu = trial, trial_lu
+                continue
+            low = trial
+        trial = low + (sigma - low) / 2.0
+        trial_lu = _negative_definite(h, trial)
+        if trial_lu is None:
+            low = trial
+        else:
+            sigma, lu = trial, trial_lu
+    else:
+        raise NumericError(f"the lowest eigenvalue of the Hermitian part did not converge within {_SOLVES} solves")
+    # The last shift already certifies the enclosure when it lies within delta of rho.
+    if sigma > rho + delta and _negative_definite(h, rho + delta) is None:
+        raise NumericError(f"no eigenvalue of the Hermitian part was certified within {delta:.3e} of {-rho!r}")
+    return -rho
+
+
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
     """Sample the numerical range boundary at ``n_angles`` equispaced angles.
 
@@ -191,11 +280,13 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     certifies, lambda_max(H) lies in [rho, rho + tau) and one last solve
     gives the point; until then sigma moves halfway to rho when that
     certifies.  v is warm-started (Braconnier & Higham, BIT 36, 1996) from a
-    fixed vector and sigma from just above max eig S, so the sweep is deterministic.
+    fixed vector and sigma from just above max eig S = -:func:`_lowest_eigenvalue` (-S),
+    so the sweep is deterministic.
 
-    Raises :class:`NumericError` on a subnormal entry, when the Hermitian
-    part, a boundary point or ``min_real`` is not finite, when an eigensolve
-    fails, or when no shift certifies within the budget of solves.
+    Raises :class:`NumericError` on a subnormal entry, when the norm of the
+    operator, an eigenvector or a boundary point is not finite, when the
+    enclosure of ``min_real`` or of max Re W does not certify, or when no
+    shift certifies within the budget of solves.
     """
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
@@ -212,7 +303,7 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     half = np.zeros(len(solved), complex)
     herm = frame.sym.astype(complex)
     v = np.random.default_rng(0).standard_normal(op.n).astype(complex)
-    base, margin = frame.max_real, frame.tol
+    base, margin = -_lowest_eigenvalue(-frame.sym), frame.tol
     # a has unit size, so tol is 0 only for A = 0, whose points stay 0.
     for k, phi in enumerate(solved if frame.tol else ()):
         rotation = complex(math.cos(phi), math.sin(phi))
@@ -529,15 +620,16 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> Certificate:
     asym = check_asymmetry(g, interior)
     sector_constant = check_asymmetry(g, ball_.vertices)
 
+    # One breadth-first search serves every probe ball and the cutoffs.
+    dist = combinatorial_distance(g, ball_.root)
     radii = sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2), max(1, ball_.radius)})
-    # A ball of radius r >= 1 has its root in its interior, so no probe is empty.
-    gamma_values = [check_total_asymmetry(g, make_ball(g, ball_.root, r).interior) for r in radii]
+    # The interior of the ball of radius r >= 1 holds its root, so no probe is empty.
+    gamma_values = [check_total_asymmetry(g, np.flatnonzero((0 <= dist) & (dist < r))) for r in radii]
     # Each value is a per-vertex sum of at most max_degree terms.
     growing = gamma_values[-1] > gamma_values[0] + _tolerance(g.max_degree, gamma_values[0])
     trend = "growing" if growing else "bounded"
 
-    cutoff_radii = sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)})
-    cutoffs = build_cutoffs(g, ball_.root, cutoff_radii)
+    cutoffs = _cutoffs(g, ball_.root, dist, sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)}))
 
     frame = _standard_frame(assemble(g, ball_, "laplacian"))
     sector, sector_ok = _sector(frame, sector_constant)

@@ -167,6 +167,45 @@ def test_dump_matrix_is_not_written_on_an_input_error(tmp_path, capsys, argv):
     assert not (tmp_path / "P.triplets.txt").exists()
 
 
+def _old_triplets(matrix):
+    """The triplet file of the dense dump: np.nonzero in row-major order, values by repr."""
+    rows, cols = np.nonzero(matrix)
+    return "".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--gen", "ladder", "--N", "6"), ("--gen", "tree"), ("--gen", "random", "--seed", "3"), ("sink",)],
+    ids=["ladder", "tree", "random", "sink"],
+)
+def test_dump_matrix_lists_the_row_major_nonzeros(tmp_path, capsys, source):
+    sink = source == ("sink",)
+    if sink:
+        # b has no outgoing edge: its Laplacian row, diagonal included, is zero.
+        g = dl.DirectedGraph([("a", 1.0), ("b", 2.0), ("c", 0.5)], [("a", "b", 1.5), ("c", "b", 2.0), ("a", "c", 1.0)])
+        dl.save_graph(g, tmp_path / "sink.json")
+        source = ("--graph", str(tmp_path / "sink.json"), "--radius", "2")
+    prefix = str(tmp_path / "mat")
+    code, _, _ = run(capsys, "spectrum", *source, "--angles", "8", "--dump-matrix", prefix, "--out", str(tmp_path / "s.json"))
+    assert code in (0, 1)
+    dense = np.loadtxt(prefix + ".csv", delimiter=",", ndmin=2)
+    assert (tmp_path / "mat.triplets.txt").read_text() == _old_triplets(dense)
+    if sink:
+        assert not np.any(dense[1])
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum", "cheeger", "evolve", "certify"])
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_radius_below_one_is_an_input_error(tmp_path, capsys, command, radius):
+    # A radius-0 ball has no interior; certify's radius-1 probes would lie outside it.
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, command, "--gen", "ladder", "--N", "5", "--measure", "unit",
+                            "--radius", radius, "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err == f"dirlap: input error: --radius must be >= 1, got {radius}\n"
+
+
 def test_cheeger_command(tmp_path, capsys):
     report = tmp_path / "ch.json"
     code, _, _ = run(
@@ -420,6 +459,24 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     code = "import sys, dirlap.cli; sys.exit('scipy.sparse' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import sys, dirlap; sys.exit('scipy.sparse' in sys.modules)",
+        "import sys; from dirlap.cli import main; "
+        "code = main(['evolve', '--gen', 'ladder', '--N', '20', '--measure', 'unit', '--out', sys.argv[1]]); "
+        "sys.exit(code != 0 or 'scipy.sparse' in sys.modules)",
+    ],
+    ids=["import", "evolve"],
+)
+def test_import_and_evolve_leave_scipy_sparse_unloaded(tmp_path, code):
+    # Loading scipy.sparse costs megabytes of peak memory that a heat-semigroup verdict never uses.
+    src = str(Path(dl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", code, str(tmp_path / "evolve.json")]
+    assert subprocess.run(argv, env=env, timeout=60).returncode == 0
 
 
 def test_gen_random_stdout(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,26 @@ def test_accessors(single_edge):
         g.index("w")
     with pytest.raises(UnknownVertexError):
         g.label(5)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[], [3, 0, 3], np.array([4, 1]), frozenset({2, 4}), (np.int32(1), 2), [True, 2],
+     [0, 99, -1], [0, -1, 99], [1, "x"], [1, 2.0], [[0], [1, 2]], [[0, 1]], [2**70], [None]],
+)
+def test_vertex_arrays_match_the_per_id_check(ids):
+    from dirlap.graph import _vertex_array
+
+    g = dl.make_ladder(dl.LadderSpec(depth=2))
+    try:
+        for x in list(ids):
+            g.require_vertex(x)
+    except UnknownVertexError as exc:
+        with pytest.raises(UnknownVertexError, match=f"^{re.escape(str(exc))}$"):
+            _vertex_array(g, ids)
+    else:
+        got = _vertex_array(g, ids)
+        assert got.dtype == np.intp and got.tolist() == [int(x) for x in ids]
 
 
 # -- strengths and Kirchhoff balance ------------------------------------------

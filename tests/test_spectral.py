@@ -140,24 +140,35 @@ def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatc
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    factored = []
+    def first_shift_only(kind):
+        factored = []
 
-    def first_shift_only(*args, **kwargs):
-        # The first shift of the first angle certifies; no lower shift ever
-        # does, so inverse iteration cannot certify a support value.
-        if factored:
-            singular()
-        factored.append(True)
-        return splu(*args, **kwargs)
+        def factor(*args, **kwargs):
+            # The first shift of this kind of matrix certifies; no lower shift
+            # ever does.  The other kind factors as usual.
+            if args[0].dtype.kind == kind:
+                if factored:
+                    singular()
+                factored.append(True)
+            return splu(*args, **kwargs)
+
+        return factor
 
     with monkeypatch.context() as patch:
         patch.setattr(sla, "splu", singular)
         with pytest.raises(dl.NumericError, match="no shift"):
             dl.numrange_boundary(op, 8)
     with monkeypatch.context() as patch:
-        patch.setattr(sla, "splu", first_shift_only)
+        # The real factorizations of min_real and max_real pass; the sweep's are complex.
+        patch.setattr(sla, "splu", first_shift_only("c"))
         with pytest.raises(dl.NumericError, match="no certified eigenvalue .* at angle 0.000000"):
             dl.numrange_boundary(op, 8)
+    for verdict in (lambda: dl.numrange_boundary(op, 8), lambda: dl.accretivity_certificate(ladder_sqrt, op.ball)):
+        with monkeypatch.context() as patch:
+            # min_real converges on its first shift, but its enclosure is never certified.
+            patch.setattr(sla, "splu", first_shift_only("f"))
+            with pytest.raises(dl.NumericError, match="no eigenvalue of the Hermitian part was certified"):
+                verdict()
     assert_matches_dense_sweep(op, 8)
 
 
@@ -325,24 +336,26 @@ def test_sector_verdict_is_one_factorization(monkeypatch):
     ball_ = dl.ball(ladder, 0, int(dl.combinatorial_distance(ladder, 0).max()) - 1)
     sample = dl.numrange_boundary(dl.assemble(ladder, ball_, "laplacian"), 4)
     constant = dl.check_asymmetry(ladder, ball_.vertices)
-    splu, calls = sla.splu, []
+    splu, kinds = sla.splu, []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        kinds.append(args[0].dtype.kind)
         return splu(*args, **kwargs)
 
     def second_frame(*args, **kwargs):
-        raise AssertionError("check_sector formed a second similarity or eigensolve")
+        raise AssertionError("check_sector formed a second frame or eigensolve")
 
     with monkeypatch.context() as patch:
         patch.setattr(sla, "splu", counted)
-        patch.setattr(spectral, "similarity_to_standard", second_frame)
+        patch.setattr(spectral, "_standard_frame", second_frame)
+        patch.setattr(spectral, "_lowest_eigenvalue", second_frame)
         patch.setattr(np.linalg, "eigvalsh", second_frame)
         _, ok = dl.check_sector(sample, constant)
-    assert ok and len(calls) == 1
+    assert ok and kinds == ["c"]
     monkeypatch.setattr(sla, "splu", counted)
     assert dl.accretivity_certificate(ladder, ball_).sector_ok
-    assert len(calls) == 2
+    # The certificate adds one complex factorization, the sector's; min_real factors real matrices.
+    assert kinds.count("c") == 2 and set(kinds) == {"c", "f"}
 
 
 def test_check_sector_rejects_negative_constant(two_vertex_symmetric):
@@ -520,17 +533,25 @@ def test_certificate_single_edge_negative(single_edge):
 
 
 def test_certificate_forms_one_similarity(ladder_sqrt, monkeypatch):
+    import scipy.linalg
+
     import dirlap.spectral as spectral
 
-    calls = []
+    frame, calls = spectral._standard_frame, []
 
     def counted(op):
         calls.append(op)
-        return dl.similarity_to_standard(op)
+        return frame(op)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the certificate formed a dense matrix or ran a dense eigensolve")
 
     ball_ = dl.ball(ladder_sqrt, 0, 10)
     expected = dl.accretivity_certificate(ladder_sqrt, ball_)
-    monkeypatch.setattr(spectral, "similarity_to_standard", counted)
+    monkeypatch.setattr(spectral, "_standard_frame", counted)
+    monkeypatch.setattr(dl.TruncatedOperator, "dense", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", dense)
     assert dl.accretivity_certificate(ladder_sqrt, ball_) == expected
     assert len(calls) == 1
 
@@ -545,6 +566,77 @@ def test_certificate_sweeps_no_boundary(ladder_sqrt, monkeypatch):
     expected = dl.accretivity_certificate(ladder_sqrt, ball_)
     monkeypatch.setattr(spectral, "numrange_boundary", no_sweep)
     assert dl.accretivity_certificate(ladder_sqrt, ball_) == expected
+
+
+def test_certificate_runs_one_breadth_first_search(ladder_sqrt, monkeypatch):
+    import dirlap.graph as graph
+
+    ball_ = dl.ball(ladder_sqrt, 0, 10)
+    cert = dl.accretivity_certificate(ladder_sqrt, ball_)
+    probes = [dl.check_total_asymmetry(ladder_sqrt, dl.ball(ladder_sqrt, 0, r).interior) for r in (2, 5, 10)]
+    assert cert.total_asymmetry_values == tuple(probes)
+    assert cert.cutoff_constant == dl.build_cutoffs(ladder_sqrt, 0, [2, 5]).constant
+    distances, roots = graph._distances, []
+
+    def counted(ptr, nbr, x0):
+        roots.append(x0)
+        return distances(ptr, nbr, x0)
+
+    monkeypatch.setattr(graph, "_distances", counted)
+    assert dl.accretivity_certificate(ladder_sqrt, ball_) == cert
+    assert roots == [0]
+
+
+def test_certificate_memory_grows_with_the_entries():
+    import tracemalloc
+
+    ladder = dl.make_ladder(dl.LadderSpec(depth=2500))
+    ball_ = dl.ball(ladder, 0, int(dl.combinatorial_distance(ladder, 0).max()) - 1)
+    tracemalloc.start()
+    try:
+        cert = dl.accretivity_certificate(ladder, ball_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One dense n-by-n array of this truncation (n = 4999) takes 200 MB.
+    assert cert.verdicts["m_sectorial_supported"]
+    assert peak < 50 * 2**20
+
+
+def with_measure(g, measure):
+    """``g`` with unit measures, or with m(x) = sqrt(1 + d(v0, x)) like the ladder's sqrt measure."""
+    dist = dl.combinatorial_distance(g, 0)
+    m = np.ones(len(g)) if measure == "unit" else np.sqrt(1.0 + dist)
+    return dl.DirectedGraph(
+        [(g.label(x), float(m[x])) for x in g.vertex_ids()],
+        [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()],
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 14),
+    st.integers(1, 3),
+    st.sampled_from(dl.KINDS),
+    st.sampled_from(["unit", "sqrt"]),
+)
+def test_min_real_encloses_the_dense_lowest_eigenvalue(seed, n, radius, kind, measure):
+    import dirlap.spectral as spectral
+
+    g = with_measure(dl.make_random_balanced(n, seed), measure)
+    frame = spectral._standard_frame(dl.assemble(g, dl.ball(g, 0, radius), kind))
+    sym = frame.sym.toarray()
+    eps = np.finfo(float).eps
+    # The certified half-width 100 (d + 2) eps ||S||_inf, d the most off-diagonal entries of a row.
+    delta = 100 * (np.diff(frame.sym.indptr).max() + 1) * eps * np.abs(sym).sum(axis=1).max()
+    # The dense solver's own rounding.
+    dense_error = len(sym) * eps * np.linalg.norm(sym, 2)
+    eigenvalues = np.linalg.eigvalsh(sym)
+    rho = frame.min_real
+    assert rho - delta - dense_error <= eigenvalues[0] <= rho + dense_error
+    top = -spectral._lowest_eigenvalue(-frame.sym)
+    assert top - dense_error <= eigenvalues[-1] <= top + delta + dense_error
 
 
 @settings(deadline=None, max_examples=20)
