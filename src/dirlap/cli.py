@@ -10,6 +10,7 @@ fixed configuration reproduces byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,8 +23,9 @@ from .graph import (
     DirectedGraph,
     GraphError,
     NumericError,
+    _ball,
     assumption_report,
-    ball,
+    ball,  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
     check_asymmetry,
     check_kirchhoff,
     combinatorial_distance,
@@ -105,9 +107,10 @@ def _resolve_ball(g: DirectedGraph, args, default_root: str | None):
     if radius is not None and radius < 1:
         # A radius-0 ball has no interior, and the certificate's radius-1 probes would lie outside it.
         raise GraphError(f"--radius must be >= 1, got {radius}")
+    dist = combinatorial_distance(g, root)
     if radius is None:
-        radius = max(1, int(combinatorial_distance(g, root).max()) - 1)
-    return ball(g, root, radius)
+        radius = max(1, int(dist.max()) - 1)
+    return _ball(root, radius, dist)
 
 
 # Parsed arguments that name output files or the handler, not the computation.
@@ -328,9 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: building it takes far longer than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "gen":
         args.gen = args.family
     try:

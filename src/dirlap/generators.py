@@ -14,10 +14,15 @@ Two deterministic families with exactly prescribed weights:
 
 :func:`make_random_balanced` superposes directed cycles with dyadic weights,
 so the Kirchhoff balance holds bitwise at every vertex for any seed.
+
+Every generator computes vertex ids, measures and weights as arrays and
+builds its graph through the array core of :class:`DirectedGraph`, with no
+label round trip; the labels are only attached for reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +34,8 @@ __all__ = ["LadderSpec", "TreeSpec", "make_ladder", "make_tree", "make_random_ba
 
 
 def _is_dyadic(x: float, grid: int = 16) -> bool:
-    return x * grid == round(x * grid)
+    scaled = x * grid
+    return math.isfinite(scaled) and scaled == round(scaled)
 
 
 @dataclass(frozen=True)
@@ -70,29 +76,28 @@ def make_ladder(spec: LadderSpec) -> DirectedGraph:
     k = 0) are absent edges.
     """
     n_max, k = spec.depth, float(spec.k)
-    vertices: list[tuple[str, float]] = [("x0", 1.0)]
-    for n in range(1, n_max + 1):
-        m = float(np.sqrt(float(n))) if spec.measure_mode == "sqrt_n" else 1.0
-        vertices.append((f"x{n}", m))
-        vertices.append((f"y{n}", m))
+    labels = ["x0", *(f"{rail}{n}" for n in range(1, n_max + 1) for rail in "xy")]
+    n = np.arange(1, n_max + 1)
+    m = np.sqrt(n.astype(float)) if spec.measure_mode == "sqrt_n" else np.ones(n_max)
+    measures = np.concatenate([[1.0], np.repeat(m, 2)])
+    x, y = 2 * n - 1, 2 * n  # ids of x_n and y_n; x_0 is 0
 
-    edges: list[tuple[str, str, float]] = [("x0", "x1", k + 2.0), ("y1", "x0", k + 2.0)]
-    if k > 0.0:
-        edges.append(("x0", "y1", k))
-        edges.append(("x1", "x0", k))
-    for n in range(1, n_max):
-        up = float((n + 1) ** 2 + (n + 1))
-        down = float((n + 1) ** 2 - (n + 1))
-        edges.append((f"x{n}", f"x{n + 1}", up))
-        edges.append((f"x{n + 1}", f"x{n}", down))
-        edges.append((f"y{n}", f"y{n + 1}", down))
-        edges.append((f"y{n + 1}", f"y{n}", up))
-    for n in range(1, n_max + 1):
-        if n > 1:
-            edges.append((f"x{n}", f"y{n}", float(n - 1)))
-        edges.append((f"y{n}", f"x{n}", float(n + 1)))
-
-    return DirectedGraph(vertices, edges, exact_weights=_is_dyadic(k))
+    # Edges in the order of the docstring: origin, the rails of each step n -> n + 1, the rungs.
+    origin = ([0, 2, 0, 1], [1, 0, 2, 0], [k + 2.0, k + 2.0, k, k])
+    s = n[1:]  # n + 1 for the steps n -> n + 1
+    up, down = (s * s + s).astype(float), (s * s - s).astype(float)
+    rails = (
+        np.stack([x[:-1], x[1:], y[:-1], y[1:]], axis=1),
+        np.stack([x[1:], x[:-1], y[1:], y[:-1]], axis=1),
+        np.stack([up, down, down, up], axis=1),
+    )
+    rungs = (np.stack([x, y], axis=1), np.stack([y, x], axis=1), np.stack([n - 1, n + 1], axis=1).astype(float))
+    # The k-weighted origin edges exist only for k > 0; the rung x_1 -> y_1 (weight 0) never does.
+    edges = [
+        np.concatenate([first[: 4 if k > 0.0 else 2], rail.ravel(), rung.ravel()[1:]])
+        for first, rail, rung in zip(origin, rails, rungs)
+    ]
+    return DirectedGraph._from_arrays(labels, measures, *edges, exact_weights=_is_dyadic(k))
 
 
 @dataclass(frozen=True)
@@ -131,36 +136,33 @@ class TreeSpec:
 #   root / parent edge bidirectional: first child out-only, second in-only;
 #   parent edge incoming at the vertex: first child out-only;
 #   parent edge outgoing at the vertex: first child in-only.
-_FLIP = {"out": "in", "in": "out", "both": "both"}
+# Kinds of an edge seen from the parent; the child sees the negated kind.
+_OUT, _IN, _BOTH = 1, -1, 0
 
 
 def make_tree(spec: TreeSpec) -> DirectedGraph:
     """Build the increasing-branching tree with unit weights and measures."""
     branching = spec.resolved_branching()
-    vertices: list[tuple[str, float]] = [("r", 1.0)]
-    edges: list[tuple[str, str, float]] = []
-    frontier: list[tuple[str, str]] = [("r", "both")]  # (label, parent edge seen from the vertex)
-    for depth in range(spec.depth):
-        next_frontier: list[tuple[str, str]] = []
-        for label, parent_view in frontier:
-            kinds = ["both"] * branching[depth]
-            if parent_view == "both":
-                kinds[0] = "out"
-                kinds[1] = "in"
-            elif parent_view == "in":
-                kinds[0] = "out"
-            else:
-                kinds[0] = "in"
-            for i, kind in enumerate(kinds):
-                child = f"{label}.{i}"
-                vertices.append((child, 1.0))
-                if kind in ("out", "both"):
-                    edges.append((label, child, 1.0))
-                if kind in ("in", "both"):
-                    edges.append((child, label, 1.0))
-                next_frontier.append((child, _FLIP[kind]))
-        frontier = next_frontier
-    return DirectedGraph(vertices, edges, exact_weights=True)
+    labels = ["r"]
+    frontier = np.zeros(1, dtype=np.int64)
+    views = np.array([_BOTH])  # the parent edge of each frontier vertex, seen from the vertex
+    sources, targets = [], []
+    for c in branching:
+        parents = np.repeat(frontier, c).reshape(-1, c)
+        children = len(labels) + np.arange(parents.size).reshape(-1, c)
+        kinds = np.full(children.shape, _BOTH)
+        kinds[:, 0] = np.where(views == _OUT, _IN, _OUT)
+        kinds[views == _BOTH, 1] = _IN
+        # Per child, the edge to it and then the edge from it.
+        keep = np.stack([kinds != _IN, kinds != _OUT], axis=-1)
+        sources.append(np.stack([parents, children], axis=-1)[keep])
+        targets.append(np.stack([children, parents], axis=-1)[keep])
+        labels += [f"{labels[p]}.{i}" for p in frontier.tolist() for i in range(c)]
+        frontier, views = children.ravel(), -kinds.ravel()
+    sources, targets = np.concatenate(sources), np.concatenate(targets)
+    return DirectedGraph._from_arrays(
+        labels, np.ones(len(labels)), sources, targets, np.ones(len(sources)), exact_weights=True
+    )
 
 
 def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGraph:
@@ -192,6 +194,12 @@ def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGra
         add_cycle(list(rng.choice(n, size=length, replace=False)))
 
     measures = rng.integers(4, 33, size=n) / 16.0
-    vertices = [(f"v{i}", float(measures[i])) for i in range(n)]
-    edges = [(f"v{a}", f"v{b}", w) for (a, b), w in sorted(weights.items())]
-    return DirectedGraph(vertices, edges, exact_weights=True)
+    edges = sorted(weights.items())
+    return DirectedGraph._from_arrays(
+        [f"v{i}" for i in range(n)],
+        measures,
+        [a for (a, _), _ in edges],
+        [b for (_, b), _ in edges],
+        [w for _, w in edges],
+        exact_weights=True,
+    )

@@ -15,6 +15,12 @@ row ``x`` owns the slots ``ptr[x]:ptr[x+1]``, slot ``k`` names the neighbor
 Every accessor and checker reads these arrays; per-vertex sums add the slots
 of a row in ascending-neighbor order.
 
+Every graph is built by one array core from vertex ids: a measure array and
+the edges as source, target and weight arrays, validated with whole-array
+checks.  The generators and :func:`symmetrize` call it directly; the label
+constructor ``DirectedGraph(vertices, edges)`` interns the labels to ids and
+converts the values first.
+
 Checkers implemented in this module:
 
 * Kirchhoff balance: total incoming weight equals total outgoing weight,
@@ -105,15 +111,17 @@ def _tolerance(terms: int, scale: float) -> float:
     return 100.0 * terms * _EPS * scale
 
 
-def _positive(value, what: str, *names) -> float:
-    """``value`` as a finite float > 0; otherwise a GraphError naming ``what.format(*names)``."""
+def _float(value) -> float:
+    """``float(value)``, or NaN when it does not convert, so that the array checks reject it."""
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number) or number <= 0.0:
-        raise GraphError(f"{what.format(*names)} must be finite and > 0, got {value!r}")
-    return number
+        return math.nan
+
+
+def _not_positive(values: np.ndarray) -> np.ndarray:
+    """Mask of the values that are not finite and > 0 (NaN included)."""
+    return ~((0.0 < values) & (values < math.inf))
 
 
 class DirectedGraph:
@@ -131,11 +139,17 @@ class DirectedGraph:
         Set by generators whose weights are exactly representable, so that
         balance checks may use tolerance zero.
 
-    Construction validates: no loops, strictly positive weights and measures,
-    at least one incident undirected edge per vertex, and weak connectivity
-    of the undirected skeleton.  A vertex with no outgoing edge is accepted
-    (it arises at truncation boundaries) but fails the Kirchhoff check, so it
-    never hides inside an interior set.
+    Every graph is built by one array core, :meth:`_from_arrays`, from
+    vertex labels, a measure array and the edges as three arrays (source
+    id, target id, weight).  It validates with whole-array checks: finite
+    measures and weights > 0, ids in range, no loops, no duplicate edge, at
+    least one incident undirected edge per vertex, and weak connectivity of
+    the undirected skeleton.  Each error names the first faulty vertex or
+    edge by position.  The generators and :func:`symmetrize` call the core
+    directly; this constructor only interns the labels to ids and converts
+    the values to floats, then calls it.  A vertex with no outgoing edge is
+    accepted (it arises at truncation boundaries) but fails the Kirchhoff
+    check, so it never hides inside an interior set.
     """
 
     __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "exact_weights")
@@ -147,48 +161,65 @@ class DirectedGraph:
         *,
         exact_weights: bool = False,
     ):
-        labels: list[str] = []
-        measures: list[float] = []
-        index: dict[str, int] = {}
-        for label, m in vertices:
-            label = str(label)
-            if label in index:
-                raise GraphError(f"duplicate vertex {label!r}")
-            index[label] = len(labels)
-            labels.append(label)
-            measures.append(_positive(m, "vertex {!r}: measure", label))
-        if not labels:
-            raise GraphError("graph needs at least one vertex")
+        vertices = [(str(label), m) for label, m in vertices]
+        edges = list(edges)
+        labels = [label for label, _ in vertices]
+        index = dict(zip(labels, range(len(labels))))
+        ends = [(index.get(str(src), -1), index.get(str(dst), -1)) for src, dst, _ in edges]
+        self._build(
+            labels,
+            [_float(m) for _, m in vertices],
+            [u for u, _ in ends],
+            [v for _, v in ends],
+            [_float(w) for _, _, w in edges],
+            exact_weights,
+            given=(vertices, edges),
+        )
 
+    @classmethod
+    def _from_arrays(
+        cls,
+        labels: Sequence[str],
+        measures,
+        sources,
+        targets,
+        weights,
+        *,
+        exact_weights: bool,
+    ) -> DirectedGraph:
+        """The graph on ``labels`` whose edge i runs from id ``sources[i]`` to id ``targets[i]``."""
+        g = cls.__new__(cls)
+        g._build(labels, measures, sources, targets, weights, exact_weights)
+        return g
+
+    def _build(self, labels, measures, sources, targets, weights, exact_weights, given=None) -> None:
+        """Validate the arrays and store the CSR adjacency; ``given`` holds the raw
+        ``(vertices, edges)`` of the label constructor, which the errors then quote."""
+        labels = tuple(labels)
         n = len(labels)
-        us: list[int] = []
-        vs: list[int] = []
-        ws: list[float] = []
-        seen: set[tuple[int, int]] = set()
-        for pos, (src, dst, w) in enumerate(edges):
-            try:
-                u = index[str(src)]
-                v = index[str(dst)]
-            except KeyError as exc:
-                raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): unknown vertex {exc.args[0]!r}") from None
-            if u == v:
-                raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): loops are not allowed")
-            w = _positive(w, "edge {} ({!r} -> {!r}): weight", pos, src, dst)
-            if (u, v) in seen:
-                raise GraphError(f"edge {pos} ({src!r} -> {dst!r}): duplicate edge")
-            seen.add((u, v))
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
+        m_arr = np.array(measures, dtype=float)
+        u = np.asarray(sources, dtype=np.int64)
+        v = np.asarray(targets, dtype=np.int64)
+        w = np.asarray(weights, dtype=float)
+        index = dict(zip(labels, range(n)))
+        if len(index) < n or _not_positive(m_arr).any():
+            raise GraphError(_vertex_fault(labels, m_arr, given))
+        if not n:
+            raise GraphError("graph needs at least one vertex")
+        if ((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | _not_positive(w)).any():
+            raise GraphError(_edge_fault(labels, u, v, w, given))
 
         # One slot per ordered pair of adjacent vertices, sorted by (row, neighbor):
         # edge u -> v fills b_out of slot (u, v) and b_in of slot (v, u).
-        pairs = np.array(us + vs, dtype=np.int64) * n + np.array(vs + us, dtype=np.int64)
+        pairs = np.concatenate([u, v]) * n + np.concatenate([v, u])
         keys, slot = np.unique(pairs, return_inverse=True)
         b_out = np.zeros(len(keys))
         b_in = np.zeros(len(keys))
-        b_out[slot[: len(us)]] = ws
-        b_in[slot[len(us) :]] = ws
+        b_out[slot[: len(u)]] = w
+        b_in[slot[len(u) :]] = w
+        # Every weight is > 0, so two edges share a slot exactly when fewer slots are filled.
+        if np.count_nonzero(b_out) < len(u):
+            raise GraphError(_edge_fault(labels, u, v, w, given))
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
         nbr = keys % n
@@ -201,10 +232,9 @@ class DirectedGraph:
             missing = labels[int(np.argmin(dist))]
             raise GraphError(f"graph is not weakly connected: vertex {missing!r} unreachable from {labels[0]!r}")
 
-        m_arr = np.asarray(measures, dtype=float)
         for arr in (m_arr, ptr, nbr, b_out, b_in):
             arr.setflags(write=False)
-        self._labels = tuple(labels)
+        self._labels = labels
         self._index = index
         self._m = m_arr
         self._ptr = ptr
@@ -289,6 +319,52 @@ class DirectedGraph:
 
 
 # -- whole-array helpers ------------------------------------------------------
+
+
+def _vertex_fault(labels: tuple[str, ...], measures: np.ndarray, given) -> str:
+    """The error of the first vertex, by position, with a repeated label or a bad measure."""
+    seen: set[str] = set()
+    for x, label in enumerate(labels):
+        if label in seen:
+            return f"duplicate vertex {label!r}"
+        seen.add(label)
+        if _not_positive(measures[x]):
+            value = given[0][x][1] if given else float(measures[x])
+            return f"vertex {label!r}: measure must be finite and > 0, got {value!r}"
+    raise AssertionError("no faulty vertex")
+
+
+def _edge_fault(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, w: np.ndarray, given) -> str:
+    """The error of the first faulty edge by position.
+
+    Each edge is checked for an unknown end, a loop, a bad weight and a
+    repeat of an earlier (source, target) pair, in that order, as a loop over
+    the edges would.  Ends are named by the raw ``given`` edge, else by label,
+    or by id when out of range.
+    """
+    n = len(labels)
+    unknown = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    keys = np.where(unknown, -1 - np.arange(len(u)), u * n + v)
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(u), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    faults = (unknown, u == v, _not_positive(w), repeat)
+    pos = int(np.flatnonzero(np.logical_or.reduce(faults))[0])
+    ends = [int(u[pos]), int(v[pos])]
+    if given:
+        src, dst, value = given[1][pos]
+        missing = str(src) if ends[0] < 0 else str(dst)
+    else:
+        missing = ends[0] if not 0 <= ends[0] < n else ends[1]
+        src, dst = (labels[x] if 0 <= x < n else x for x in ends)
+        value = float(w[pos])
+    what = (
+        f"unknown vertex {missing!r}",
+        "loops are not allowed",
+        f"weight must be finite and > 0, got {value!r}",
+        "duplicate edge",
+    )[next(k for k, fault in enumerate(faults) if fault[pos])]
+    return f"edge {pos} ({src!r} -> {dst!r}): {what}"
 
 
 def _distances(ptr: np.ndarray, nbr: np.ndarray, x0: int) -> np.ndarray:
@@ -404,12 +480,9 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
     The output is symmetric; idempotent on already-symmetric graphs.
     """
-    labels = g.labels
-    edges = [
-        (labels[x], labels[y], w)
-        for x, y, w in zip(g._slot_rows().tolist(), g._nbr.tolist(), _b_sym(g).tolist())
-    ]
-    return DirectedGraph(zip(labels, g._m.tolist()), edges, exact_weights=g.exact_weights)
+    return DirectedGraph._from_arrays(
+        g.labels, g._m, g._slot_rows(), g._nbr, _b_sym(g), exact_weights=g.exact_weights
+    )
 
 
 # -- asymmetry constants -----------------------------------------------------
@@ -483,16 +556,20 @@ def ball(g: DirectedGraph, x0: VertexId, radius: int) -> Ball:
     """
     if radius < 0:
         raise GraphError("radius must be >= 0")
-    dist = combinatorial_distance(g, x0)
-    vertices = tuple(int(v) for v in np.nonzero((0 <= dist) & (dist <= radius))[0])
-    interior = frozenset(int(v) for v in np.nonzero((0 <= dist) & (dist <= radius - 1))[0])
+    return _ball(x0, radius, combinatorial_distance(g, x0))
+
+
+def _ball(x0: VertexId, radius: int, dist: np.ndarray) -> Ball:
+    """:func:`ball` from the distances ``dist`` to ``x0``."""
+    vertices = tuple(np.flatnonzero((0 <= dist) & (dist <= radius)).tolist())
+    interior = frozenset(np.flatnonzero((0 <= dist) & (dist <= radius - 1)).tolist())
     return Ball(int(x0), int(radius), vertices, interior)
 
 
 def full_ball(g: DirectedGraph, x0: VertexId = 0) -> Ball:
     """Ball covering the whole graph with every vertex interior."""
-    radius = int(combinatorial_distance(g, x0).max()) + 1
-    return ball(g, x0, radius)
+    dist = combinatorial_distance(g, x0)
+    return _ball(x0, int(dist.max()) + 1, dist)
 
 
 @dataclass(frozen=True)

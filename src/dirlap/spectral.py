@@ -179,15 +179,18 @@ _SOLVES = 47 + 53
 def _negative_definite(h, sigma: float):
     """LDL^H factors of h - sigma I if they certify sigma > lambda_max(h), else None.
 
-    ``h`` is Hermitian CSC with its diagonal in its pattern.  SuperLU factors
+    ``h`` is Hermitian canonical CSC with its diagonal in its pattern.  SuperLU factors
     P (h - sigma I) P^T = L D L^H with diagonal pivots (``perm_r == perm_c`` is
     checked).  If every pivot is negative, sigma lies above the spectrum of h
     by Sylvester's law of inertia, up to the rounding of the factors (Rump, BIT 46, 2006).
     """
     from scipy.sparse.linalg import splu
 
-    shifted = h.copy()
-    shifted.setdiag(h.diagonal() - sigma)
+    # h - sigma I on the pattern of h: only the data at the diagonal positions changes.
+    diagonal = np.flatnonzero(h.indices == np.repeat(np.arange(h.shape[1]), np.diff(h.indptr)))
+    data = h.data.copy()
+    data[diagonal] -= sigma
+    shifted = type(h)((data, h.indices, h.indptr), shape=h.shape)
     try:
         lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular: sigma is an eigenvalue

@@ -206,6 +206,43 @@ def test_radius_below_one_is_an_input_error(tmp_path, capsys, command, radius):
     assert err == f"dirlap: input error: --radius must be >= 1, got {radius}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, searches",
+    [
+        # The graph's connectivity check, the default radius and ball, and the certificate's cutoffs.
+        (["certify", "--gen", "ladder", "--N", "12"], 3),
+        (["evolve", "--gen", "ladder", "--N", "12", "--measure", "unit", "--t", "0:1:0.5"], 2),
+    ],
+)
+def test_default_ball_runs_one_breadth_first_search(capsys, monkeypatch, argv, searches):
+    import dirlap.graph as graph
+
+    distances, roots = graph._distances, []
+
+    def counted(ptr, nbr, x0):
+        roots.append(x0)
+        return distances(ptr, nbr, x0)
+
+    monkeypatch.setattr(graph, "_distances", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(roots) == searches
+    monkeypatch.undo()
+    assert run(capsys, *argv) == (code, out, "")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import dirlap.cli as cli
+
+    argv = ["check", "--gen", "ladder", "--N", "5"]
+    first = run(capsys, *argv)
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert run(capsys, *argv) == first == (0, first[1], "")
+
+
 def test_cheeger_command(tmp_path, capsys):
     report = tmp_path / "ch.json"
     code, _, _ = run(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,3 +196,106 @@ def test_superposed_cycles_add_at_shared_vertex():
     )
     assert dl.out_strength(g, 0) == 1.5
     assert dl.in_strength(g, 0) == 1.5
+
+
+# -- the array core against the label constructor -------------------------------
+
+
+def rebuilt_by_labels(g):
+    """The same vertices and edges through the label constructor, via the interchange dict."""
+    data = dl.graph_to_dict(g)
+    return dl.DirectedGraph(
+        [(v["id"], v["m"]) for v in data["vertices"]],
+        [(e["from"], e["to"], e["b"]) for e in data["edges"]],
+        exact_weights=g.exact_weights,
+    )
+
+
+def symmetrized_by_labels(g):
+    """symmetrize as a label round trip: one edge per slot, in slot order."""
+    from dirlap.graph import _b_sym
+
+    labels = g.labels
+    edges = [
+        (labels[x], labels[y], w)
+        for x, y, w in zip(g._slot_rows().tolist(), g._nbr.tolist(), _b_sym(g).tolist())
+    ]
+    return dl.DirectedGraph(zip(labels, g._m.tolist()), edges, exact_weights=g.exact_weights)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.labels == b.labels and a.exact_weights == b.exact_weights
+    for name in ("_m", "_ptr", "_nbr", "_b_out", "_b_in"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+GENERATED = st.one_of(
+    st.builds(
+        lambda depth, k, mode: dl.make_ladder(dl.LadderSpec(depth, k, mode)),
+        st.integers(2, 60),
+        st.sampled_from([0.0, 0.5, 1.0, 3.3]),
+        st.sampled_from(["sqrt_n", "unit"]),
+    ),
+    st.builds(
+        lambda depth, branching: dl.make_tree(dl.TreeSpec(depth, branching and tuple(sorted(branching[:depth])))),
+        st.integers(1, 3),
+        st.none() | st.lists(st.integers(3, 5), min_size=3, max_size=3),
+    ),
+    st.builds(
+        dl.make_random_balanced, st.integers(3, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0)
+    ),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(GENERATED)
+def test_generators_match_the_label_constructor(g):
+    assert_bitwise_equal(g, rebuilt_by_labels(g))
+    assert_bitwise_equal(dl.symmetrize(g), symmetrized_by_labels(g))
+
+
+def csr_digest(g):
+    h = hashlib.sha256("\n".join(g.labels).encode())
+    for a in (g._m, g._ptr, g._nbr, g._b_out, g._b_in):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("sqrt_n", "4566bac2fff99060e99a186fbf9eeecdede65eb36ddfcf9a6bebe136136112ae"),
+        ("unit", "79e17d5eda2465bebe2a4c07ec474a107eb6d6e1b6cd910293860b209f7675d5"),
+    ],
+)
+def test_benchmark_ladders_keep_their_arrays(mode, digest):
+    # Digests of the labels and CSR arrays of the label-built ladders (N = 150).
+    assert csr_digest(dl.make_ladder(dl.LadderSpec(150, measure_mode=mode))) == digest
+
+
+@pytest.mark.parametrize("k, shown", [(float("nan"), "nan"), (float("inf"), "inf")])
+def test_non_finite_ladder_drift_is_a_graph_error(k, shown):
+    spec = dl.LadderSpec(depth=3, k=k)
+    with pytest.raises(GraphError, match=rf"^edge 0 \('x0' -> 'x1'\): weight must be finite and > 0, got {shown}$"):
+        dl.make_ladder(spec)
+
+
+def test_generators_do_not_go_through_the_label_constructor(monkeypatch):
+    import dirlap.graph as graph
+
+    def label_path(*args, **kwargs):
+        raise AssertionError("built through the label constructor")
+
+    monkeypatch.setattr(graph, "_positive", label_path, raising=False)
+    monkeypatch.setattr(graph, "_float", label_path, raising=False)
+    monkeypatch.setattr(dl.DirectedGraph, "__init__", label_path)
+    graphs = [
+        dl.make_ladder(dl.LadderSpec(depth=6)),
+        dl.make_ladder(dl.LadderSpec(depth=6, k=0.0, measure_mode="unit")),
+        dl.make_tree(dl.TreeSpec(depth=2)),
+        dl.make_random_balanced(12, seed=4),
+    ]
+    for g in graphs:
+        assert dl.symmetrize(g).is_symmetric()

@@ -63,6 +63,74 @@ def test_rejects_duplicates_and_unknown_endpoints():
         dl.DirectedGraph([("a", 1.0), ("b", 1.0)], [("a", "zz", 1.0)])
 
 
+def from_arrays(measures=(1.0, 1.0, 1.0), sources=(0, 1, 1), targets=(1, 2, 0), weights=(1.0, 1.0, 2.0)):
+    """The array core on the labels a, b, c (by default the path a -> b -> c with b -> a)."""
+    return dl.DirectedGraph._from_arrays(
+        ["a", "b", "c", "d"][: len(measures)], measures, sources, targets, weights, exact_weights=False
+    )
+
+
+BAD_VALUES = [(0.0, "0.0"), (-1.5, "-1.5"), (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")]
+
+
+@pytest.mark.parametrize("value, shown", BAD_VALUES)
+def test_array_core_names_the_first_bad_value(value, shown):
+    with pytest.raises(GraphError, match=rf"^edge 1 \('b' -> 'c'\): weight must be finite and > 0, got {shown}$"):
+        from_arrays(weights=(1.0, value, value))
+    with pytest.raises(GraphError, match=rf"^vertex 'b': measure must be finite and > 0, got {shown}$"):
+        from_arrays(measures=(1.0, value, value))
+
+
+@pytest.mark.parametrize(
+    "sources, targets, message",
+    [
+        ((0, 1, 2), (1, 2, 2), "edge 2 ('c' -> 'c'): loops are not allowed"),
+        ((0, 1, 0), (1, 2, 1), "edge 2 ('a' -> 'b'): duplicate edge"),
+        ((0, 1, 1), (1, 3, 0), "edge 1 ('b' -> 3): unknown vertex 3"),
+        ((0, -1, 1), (1, 2, 0), "edge 1 (-1 -> 'c'): unknown vertex -1"),
+        # A later edge may carry several faults; the first faulty edge and its first fault are named.
+        ((0, 1, 1), (1, 1, 9), "edge 1 ('b' -> 'b'): loops are not allowed"),
+        ((0, 0, 1), (1, 1, 1), "edge 1 ('a' -> 'b'): duplicate edge"),
+        ((9, 1, 1), (9, 2, 0), "edge 0 (9 -> 9): unknown vertex 9"),
+    ],
+)
+def test_array_core_names_the_first_faulty_edge(sources, targets, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        from_arrays(sources=sources, targets=targets)
+
+
+def test_array_core_rejects_isolated_and_disconnected_graphs():
+    with pytest.raises(GraphError, match="^vertex 'c' has no incident edge$"):
+        from_arrays(sources=(0,), targets=(1,), weights=(1.0,))
+    with pytest.raises(GraphError, match="^graph is not weakly connected: vertex 'c' unreachable from 'a'$"):
+        from_arrays(measures=(1.0,) * 4, sources=(0, 2), targets=(1, 3), weights=(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        # The first faulty edge by position, whatever the fault of a later one.
+        ([("a", 1), ("b", 1)], [("a", "b", 1), ("b", "a", 0), ("a", "zz", 1)],
+         "edge 1 ('b' -> 'a'): weight must be finite and > 0, got 0"),
+        ([("a", 1), ("b", 1)], [("a", "b", 1), ("a", "zz", 1), ("b", "a", 0)], "edge 1 ('a' -> 'zz'): unknown vertex 'zz'"),
+        ([("a", 1), ("b", 1)], [("a", "b", 1), ("b", "b", "x"), ("a", "b", 1)], "edge 1 ('b' -> 'b'): loops are not allowed"),
+        ([("a", 1), ("b", 1)], [("a", "b", 1), ("a", "b", "x"), ("b", "a", 1)],
+         "edge 1 ('a' -> 'b'): weight must be finite and > 0, got 'x'"),
+        ([("a", 1), ("b", 1)], [("a", "b", 1), ("b", "a", None), ("a", "b", 2)],
+         "edge 1 ('b' -> 'a'): weight must be finite and > 0, got None"),
+        ([("a", 1), ("b", 1)], [("a", "b", 1), ("b", "a", 1), ("a", "b", 2), ("b", "b", 1)],
+         "edge 2 ('a' -> 'b'): duplicate edge"),
+        # The first faulty vertex by position, before any edge.
+        ([("a", 1), ("b", "m"), ("a", 1)], [("a", "q", 1)], "vertex 'b': measure must be finite and > 0, got 'm'"),
+        ([("a", 1), ("a", 0), ("b", 0)], [("a", "q", 1)], "duplicate vertex 'a'"),
+        ([], [("a", "q", 1)], "graph needs at least one vertex"),
+    ],
+)
+def test_label_constructor_names_the_first_fault_by_position(vertices, edges, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        dl.DirectedGraph(vertices, edges)
+
+
 def test_accessors(single_edge):
     g = single_edge
     assert len(g) == 2

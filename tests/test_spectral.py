@@ -568,6 +568,42 @@ def test_certificate_sweeps_no_boundary(ladder_sqrt, monkeypatch):
     assert dl.accretivity_certificate(ladder_sqrt, ball_) == expected
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        dl.make_ladder(dl.LadderSpec(depth=20)),
+        dl.make_tree(dl.TreeSpec(depth=2)),
+        dl.make_random_balanced(30, seed=5, density=1.0),
+    ],
+    ids=["ladder", "tree", "random"],
+)
+def test_shifted_factors_match_the_setdiag_construction(graph, monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    import dirlap.spectral as spectral
+
+    frame = spectral._standard_frame(dl.assemble(graph, dl.full_ball(graph, 0), "laplacian"))
+    sector = frame.sym.astype(complex)
+    sector.data[:] = -0.5 * frame.sym.data - 1j * frame.skew.data
+    splu, factors = sla.splu, []
+
+    def recorded(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(sla, "splu", recorded)
+    for h in (-frame.sym, frame.sym, sector):
+        for sigma in (-1.0, -frame.min_real, 0.0, 0.25, 1.0 + frame.tol):
+            factors.clear()
+            spectral._negative_definite(h, sigma)
+            shifted = h.copy()
+            shifted.setdiag(h.diagonal() - sigma)
+            reference = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            (lu,) = factors
+            assert np.array_equal(lu.perm_r, reference.perm_r) and np.array_equal(lu.perm_c, reference.perm_c)
+            assert lu.U.diagonal().tobytes() == reference.U.diagonal().tobytes()
+
+
 def test_certificate_runs_one_breadth_first_search(ladder_sqrt, monkeypatch):
     import dirlap.graph as graph
 
