@@ -19,7 +19,8 @@ Every graph is built by one array core from vertex ids: a measure array and
 the edges as source, target and weight arrays, validated with whole-array
 checks.  The generators and :func:`symmetrize` call it directly; the label
 constructor ``DirectedGraph(vertices, edges)`` interns the labels to ids and
-converts the values first.
+converts the values first.  The graph keeps the distances from id 0 (every
+generator's root) that its connectivity check computes.
 
 Checkers implemented in this module:
 
@@ -119,6 +120,11 @@ def _float(value) -> float:
         return math.nan
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _not_positive(values: np.ndarray) -> np.ndarray:
     """Mask of the values that are not finite and > 0 (NaN included)."""
     return ~((0.0 < values) & (values < math.inf))
@@ -152,7 +158,7 @@ class DirectedGraph:
     check, so it never hides inside an interior set.
     """
 
-    __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "exact_weights")
+    __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "_dist0", "exact_weights")
 
     def __init__(
         self,
@@ -232,7 +238,7 @@ class DirectedGraph:
             missing = labels[int(np.argmin(dist))]
             raise GraphError(f"graph is not weakly connected: vertex {missing!r} unreachable from {labels[0]!r}")
 
-        for arr in (m_arr, ptr, nbr, b_out, b_in):
+        for arr in (m_arr, ptr, nbr, b_out, b_in, dist):
             arr.setflags(write=False)
         self._labels = labels
         self._index = index
@@ -241,6 +247,7 @@ class DirectedGraph:
         self._nbr = nbr
         self._b_out = b_out
         self._b_in = b_in
+        self._dist0 = dist
         self.exact_weights = bool(exact_weights)
 
     # -- basic accessors ---------------------------------------------------
@@ -527,9 +534,9 @@ def check_total_asymmetry(g: DirectedGraph, interior: Iterable[VertexId]) -> flo
 
 
 def combinatorial_distance(g: DirectedGraph, x0: VertexId) -> np.ndarray:
-    """Breadth-first distances over undirected edges, indexed by vertex id."""
+    """Breadth-first distances over undirected edges, as a read-only array indexed by vertex id."""
     g.require_vertex(x0)
-    return _distances(g._ptr, g._nbr, int(x0))
+    return g._dist0 if x0 == 0 else _read_only(_distances(g._ptr, g._nbr, int(x0)))
 
 
 def spheres(g: DirectedGraph, x0: VertexId, n_max: int | None = None) -> list[tuple[int, ...]]:

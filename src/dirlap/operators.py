@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ball, DirectedGraph, GraphError, _row_sums, _vertex_array
+from .graph import Ball, DirectedGraph, GraphError, _read_only, _row_sums, _vertex_array
 
 __all__ = [
     "KINDS",
@@ -48,22 +48,18 @@ __all__ = [
 KINDS = ("laplacian", "adjoint", "symmetric_part", "skew_part")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, init=False)
 class TruncatedOperator:
     """A real matrix acting on functions supported in a ball, stored as CSR arrays.
 
-    ``matrix`` is a dense square array, or the triple ``(data, indices,
-    indptr)`` in the layout of ``scipy.sparse.csr_matrix``, which must hold
-    ascending column indices in each row and no duplicates.  Only the
-    read-only arrays ``data``, ``indices`` and ``indptr`` are kept, with no
-    dense copy; :meth:`dense` (or ``matrix``) forms the n-by-n array on
-    request.  A dense input keeps its nonzeros and its whole diagonal, as
-    :func:`assemble` does.
+    Invariant: the stored pattern is symmetric and holds the whole diagonal
+    (a stored value may be 0.0), so the spectral frame reads a^T on it.
+    ``matrix`` is a dense square array, which stores its entries where it or
+    its transpose is nonzero, plus the diagonal; or the triple ``(data,
+    indices, indptr)`` in the layout of ``scipy.sparse.csr_matrix``, which
+    must hold such a pattern with ascending column indices in each row and no
+    duplicates (the frame raises :class:`GraphError` otherwise).  Only these
+    three read-only arrays are kept; :meth:`dense` forms the n-by-n array.
 
     ``vertices[i]`` is the host vertex of row i; ``measure_vector[i]`` its
     measure, defining the weighted inner product.  ``ball`` gives
@@ -87,7 +83,8 @@ class TruncatedOperator:
             dense = np.array(matrix, dtype=float)
             if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
                 raise GraphError("operator matrix must be square")
-            rows, indices = np.nonzero((dense != 0.0) | np.eye(len(dense), dtype=bool))
+            stored = dense != 0.0
+            rows, indices = np.nonzero(stored | stored.T | np.eye(len(dense), dtype=bool))
             data = dense[rows, indices]
             indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
         n = len(indptr) - 1
@@ -121,11 +118,6 @@ class TruncatedOperator:
         matrix = np.zeros((self.n, self.n))
         matrix[self._entry_rows(), self.indices] = self.data
         return matrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The same new dense array as :meth:`dense`."""
-        return self.dense()
 
     @property
     def interior_rows(self) -> np.ndarray:

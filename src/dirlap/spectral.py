@@ -10,7 +10,8 @@ previous angle; the factorization's negative pivots certify that a shift
 lies above the spectrum, and a point is emitted only once a shift within
 the tolerance below certifies.  All weighted quantities are reduced to
 standard ones once, in the :class:`Frame` that every verdict reads; it is
-built from the operator's CSR arrays in O(nnz) and holds no n-by-n array.
+built in O(nnz) on the operator's own symmetric CSR pattern and holds no
+n-by-n array.
 
 min Re W = lambda_min(S), S the Hermitian part, decides accretivity and the
 Cheeger bound.  It comes from the same inertia machinery: inverse iteration
@@ -58,6 +59,7 @@ from .graph import (
     _cutoffs,
     _finite,
     _tolerance,
+    _vertex_array,
     check_asymmetry,
     check_kirchhoff,
     check_total_asymmetry,
@@ -86,8 +88,8 @@ __all__ = [
 class Frame(NamedTuple):
     """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0).
 
-    ``a``, S = ``sym`` and K = ``skew`` share the CSC pattern of a + a^T plus
-    the diagonal, built from the operator's CSR arrays in O(nnz) with no
+    ``a``, S = ``sym`` and K = ``skew`` are CSC matrices on the operator's own
+    CSR pattern, filled in O(nnz) by one transposition with no sort, hash or
     n-by-n array; ``min_real`` = lambda_min(S) = min Re W(a), from
     :func:`_lowest_eigenvalue`, and ``tol`` is the tolerance of a.  The
     scaling is exact and every later step is homogeneous, so results of a
@@ -131,10 +133,9 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
     :class:`NumericError`, as its rounding is not relative to ||A||_F."""
     import scipy.sparse as sparse
 
-    n = op.n
-    rows, cols = op._entry_rows(), op.indices
+    n, rows = op.n, op._entry_rows()
     d = np.sqrt(op.measure_vector)
-    values = op.data * d[rows] / d[cols]
+    values = op.data * d[rows] / d[op.indices]
     if np.any((values != 0.0) & (np.abs(values) < np.finfo(float).tiny)):
         raise NumericError("the operator has subnormal entries, whose rounding no tolerance covers")
     # The Frobenius norm bounds the spectral norm and costs one pass over the
@@ -142,22 +143,16 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
     norm = _finite(scipy.linalg.norm(values[values != 0.0], check_finite=False), "the norm of the operator")
     norm, e = math.frexp(norm)
     np.ldexp(values, -e, out=values)
-    # Entries are keyed row * n + column; the CSR keys ascend, so a lookup is one search.
-    keys = rows * n + cols
-    nonzero = values != 0.0
-    pattern = np.unique(np.concatenate([keys[nonzero], (cols * n + rows)[nonzero], np.arange(n) * (n + 1)]))
-    # In column-major order: pattern entry k sits in row pattern_rows[k] of column pattern_cols[k].
-    pattern_cols, pattern_rows = np.divmod(pattern, n)
-
-    def entries(wanted: np.ndarray) -> np.ndarray:
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        return np.where(keys[at] == wanted, values[at], 0.0)
-
-    a_ij, a_ji = entries(pattern_rows * n + pattern_cols), entries(pattern_cols * n + pattern_rows)
-    indptr = np.searchsorted(pattern_cols, np.arange(n + 1))
+    # The CSR arrays of a are the CSC arrays of a^T, so on the operator's symmetric
+    # pattern ``values`` holds a_ji and the transpose (Gustavson's counting pass) holds a_ij.
+    transpose = sparse.csr_matrix((values, op.indices, op.indptr), shape=(n, n)).tocsc()
+    same = np.array_equal(transpose.indices, op.indices) and np.array_equal(transpose.indptr, op.indptr)
+    if not same or np.count_nonzero(op.indices == rows) < n:
+        raise GraphError("the operator's sparsity pattern is not symmetric with the whole diagonal")
+    a_ij, a_ji = transpose.data, values
 
     def csc(data: np.ndarray):
-        return sparse.csc_matrix((data, pattern_rows, indptr), shape=(n, n))
+        return sparse.csc_matrix((data, op.indices, op.indptr), shape=(n, n))
 
     sym = csc((a_ij + a_ji) / 2.0)
     return Frame(csc(a_ij), sym, csc(a_ij / 2.0 - a_ji / 2.0), _lowest_eigenvalue(sym), _tolerance(n, norm), e)
@@ -362,15 +357,11 @@ class Sector:
     def slope(self) -> float:
         return math.tan(self.half_angle)
 
-    def contains(self, points: Iterable[complex], slack: float = 0.0) -> bool:
-        pts = np.asarray(list(points), dtype=complex)
-        return bool(np.all(np.abs(pts.imag) <= self.slope * (pts.real - self.vertex) + slack))
-
 
 def _sector(frame: Frame, c: float) -> tuple[Sector, bool]:
     """:func:`check_sector` on a scaled frame of :func:`_standard_frame`."""
-    if c < 0:
-        raise GraphError("asymmetry constant must be >= 0")
+    if not 0.0 <= c < math.inf:
+        raise GraphError(f"asymmetry constant must be finite and >= 0, got {c!r}")
     slope = c / 8.0
     h = frame.sym.astype(complex)
     h.data[:] = -slope * frame.sym.data - 1j * frame.skew.data
@@ -507,7 +498,7 @@ def cheeger_bruteforce(
 def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> CheegerResult:
     """Minimum boundary quotient over a nested increasing family of proper subsets."""
     _require_unit_symmetric(g)
-    sets = [frozenset(int(v) for v in member) for member in family]
+    sets = [frozenset(_vertex_array(g, member).tolist()) for member in family]
     if not sets:
         raise GraphError("family must not be empty")
     all_vertices = frozenset(g.vertex_ids())
@@ -546,8 +537,8 @@ def _cheeger_bound(h: float, g: DirectedGraph, min_real: float, tol: float) -> C
 
 def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound:
     """Check min Re W(truncation) >= h^2 / (2 M) with M the host max degree."""
-    if h < 0:
-        raise GraphError("Cheeger constant must be >= 0")
+    if not 0.0 <= h < math.inf:
+        raise GraphError(f"Cheeger constant must be finite and >= 0, got {h!r}")
     if not np.all(g.measures == 1.0):
         raise GraphError("the Cheeger lower bound requires unit vertex measure")
     return _cheeger_bound(h, g, *_standard_frame(assemble(g, ball_, "laplacian")).unscaled)
@@ -623,7 +614,7 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> Certificate:
     asym = check_asymmetry(g, interior)
     sector_constant = check_asymmetry(g, ball_.vertices)
 
-    # One breadth-first search serves every probe ball and the cutoffs.
+    # One distance array serves every probe ball and the cutoffs.
     dist = combinatorial_distance(g, ball_.root)
     radii = sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2), max(1, ball_.radius)})
     # The interior of the ball of radius r >= 1 holds its root, so no probe is empty.

@@ -168,7 +168,7 @@ def test_criterion_06_accretiveness(roster):
         worst_min_real = min(worst_min_real, float(np.linalg.eigvalsh((a_std + a_std.T) / 2.0)[0]))
         f = RNG.standard_normal((op.n, 1000)) + 1j * RNG.standard_normal((op.n, 1000))
         m = op.measure_vector[:, None]
-        forms = np.real(np.sum(m * (op.matrix @ f) * np.conj(f), axis=0)) / np.sum(
+        forms = np.real(np.sum(m * (op.dense() @ f) * np.conj(f), axis=0)) / np.sum(
             m * np.abs(f) ** 2, axis=0
         )
         worst_form = min(worst_form, float(forms.min()))
@@ -186,9 +186,9 @@ def test_criterion_07_relative_bound(roster):
         c = dl.check_asymmetry(g, ball_.vertices)
         m = sym.measure_vector[:, None]
         f = interior_random_vectors(sym, 1000, RNG)
-        lhs = np.sum(m * np.abs(skew.matrix @ f) ** 2, axis=0)
+        lhs = np.sum(m * np.abs(skew.dense() @ f) ** 2, axis=0)
         rhs = (c * c / 4.0) * np.sum(m * np.abs(f) ** 2, axis=0) + 0.25 * np.sum(
-            m * np.abs(sym.matrix @ f) ** 2, axis=0
+            m * np.abs(sym.dense() @ f) ** 2, axis=0
         )
         worst = max(worst, float(np.max((lhs - rhs) / (1.0 + rhs))))
     ok = worst <= 1e-10

@@ -209,9 +209,10 @@ def test_radius_below_one_is_an_input_error(tmp_path, capsys, command, radius):
 @pytest.mark.parametrize(
     "argv, searches",
     [
-        # The graph's connectivity check, the default radius and ball, and the certificate's cutoffs.
-        (["certify", "--gen", "ladder", "--N", "12"], 3),
-        (["evolve", "--gen", "ladder", "--N", "12", "--measure", "unit", "--t", "0:1:0.5"], 2),
+        # The graph's connectivity check searches from the root x0; the default radius and
+        # ball and the certificate's probes and cutoffs reuse its distances.
+        (["certify", "--gen", "ladder", "--N", "12"], 1),
+        (["evolve", "--gen", "ladder", "--N", "12", "--measure", "unit", "--t", "0:1:0.5"], 1),
     ],
 )
 def test_default_ball_runs_one_breadth_first_search(capsys, monkeypatch, argv, searches):
@@ -228,6 +229,17 @@ def test_default_ball_runs_one_breadth_first_search(capsys, monkeypatch, argv, s
     assert code == 0 and len(roots) == searches
     monkeypatch.undo()
     assert run(capsys, *argv) == (code, out, "")
+
+
+def test_certify_at_another_root_reads_its_own_distances(capsys):
+    # Root y5 is not id 0, so the stored distances from x0 must not stand in for its own.
+    g = dl.make_ladder(dl.LadderSpec(depth=20))
+    code, out, _ = run(capsys, "certify", "--gen", "ladder", "--root", "y5", "--radius", "6")
+    report = json.loads(out)
+    cert = dl.accretivity_certificate(g, dl.ball(g, g.index("y5"), 6))
+    assert code == 0
+    assert {key: report[key] for key in cert.to_dict()} == json.loads(json.dumps(cert.to_dict()))
+    assert report["interior_size"] == cert.interior_size
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

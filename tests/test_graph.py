@@ -323,6 +323,10 @@ def test_distance_path():
         [("u", "v", 1.0), ("v", "u", 1.0), ("v", "w", 1.0), ("w", "v", 1.0)],
     )
     assert dl.combinatorial_distance(g, 0)[2] == 2
+    # Root 0's distances are the graph's own; every root's are read-only alike.
+    for root, expected in ((0, [0, 1, 2]), (2, [2, 1, 0])):
+        dist = dl.combinatorial_distance(g, root)
+        assert dist.tolist() == expected and not dist.flags.writeable
 
 
 def test_ball_structure(ladder_sqrt):

@@ -60,7 +60,7 @@ def naive_matrices(g, ball_):
 
 def test_two_vertex_symmetric_matrix(two_vertex_symmetric):
     op = dl.assemble(two_vertex_symmetric, dl.full_ball(two_vertex_symmetric, 0), "laplacian")
-    assert op.matrix.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+    assert op.dense().tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def test_assemble_matches_naive_loops(ladder_sqrt, tree4, random_graphs):
@@ -68,7 +68,7 @@ def test_assemble_matches_naive_loops(ladder_sqrt, tree4, random_graphs):
     cases += [(g, dl.ball(g, 0, 1)) for g in random_graphs]
     for g, b in cases:
         for kind, expected in naive_matrices(g, b).items():
-            assert dl.assemble(g, b, kind).matrix.tobytes() == expected.tobytes()
+            assert dl.assemble(g, b, kind).dense().tobytes() == expected.tobytes()
 
 
 def test_full_diagonal_keeps_out_of_ball_strength(ladder_sqrt):
@@ -76,14 +76,14 @@ def test_full_diagonal_keeps_out_of_ball_strength(ladder_sqrt):
     b = dl.ball(g, 0, 3)
     op = dl.assemble(g, b, "laplacian")
     i = op.row_of(g.index("x3"))
-    assert op.matrix[i, i] == dl.out_strength(g, g.index("x3")) / g.measure(g.index("x3"))
+    assert op.dense()[i, i] == dl.out_strength(g, g.index("x3")) / g.measure(g.index("x3"))
 
 
 def test_symmetric_part_equals_symmetrized_laplacian(ladder_sqrt, ladder_unit):
     for g, exact in ((ladder_unit, True), (ladder_sqrt, False)):
         b = dl.ball(g, 0, 4)
-        h = dl.assemble(g, b, "symmetric_part").matrix
-        h_direct = dl.assemble(dl.symmetrize(g), b, "laplacian").matrix
+        h = dl.assemble(g, b, "symmetric_part").dense()
+        h_direct = dl.assemble(dl.symmetrize(g), b, "laplacian").dense()
         if exact:
             assert np.array_equal(h, h_direct)
         else:
@@ -93,9 +93,9 @@ def test_symmetric_part_equals_symmetrized_laplacian(ladder_sqrt, ladder_unit):
 def test_decomposition_identity(ladder_unit, ladder_sqrt, tree4):
     for g, bitwise in ((ladder_unit, True), (tree4, True), (ladder_sqrt, False)):
         b = dl.ball(g, 0, 3)
-        lap = dl.assemble(g, b, "laplacian").matrix
-        sym = dl.assemble(g, b, "symmetric_part").matrix
-        skew = dl.assemble(g, b, "skew_part").matrix
+        lap = dl.assemble(g, b, "laplacian").dense()
+        sym = dl.assemble(g, b, "symmetric_part").dense()
+        skew = dl.assemble(g, b, "skew_part").dense()
         if bitwise:
             assert np.array_equal(lap, sym + skew)
         else:
@@ -105,14 +105,14 @@ def test_decomposition_identity(ladder_unit, ladder_sqrt, tree4):
 def test_offdiagonal_signs(ladder_sqrt):
     b = dl.ball(ladder_sqrt, 0, 4)
     for kind in ("laplacian", "adjoint", "symmetric_part"):
-        matrix = dl.assemble(ladder_sqrt, b, kind).matrix.copy()
+        matrix = dl.assemble(ladder_sqrt, b, kind).dense()
         np.fill_diagonal(matrix, 0.0)
         assert np.all(matrix <= 0.0)
 
 
 def test_skew_part_of_symmetric_graph_vanishes(two_vertex_symmetric):
     op = dl.assemble(two_vertex_symmetric, dl.full_ball(two_vertex_symmetric, 0), "skew_part")
-    assert np.all(op.matrix == 0.0)
+    assert np.all(op.dense() == 0.0)
 
 
 def test_assemble_rejects_unknown_kind(ladder_sqrt):
@@ -124,7 +124,7 @@ def test_assemble_near_the_float_limit():
     # a <-> b at 1e308 both ways: b + b~ overflows, b/2 + b~/2 does not.
     edges = [("a", "b", 1e308), ("b", "a", 1e308), ("b", "c", 1.0), ("c", "b", 1.0)]
     g = dl.DirectedGraph([(v, 1.0) for v in "abc"], edges)
-    matrices = {kind: dl.assemble(g, dl.full_ball(g, 0), kind).matrix for kind in dl.KINDS}
+    matrices = {kind: dl.assemble(g, dl.full_ball(g, 0), kind).dense() for kind in dl.KINDS}
     assert np.all(np.isfinite(matrices["laplacian"]))
     # The graph is symmetric, so every kind is the Laplacian or zero.
     assert np.array_equal(matrices["adjoint"], matrices["laplacian"])
@@ -160,7 +160,7 @@ def test_weighted_dot_unit_measure_is_standard():
 
 def test_similarity_identity_for_unit_measure(ladder_unit):
     op = dl.assemble(ladder_unit, dl.ball(ladder_unit, 0, 4), "laplacian")
-    assert np.array_equal(dl.similarity_to_standard(op), op.matrix)
+    assert np.array_equal(dl.similarity_to_standard(op), op.dense())
 
 
 def test_similarity_preserves_quadratic_form(ladder_sqrt):
@@ -168,7 +168,7 @@ def test_similarity_preserves_quadratic_form(ladder_sqrt):
     a_std = dl.similarity_to_standard(op)
     f = RNG.standard_normal(op.n) + 1j * RNG.standard_normal(op.n)
     g_std = np.sqrt(op.measure_vector) * f
-    weighted = dl.weighted_dot(op.matrix @ f, f, op.measure_vector)
+    weighted = dl.weighted_dot(op.dense() @ f, f, op.measure_vector)
     standard = np.vdot(g_std, a_std @ g_std)
     assert weighted == pytest.approx(complex(standard), rel=1e-12)
 
@@ -193,8 +193,8 @@ def test_adjoint_pairing(ladder_sqrt):
     adj = dl.assemble(ladder_sqrt, b, "adjoint")
     f = RNG.standard_normal(lap.n) + 1j * RNG.standard_normal(lap.n)
     h = RNG.standard_normal(lap.n) + 1j * RNG.standard_normal(lap.n)
-    lhs = dl.weighted_dot(lap.matrix @ f, h, lap.measure_vector)
-    rhs = dl.weighted_dot(f, adj.matrix @ h, lap.measure_vector)
+    lhs = dl.weighted_dot(lap.dense() @ f, h, lap.measure_vector)
+    rhs = dl.weighted_dot(f, adj.dense() @ h, lap.measure_vector)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -239,7 +239,7 @@ def test_green_identity_real_diagonal_is_edge_energy(ladder_sqrt):
     f = interior_random_vectors(op, 1, RNG, complex_values=False)[:, 0].real
     lhs, rhs = naive_green_sides(g, b, f, f)
     assert rhs.real >= 0.0
-    assert lhs == pytest.approx(2.0 * dl.weighted_dot(op.matrix @ f, f, op.measure_vector).real)
+    assert lhs == pytest.approx(2.0 * dl.weighted_dot(op.dense() @ f, f, op.measure_vector).real)
 
 
 def test_green_residual_locally_constant_vanishes(ladder_sqrt):
@@ -282,9 +282,9 @@ def test_relative_bound(ladder_sqrt, tree4, random_graphs):
         c = dl.check_asymmetry(g, b.vertices)
         m = sym.measure_vector
         f = interior_random_vectors(sym, 300, RNG)
-        lhs = np.sum(m[:, None] * np.abs(skew.matrix @ f) ** 2, axis=0)
+        lhs = np.sum(m[:, None] * np.abs(skew.dense() @ f) ** 2, axis=0)
         rhs = (c * c / 4.0) * np.sum(m[:, None] * np.abs(f) ** 2, axis=0) + 0.25 * np.sum(
-            m[:, None] * np.abs(sym.matrix @ f) ** 2, axis=0
+            m[:, None] * np.abs(sym.dense() @ f) ** 2, axis=0
         )
         assert np.all(lhs <= rhs + 1e-10 * (1.0 + rhs))
 
@@ -297,6 +297,6 @@ def test_sector_form_bound(ladder_sqrt, tree4):
         m = sym.measure_vector
         f = interior_random_vectors(sym, 300, RNG)
         f = f / np.sqrt(np.sum(m[:, None] * np.abs(f) ** 2, axis=0))
-        bf = np.abs(np.sum(m[:, None] * (skew.matrix @ f) * np.conj(f), axis=0))
-        hf = np.real(np.sum(m[:, None] * (sym.matrix @ f) * np.conj(f), axis=0))
+        bf = np.abs(np.sum(m[:, None] * (skew.dense() @ f) * np.conj(f), axis=0))
+        hf = np.real(np.sum(m[:, None] * (sym.dense() @ f) * np.conj(f), axis=0))
         assert np.all(2.0 * bf <= 1.0 + (c / 4.0) * hf + 1e-10)

@@ -250,7 +250,7 @@ def test_resolvent_grid(ladder_sqrt, random_graphs):
 def test_shifted_norm_lower_bound(ladder_sqrt):
     # ||(A + lam) f|| >= Re(lam) ||f|| on accretive truncations
     op = laplacian_on_ball(ladder_sqrt, 8)
-    a = op.matrix.astype(complex)
+    a = op.dense().astype(complex)
     for lam in (0.5, 1.0 + 3.0j, 4.0 - 2.0j):
         shifted = a + lam * np.eye(op.n)
         for _ in range(20):
@@ -531,7 +531,7 @@ def test_positivity_two_vertex_closed_form(two_vertex_symmetric):
             [1.0 - math.exp(-2 * t), 1.0 + math.exp(-2 * t)],
         ]
     )
-    assert np.allclose(scipy.linalg.expm(-t * op.matrix), expected, rtol=1e-12)
+    assert np.allclose(scipy.linalg.expm(-t * op.dense()), expected, rtol=1e-12)
     assert dl.positivity_check(op, t)
 
 
@@ -554,7 +554,7 @@ def test_positivity_time_zero_and_skew(ladder_sqrt):
 def test_difference_quotient_converges_first_order(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 5)
     v = RNG.standard_normal(op.n)
-    av = op.matrix @ v
+    av = op.dense() @ v
     errors = []
     for h in (1e-3, 1e-4):
         approx = (v - dl.expm_apply(op, h, v)) / h

@@ -61,7 +61,7 @@ def test_nilpotent_two_by_two_circle():
     # sampling oracle: the extremal modulus over many random unit vectors
     f = RNG.standard_normal((2, 10**6)) + 1j * RNG.standard_normal((2, 10**6))
     f /= np.linalg.norm(f, axis=0)
-    values = np.abs(np.sum(np.conj(f) * (op.matrix @ f), axis=0))
+    values = np.abs(np.sum(np.conj(f) * (op.dense() @ f), axis=0))
     assert values.max() <= 0.5 + 1e-12
     assert values.max() >= 0.5 - 1e-3
 
@@ -129,6 +129,41 @@ def test_sweep_matches_dense_support_values(request, name, n_angles):
 def test_sweep_around_the_size_cutoff(matrix, n_angles):
     op = dl.TruncatedOperator(np.array(matrix), np.arange(1.0, len(matrix) + 1.0), "laplacian")
     assert_matches_dense_sweep(op, n_angles)
+
+
+@pytest.mark.parametrize(
+    "csr",
+    [
+        # Entry (0, 1) is stored and (1, 0) is not.
+        ([2.0, -1.0, 1.0], [0, 1, 1], [0, 2, 3]),
+        # A symmetric pattern without the diagonal of row 1.
+        ([1.0, -1.0, -1.0], [0, 1, 0], [0, 2, 3]),
+    ],
+    ids=["asymmetric", "no-diagonal"],
+)
+def test_frame_rejects_a_pattern_it_cannot_transpose(csr):
+    op = dl.TruncatedOperator(tuple(np.array(a) for a in csr), np.ones(2), "laplacian")
+    with pytest.raises(GraphError, match="pattern"):
+        dl.numrange_boundary(op, 8)
+
+
+def test_frame_neither_sorts_nor_hashes(ladder_sqrt, monkeypatch):
+    import dirlap.spectral as spectral
+
+    op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 10), "laplacian")
+    expected = spectral._standard_frame(op)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the frame sorted or hashed its pattern")
+
+    for name in ("unique", "searchsorted", "lexsort"):
+        monkeypatch.setattr(np, name, forbidden)
+    frame = spectral._standard_frame(op)
+    monkeypatch.undo()
+    for got, want in zip(frame[:3], expected[:3]):
+        assert np.array_equal(got.indices, op.indices) and np.array_equal(got.indptr, op.indptr)
+        assert got.data.tobytes() == want.data.tobytes()
+    assert frame[3:] == expected[3:]
 
 
 def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatch):
@@ -251,8 +286,7 @@ def test_relabeling_keeps_verdicts_and_support_values(request, name, root, radiu
 
 def test_sector_geometry():
     sector = dl.Sector(vertex=-1.0, half_angle=math.atan(0.5))
-    assert sector.contains([0.0, 1.0 + 0.99j])
-    assert not sector.contains([1.0 + 1.1j])
+    assert sector.slope == pytest.approx(0.5, rel=1e-15)
     with pytest.raises(GraphError):
         dl.Sector(vertex=0.0, half_angle=np.pi / 2)
 
@@ -358,6 +392,17 @@ def test_sector_verdict_is_one_factorization(monkeypatch):
     assert kinds.count("c") == 2 and set(kinds) == {"c", "f"}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_constants_are_input_errors(ladder_unit, value):
+    # A non-finite constant is a malformed input, never a verdict.
+    ball_ = dl.ball(ladder_unit, 0, 4)
+    sample = dl.numrange_boundary(dl.assemble(ladder_unit, ball_, "laplacian"), 8)
+    with pytest.raises(GraphError, match="finite"):
+        dl.cheeger_bound_check(ladder_unit, ball_, value)
+    with pytest.raises(GraphError, match="finite"):
+        dl.check_sector(sample, value)
+
+
 def test_check_sector_rejects_negative_constant(two_vertex_symmetric):
     op = dl.assemble(two_vertex_symmetric, dl.full_ball(two_vertex_symmetric, 0), "laplacian")
     sample = dl.numrange_boundary(op, 8)
@@ -369,7 +414,8 @@ def test_fit_sector(ladder_sqrt):
     op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 8), "laplacian")
     sample = dl.numrange_boundary(op, 90)
     sector = dl.fit_sector(sample, vertex=-1.0)
-    assert sector.contains(sample.points, slack=1e-12)
+    pts = sample.points
+    assert np.all(np.abs(pts.imag) <= sector.slope * (pts.real - sector.vertex) + 1e-12)
     tighter = dl.fit_sector(sample, vertex=-10.0)
     assert tighter.half_angle < sector.half_angle
     with pytest.raises(GraphError):
@@ -450,6 +496,10 @@ def test_cheeger_nested_validation(ladder_unit):
         dl.cheeger_nested(g_sym, [(0, 1, 2), (3, 4)])
     with pytest.raises(GraphError):
         dl.cheeger_nested(g_sym, [])
+    # A negative id would index from the end of the graph; a large one would overrun it.
+    for family in ([[-1]], [[0, 10**6]]):
+        with pytest.raises(dl.UnknownVertexError):
+            dl.cheeger_nested(g_sym, family)
 
 
 def test_cheeger_bound_check_ladder(ladder_unit):
@@ -620,7 +670,8 @@ def test_certificate_runs_one_breadth_first_search(ladder_sqrt, monkeypatch):
 
     monkeypatch.setattr(graph, "_distances", counted)
     assert dl.accretivity_certificate(ladder_sqrt, ball_) == cert
-    assert roots == [0]
+    # Root 0's distances were stored when the graph was built.
+    assert roots == []
 
 
 def test_certificate_memory_grows_with_the_entries():
