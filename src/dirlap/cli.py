@@ -24,6 +24,7 @@ from .graph import (
     GraphError,
     NumericError,
     _ball,
+    _indices,
     assumption_report,
     ball,  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
     check_asymmetry,
@@ -159,13 +160,7 @@ def _parse_time_grid(text: str) -> np.ndarray:
     if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
         raise GraphError("time grid needs step > 0, stop >= start and a finite number of points")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    try:
-        points = np.arange(count)
-    except (MemoryError, ValueError):
-        # numpy refuses the allocation before touching memory: more bytes than the machine
-        # has (MemoryError) or than an array may index (ValueError).
-        raise GraphError(f"time grid {text!r} has {count:.3g} points, too many to allocate") from None
-    return start + step * points
+    return start + step * _indices(count, f"time grid {text!r}")
 
 
 # -- subcommands ----------------------------------------------------------------

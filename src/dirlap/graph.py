@@ -107,6 +107,14 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+def _indices(count: int, what: str) -> np.ndarray:
+    """``np.arange(count)``; a count numpy refuses to allocate, before touching memory, is a GraphError."""
+    try:
+        return np.arange(count)
+    except (MemoryError, ValueError):  # more bytes than the machine has, or than an array may index
+        raise GraphError(f"{what} has {count:.3g} points, too many to allocate") from None
+
+
 def _tolerance(terms: int, scale: float) -> float:
     """Rounding slack 100 terms eps scale of a value formed from ``terms`` terms of size ``scale`` (Higham)."""
     return 100.0 * terms * _EPS * scale

@@ -4,24 +4,23 @@ The boundary of the numerical range of a truncation is computed by the
 rotated-Hermitian-part sweep (Johnson, SIAM J. Numer. Anal. 15, 1978): for
 each angle phi, the top eigenvector v of the Hermitian part of e^{i phi} A
 gives the boundary point <Av, v>.  A is real, so only the angles in [0, pi]
-are solved and the rest are their conjugates.  Each top eigenvector comes
-from inverse iteration on sparse LDL^H factorizations, warm-started from the
-previous angle; the factorization's negative pivots certify that a shift
-lies above the spectrum, and a point is emitted only once a shift within
-the tolerance below certifies.  All weighted quantities are reduced to
-standard ones once, in the :class:`Frame` that every verdict reads; it is
-built in O(nnz) on the operator's own symmetric CSR pattern and holds no
-n-by-n array.
+are solved and the rest are their conjugates.  All weighted quantities are
+reduced to standard ones once, in the :class:`Frame` that every verdict
+reads; it is built in O(nnz) on the operator's own symmetric CSR pattern and
+holds no n-by-n array.
 
-min Re W = lambda_min(S), S the Hermitian part, decides accretivity and the
-Cheeger bound.  It comes from the same inertia machinery: inverse iteration
-on LDL^T factors of S - sigma I with every shift certified below the
-spectrum, run until the residual of the Rayleigh quotient rho is within the
-data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
-entries of a row), then one positive-definite factorization at rho - delta
-certifies lambda_min(S) in [rho - delta, rho] (Parlett, The Symmetric
-Eigenvalue Problem, SIAM 1998).  An enclosure that does not certify is a
-:class:`NumericError`, never a verdict.
+Every certified eigenvalue comes from one routine, :func:`_top_eigenpair`:
+inverse iteration on sparse LDL^H factorizations whose negative pivots
+certify, by inertia, that each shift lies above the spectrum (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998).  It keeps a bracket of the top
+eigenvalue that every solve at least halves, and returns once the residual
+of the Rayleigh quotient rho is within a slack and a shift at most rho plus
+that slack certifies.  min Re W = lambda_min(S), S the Hermitian part, which
+decides accretivity and the Cheeger bound, is the top eigenvalue of -S to
+the data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
+entries of a row).  Each sweep angle is the top eigenvalue of
+cos(phi) S + i sin(phi) K to tau, warm-started from the previous angle.  An
+enclosure that does not certify is a :class:`NumericError`, never a verdict.
 
 A value derived from a matrix A of n rows may carry rounding up to
 tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`): the accretivity,
@@ -58,6 +57,7 @@ from .graph import (
     NumericError,
     _cutoffs,
     _finite,
+    _indices,
     _tolerance,
     _vertex_array,
     check_asymmetry,
@@ -158,17 +158,16 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
     return Frame(csc(a_ij), sym, csc(a_ij / 2.0 - a_ji / 2.0), _lowest_eigenvalue(sym), _tolerance(n, norm), e)
 
 
-# Raising a rejected shift ten-fold from a margin >= tol reaches the
+# Raising a rejected shift ten-fold from a margin >= slack reaches the
 # Gershgorin cap of any matrix with n >= 1 rows within this many tries.
 _SHIFT_TRIES = 16
-# Solves per angle.  Inverse iteration never lowers rho, and sigma - rho
-# starts below 2 sqrt(n) ||A||_F + tol <= 2**47 tol, so 47 halvings bring it
-# under tol, where rho + tol certifies.  When the halfway shift fails,
-# lambda_max lies above it, so the next solve at least doubles the top
-# eigencomponent of v against all below rho: 53 such solves lift it from
-# rounding level.  The same budget serves _lowest_eigenvalue: its bracket
-# starts below 2 ||h||_inf + delta < 2**46 delta, as delta >= 200 eps ||h||_inf.
-_SOLVES = 47 + 53
+# Solves per call of _top_eigenpair.  Every solve at least halves the bracket
+# [low, sigma] of lambda_max, which starts below 2 ||h||_inf + slack: below
+# 2**46 delta for min_real, as delta >= 200 eps ||h||_inf, and below 2**47 tau
+# at a sweep angle, as ||h||_inf <= sqrt(n) ||A||_F.  So 48 solves bring sigma
+# within the slack of lambda_max, and the other 52 halve the bracket to
+# rounding level, where one solve turns any v to the top eigenvectors.
+_SOLVES = 48 + 52
 
 
 def _negative_definite(h, sigma: float):
@@ -194,72 +193,90 @@ def _negative_definite(h, sigma: float):
     return lu if certified else None
 
 
-def _lowest_eigenvalue(s) -> float:
-    """lambda_min(s) for a real symmetric CSC ``s`` with its diagonal in its pattern, certified.
+def _inverse_step(lu, v: np.ndarray, where: str) -> np.ndarray:
+    """The unit vector along (h - sigma I)^-1 v, from the factors ``lu``."""
+    w = lu.solve(v)
+    # w may be ~||h|| / slack times longer than v; BLAS nrm2 scales, so its
+    # norm does not overflow for tiny weights.
+    return _finite(w / scipy.linalg.norm(w, check_finite=False), f"the eigenvector {where}")
 
-    Inverse iteration runs on the LDL^T factors of h - sigma I, h = -s, from
-    :func:`_negative_definite`, so every shift -sigma lies below lambda_min(s)
-    by inertia.  It keeps a bracket [low, sigma] of lambda_max(h), from the
-    Gershgorin bound down to the largest Rayleigh quotient or rejected shift.
-    After each solve it tries rho + ||h v - rho v|| when that lies in the
-    lower half of the bracket, and else its midpoint, so every solve at least
-    halves the bracket.  It stops once the residual ||s v - rho v|| of the
-    Rayleigh quotient rho = <s v, v> >= lambda_min(s) is within the data
-    slack delta = 100 (d + 2) eps ||s||_inf, d the largest number of
-    off-diagonal entries in a row: the rounding of the entries of s moves no
-    eigenvalue further (Weyl).  rho is then known to rounding, well inside
-    delta.  The last shift, or else one more factorization of
-    s - (rho - delta) I, has only positive pivots or raises
-    :class:`NumericError`, so the returned rho satisfies lambda_min(s) in
-    [rho - delta, rho].
+
+def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, where: str):
+    """(rho, v, lu) with lambda_max(h) in [rho, rho + slack] certified by the factors ``lu``.
+
+    ``h`` is Hermitian canonical CSC with its diagonal in its pattern, and
+    ``slack`` > 0.  The first shift sigma is base + margin 10^k, capped at the
+    Gershgorin bound of h plus ``slack``, for the least k that
+    :func:`_negative_definite` certifies.  Inverse iteration from ``v`` keeps
+    a bracket [low, sigma] of lambda_max.  After each solve it tries
+    rho + ||h v - rho v|| when that lies in the lower half of the bracket,
+    and else its midpoint, so every solve at least halves the bracket.  Once
+    the residual of the Rayleigh quotient rho = <h v, v> is within ``slack``,
+    the last shift or one factorization at rho + slack certifies the
+    enclosure.  When rho + slack does not, v has settled on a lower
+    eigenvector; that shift raises low and the bisection goes on.  An
+    uncertified shift search or solve budget raises :class:`NumericError`,
+    whose message names the eigenvalue by ``where``.
     """
-    h = -s
     n = h.shape[0]
+    diag = h.diagonal().real
     sums = np.bincount(h.indices, np.abs(h.data), n)
-    delta = _tolerance(int(np.diff(h.indptr).max()) + 1, float(sums.max()))
-    if delta == 0.0:
-        return 0.0
-    diag = h.diagonal()
-    gershgorin = float(np.max(diag + (sums - np.abs(diag))))
+    cap = float(np.max(diag + (sums - np.abs(diag)))) + slack
     for attempt in range(_SHIFT_TRIES):
-        sigma = gershgorin + delta * 10.0**attempt
+        sigma = min(base + margin * 10.0**attempt, cap)
         lu = _negative_definite(h, sigma)
-        if lu is not None:
+        if lu is not None or sigma == cap:
             break
-    else:
-        raise NumericError("no shift below the spectrum of the Hermitian part was certified")
-    v = np.random.default_rng(0).standard_normal(n)
+    if lu is None:
+        raise NumericError(f"no shift above the spectrum was certified {where}")
     low = -math.inf  # lambda_max lies above every Rayleigh quotient and every rejected shift
     for _ in range(_SOLVES):
-        w = lu.solve(v)
-        v = _finite(w / scipy.linalg.norm(w, check_finite=False), "the lowest eigenvector of the Hermitian part")
+        v = _inverse_step(lu, v, where)
         hv = h @ v
-        rho = float(v @ hv)
+        rho = float(np.vdot(v, hv).real)
         residual = float(scipy.linalg.norm(hv - rho * v, check_finite=False))
-        if residual <= delta:
-            break
-        # Some eigenvalue lies within the residual of rho, and once v leans on
-        # the top eigenvector it is lambda_max.
-        low = max(low, rho)
-        trial = rho + max(residual, delta)
-        if low < trial < low + (sigma - low) / 2.0:
-            trial_lu = _negative_definite(h, trial)
-            if trial_lu is not None:
-                sigma, lu = trial, trial_lu
-                continue
-            low = trial
+        if residual <= slack:
+            if sigma <= rho + slack:
+                return rho, v, lu
+            top_lu = _negative_definite(h, rho + slack)
+            if top_lu is not None:
+                return rho, v, top_lu
+            low = rho + slack  # the top eigenvector jumped away from v
+        else:
+            # Some eigenvalue lies within the residual of rho, and once v leans on
+            # the top eigenvector it is lambda_max.
+            low = max(low, rho)
+            trial = rho + residual
+            if low < trial < low + (sigma - low) / 2.0:
+                trial_lu = _negative_definite(h, trial)
+                if trial_lu is not None:
+                    sigma, lu = trial, trial_lu
+                    continue
+                low = trial
         trial = low + (sigma - low) / 2.0
         trial_lu = _negative_definite(h, trial)
         if trial_lu is None:
             low = trial
         else:
             sigma, lu = trial, trial_lu
-    else:
-        raise NumericError(f"the lowest eigenvalue of the Hermitian part did not converge within {_SOLVES} solves")
-    # The last shift already certifies the enclosure when it lies within delta of rho.
-    if sigma > rho + delta and _negative_definite(h, rho + delta) is None:
-        raise NumericError(f"no eigenvalue of the Hermitian part was certified within {delta:.3e} of {-rho!r}")
-    return -rho
+    raise NumericError(f"no certified eigenvalue within {_SOLVES} solves {where}")
+
+
+def _lowest_eigenvalue(s) -> float:
+    """lambda_min(s) for a real symmetric CSC ``s`` with its diagonal in its pattern, certified.
+
+    :func:`_top_eigenpair` runs on h = -s from the Gershgorin cap and a fixed
+    vector, with the data slack delta = 100 (d + 2) eps ||s||_inf, d the
+    largest number of off-diagonal entries in a row: the rounding of the
+    entries of s moves no eigenvalue further (Weyl).  The returned m = -rho
+    then satisfies lambda_min(s) in [m - delta, m].
+    """
+    n = s.shape[0]
+    delta = _tolerance(int(np.diff(s.indptr).max()) + 1, float(np.bincount(s.indices, np.abs(s.data), n).max()))
+    if delta == 0.0:
+        return 0.0
+    v = np.random.default_rng(0).standard_normal(n)
+    return -_top_eigenpair(-s, delta, v, math.inf, delta, "for min Re W")[0]
 
 
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
@@ -271,64 +288,37 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     == conj(points[k])``.  At each solved angle the top eigenvector v of
     H = cos(phi) S + i sin(phi) K gives the point <Av, v>.
 
-    The first shift sigma is the predicted support value plus twice the
-    previous prediction error (at least tau), raised ten-fold up to the
-    Gershgorin bound of H until :func:`_negative_definite` certifies it.
-    Each solve gives rho = <Hv, v> <= lambda_max(H).  Once rho + tau
-    certifies, lambda_max(H) lies in [rho, rho + tau) and one last solve
-    gives the point; until then sigma moves halfway to rho when that
-    certifies.  v is warm-started (Braconnier & Higham, BIT 36, 1996) from a
-    fixed vector and sigma from just above max eig S = -:func:`_lowest_eigenvalue` (-S),
-    so the sweep is deterministic.
+    :func:`_top_eigenpair` certifies lambda_max(H) to within tau, and one
+    more solve on its certifying factors gives v.  phi = 0 starts from the
+    Gershgorin cap; every later angle from the support value its
+    predecessor's point predicts, plus twice the previous prediction error
+    (at least tau).  v is warm-started from the previous angle (Braconnier &
+    Higham, BIT 36, 1996) and at phi = 0 from a fixed vector, so the sweep
+    is deterministic.
 
-    Raises :class:`NumericError` on a subnormal entry, when the norm of the
-    operator, an eigenvector or a boundary point is not finite, when the
-    enclosure of ``min_real`` or of max Re W does not certify, or when no
-    shift certifies within the budget of solves.
+    Raises :class:`GraphError` for fewer than 4 angles or more than can be
+    allocated, and :class:`NumericError` on a subnormal entry, when the norm
+    of the operator, an eigenvector or a boundary point is not finite, or
+    when ``min_real`` or a support value does not certify.
     """
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
+    angles = 2.0 * np.pi * _indices(n_angles, "the angle grid") / n_angles
     frame = _standard_frame(op)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     solved = angles[: n_angles // 2 + 1]
-
-    def solve(lu, v: np.ndarray, phi: float) -> np.ndarray:
-        # w may be ~||A||_F / tol times longer than v; BLAS nrm2 scales, so
-        # its norm does not overflow for tiny weights.
-        w = lu.solve(v)
-        return _finite(w / scipy.linalg.norm(w, check_finite=False), f"the eigenvector at angle {phi:.6f}")
-
     half = np.zeros(len(solved), complex)
     herm = frame.sym.astype(complex)
     v = np.random.default_rng(0).standard_normal(op.n).astype(complex)
-    base, margin = -_lowest_eigenvalue(-frame.sym), frame.tol
+    base, margin = math.inf, frame.tol
     # a has unit size, so tol is 0 only for A = 0, whose points stay 0.
     for k, phi in enumerate(solved if frame.tol else ()):
         rotation = complex(math.cos(phi), math.sin(phi))
         if k:
             base = (rotation * half[k - 1]).real
         herm.data[:] = math.cos(phi) * frame.sym.data + (1j * math.sin(phi)) * frame.skew.data
-        cap = float(np.bincount(herm.indices, np.abs(herm.data), op.n).max()) + frame.tol
-        for attempt in range(_SHIFT_TRIES):
-            sigma = min(base + margin * 10.0**attempt, cap)
-            lu = _negative_definite(herm, sigma)
-            if lu is not None or sigma == cap:
-                break
-        if lu is None:
-            raise NumericError(f"no shift above the spectrum was certified at angle {phi:.6f}")
-        for _ in range(_SOLVES):
-            v = solve(lu, v, phi)
-            rho = np.vdot(v, herm @ v).real
-            top_lu = _negative_definite(herm, rho + frame.tol)
-            if top_lu is not None:
-                v = solve(top_lu, v, phi)
-                break
-            halfway = rho + (sigma - rho) / 2.0
-            half_lu = _negative_definite(herm, halfway)
-            if half_lu is not None:
-                sigma, lu = halfway, half_lu
-        else:
-            raise NumericError(f"no certified eigenvalue within {_SOLVES} solves at angle {phi:.6f}")
+        where = f"at angle {phi:.6f}"
+        _, v, lu = _top_eigenpair(herm, frame.tol, v, base, margin, where)
+        v = _inverse_step(lu, v, where)
         half[k] = np.vdot(v, frame.a @ v)
         margin = max(2.0 * ((rotation * half[k]).real - base), frame.tol)
     # phi = 0 and phi = pi are their own mirrors.  W is convex and closed

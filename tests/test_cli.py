@@ -355,6 +355,15 @@ def test_time_grids_too_large_to_allocate_are_input_errors(tmp_path, capsys, gri
     assert err.count("\n") == 1 and "too many to allocate" in err
 
 
+def test_angle_grids_too_large_to_allocate_are_input_errors(tmp_path, capsys):
+    # numpy refuses 8e13 bytes before touching memory.
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "spectrum", "--gen", "ladder", "--N", "5", "--angles", "10000000000000", "--out", str(report))
+    assert code == 2 and out == ""
+    assert not report.exists()
+    assert err.count("\n") == 1 and "too many to allocate" in err
+
+
 def test_certify_positive_and_negative(tmp_path, capsys):
     good = tmp_path / "good.json"
     code, _, _ = run(
@@ -500,6 +509,29 @@ def test_spectrum_boundary_csv_is_deterministic(tmp_path, capsys):
         texts.append((tmp_path / name).read_bytes())
     assert texts[0] == texts[1]
     assert len(texts[0].splitlines()) == 74
+
+
+def test_spectrum_certifies_where_the_top_eigenvector_jumps(tmp_path, capsys):
+    # Around phi = pi/2 the top eigenvector of cos(phi) S + i sin(phi) K jumps from
+    # one end of the ladder to the other, so the warm start leans on a lower one.
+    csv = tmp_path / "points.csv"
+    argv = ("--gen", "ladder", "--N", "450", "--k", "2")
+    code, _, err = run(capsys, "spectrum", *argv, "--out-csv", str(csv), "--out", str(tmp_path / "s.json"))
+    assert code == 0 and err == ""
+    g = dl.make_ladder(dl.LadderSpec(depth=450, k=2.0))
+    ball_ = dl.ball(g, 0, int(dl.combinatorial_distance(g, 0).max()) - 1)
+    a = dl.similarity_to_standard(dl.assemble(g, ball_, "laplacian"))
+    sym, skew = (a + a.T) / 2.0, (a - a.T) / 2.0
+    tol = 100 * len(a) * np.finfo(float).eps * np.linalg.norm(a, 2)
+    for phi, re, im in np.loadtxt(csv, delimiter=",", skiprows=1)[90:93]:
+        expected = np.linalg.eigvalsh(np.cos(phi) * sym + 1j * np.sin(phi) * skew)[-1]
+        assert abs((np.exp(1j * phi) * complex(re, im)).real - expected) <= tol
+
+
+def test_spectrum_passes_on_the_longer_sqrt_ladder(tmp_path, capsys):
+    # The sweep used to run out of solves near phi = pi/2 from N = 1200 on.
+    code, _, err = run(capsys, "spectrum", "--gen", "ladder", "--N", "1200", "--out", str(tmp_path / "s.json"))
+    assert code == 0 and err == ""
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

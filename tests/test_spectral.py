@@ -194,15 +194,16 @@ def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatc
         with pytest.raises(dl.NumericError, match="no shift"):
             dl.numrange_boundary(op, 8)
     with monkeypatch.context() as patch:
-        # The real factorizations of min_real and max_real pass; the sweep's are complex.
+        # The real factorizations of min_real pass; the sweep's are complex.
         patch.setattr(sla, "splu", first_shift_only("c"))
         with pytest.raises(dl.NumericError, match="no certified eigenvalue .* at angle 0.000000"):
             dl.numrange_boundary(op, 8)
     for verdict in (lambda: dl.numrange_boundary(op, 8), lambda: dl.accretivity_certificate(ladder_sqrt, op.ball)):
         with monkeypatch.context() as patch:
-            # min_real converges on its first shift, but its enclosure is never certified.
+            # min_real's first shift certifies and no later one does, so its enclosure never
+            # certifies and the bisection runs out of solves.
             patch.setattr(sla, "splu", first_shift_only("f"))
-            with pytest.raises(dl.NumericError, match="no eigenvalue of the Hermitian part was certified"):
+            with pytest.raises(dl.NumericError, match="no certified eigenvalue within 100 solves for min Re W"):
                 verdict()
     assert_matches_dense_sweep(op, 8)
 
@@ -383,6 +384,7 @@ def test_sector_verdict_is_one_factorization(monkeypatch):
         patch.setattr(sla, "splu", counted)
         patch.setattr(spectral, "_standard_frame", second_frame)
         patch.setattr(spectral, "_lowest_eigenvalue", second_frame)
+        patch.setattr(spectral, "_top_eigenpair", second_frame)
         patch.setattr(np.linalg, "eigvalsh", second_frame)
         _, ok = dl.check_sector(sample, constant)
     assert ok and kinds == ["c"]
@@ -707,8 +709,9 @@ def with_measure(g, measure):
     st.integers(1, 3),
     st.sampled_from(dl.KINDS),
     st.sampled_from(["unit", "sqrt"]),
+    st.floats(0.0, 2.0 * math.pi),
 )
-def test_min_real_encloses_the_dense_lowest_eigenvalue(seed, n, radius, kind, measure):
+def test_min_real_encloses_the_dense_lowest_eigenvalue(seed, n, radius, kind, measure, phi):
     import dirlap.spectral as spectral
 
     g = with_measure(dl.make_random_balanced(n, seed), measure)
@@ -724,6 +727,18 @@ def test_min_real_encloses_the_dense_lowest_eigenvalue(seed, n, radius, kind, me
     assert rho - delta - dense_error <= eigenvalues[0] <= rho + dense_error
     top = -spectral._lowest_eigenvalue(-frame.sym)
     assert top - dense_error <= eigenvalues[-1] <= top + delta + dense_error
+    if frame.tol == 0.0:
+        return  # a = 0, whose boundary points the sweep leaves at 0 without a solve
+    # The routine behind min_real certifies each sweep angle's support value to tau.
+    herm = frame.sym.astype(complex)
+    herm.data[:] = math.cos(phi) * frame.sym.data + 1j * math.sin(phi) * frame.skew.data
+    v = np.random.default_rng(seed).standard_normal(len(sym)).astype(complex)
+    rho, _, _ = spectral._top_eigenpair(herm, frame.tol, v, math.inf, frame.tol, "at angle phi")
+    dense = herm.toarray()
+    # Both ends round: eigvalsh by about n eps ||h||_2 (a little more on small complex matrices),
+    # and rho, whose exact value lies below lambda_max, by sums of at most n products each.
+    rounding = len(sym) * eps * (np.linalg.norm(dense, 2) + 2.0 * np.linalg.norm(dense))
+    assert rho - rounding <= np.linalg.eigvalsh(dense)[-1] <= rho + frame.tol + rounding
 
 
 @settings(deadline=None, max_examples=20)
