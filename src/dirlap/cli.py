@@ -79,7 +79,7 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_truncation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--root", help="truncation root label (default: generator origin)")
+    parser.add_argument("--root", help="truncation root label (default: the first vertex, a generator's origin)")
     parser.add_argument(
         "--radius",
         type=int,
@@ -88,22 +88,22 @@ def _add_truncation(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_graph(args) -> tuple[DirectedGraph, str | None]:
+def _build_graph(args) -> DirectedGraph:
     if (args.graph is None) == (args.gen is None):
         raise GraphError("provide exactly one of --graph FILE or --gen NAME")
     if args.graph is not None:
-        return load_graph(args.graph), None
+        return load_graph(args.graph)
     if args.gen == "ladder":
         mode = "sqrt_n" if args.measure == "sqrt" else "unit"
-        return make_ladder(LadderSpec(depth=args.N, k=args.k, measure_mode=mode)), "x0"
+        return make_ladder(LadderSpec(depth=args.N, k=args.k, measure_mode=mode))
     if args.gen == "tree":
-        return make_tree(TreeSpec(depth=args.depth)), "r"
-    return make_random_balanced(args.n, args.seed, args.density), "v0"
+        return make_tree(TreeSpec(depth=args.depth))
+    return make_random_balanced(args.n, args.seed, args.density)
 
 
-def _resolve_ball(g: DirectedGraph, args, default_root: str | None):
-    root_label = args.root or default_root or g.label(0)
-    root = g.index(root_label)
+def _resolve_ball(g: DirectedGraph, args):
+    # Vertex id 0 is a graph file's first vertex and every generator's origin (x0, r, v0).
+    root = g.index(args.root or g.label(0))
     radius = args.radius
     if radius is not None and radius < 1:
         # A radius-0 ball has no interior, and the certificate's radius-1 probes would lie outside it.
@@ -167,14 +167,14 @@ def _parse_time_grid(text: str) -> np.ndarray:
 
 
 def cmd_gen(args) -> int:
-    g, _ = _build_graph(args)
+    g = _build_graph(args)
     _emit(graph_to_dict(g), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    g, default_root = _build_graph(args)
-    ball_ = _resolve_ball(g, args, default_root)
+    g = _build_graph(args)
+    ball_ = _resolve_ball(g, args)
     report = assumption_report(g, ball_.interior)
     balance = check_kirchhoff(g, sorted(ball_.interior), tol=args.tol_kirchhoff)
     payload = report.to_dict(labels=g.labels)
@@ -185,8 +185,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g, default_root = _build_graph(args)
-    ball_ = _resolve_ball(g, args, default_root)
+    g = _build_graph(args)
+    ball_ = _resolve_ball(g, args)
     op = assemble(g, ball_, "laplacian")
     sample = numrange_boundary(op, args.angles)
     constant = check_asymmetry(g, ball_.vertices) if args.constant is None else args.constant
@@ -211,8 +211,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_cheeger(args) -> int:
-    g, default_root = _build_graph(args)
-    ball_ = _resolve_ball(g, args, default_root)
+    g = _build_graph(args)
+    ball_ = _resolve_ball(g, args)
     if not np.all(g.measures == 1.0):
         raise GraphError("Cheeger analysis requires unit vertex measure (ladder: --measure unit)")
     g_sym = symmetrize(g)
@@ -239,8 +239,8 @@ def cmd_cheeger(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    g, default_root = _build_graph(args)
-    ball_ = _resolve_ball(g, args, default_root)
+    g = _build_graph(args)
+    ball_ = _resolve_ball(g, args)
     op = assemble(g, ball_, "laplacian")
     times = _parse_time_grid(args.t)
     v0 = np.zeros(op.n)
@@ -260,8 +260,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g, default_root = _build_graph(args)
-    ball_ = _resolve_ball(g, args, default_root)
+    g = _build_graph(args)
+    ball_ = _resolve_ball(g, args)
     cert = accretivity_certificate(g, ball_)
     _emit_report(cert.to_dict(), args, ball_)
     return 0 if cert.verdicts["m_sectorial_supported"] else 1

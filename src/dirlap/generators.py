@@ -22,7 +22,6 @@ label round trip; the labels are only attached for reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,11 +30,6 @@ import numpy as np
 from .graph import DirectedGraph, GraphError
 
 __all__ = ["LadderSpec", "TreeSpec", "make_ladder", "make_tree", "make_random_balanced"]
-
-
-def _is_dyadic(x: float, grid: int = 16) -> bool:
-    scaled = x * grid
-    return math.isfinite(scaled) and scaled == round(scaled)
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ def make_ladder(spec: LadderSpec) -> DirectedGraph:
         np.concatenate([first[: 4 if k > 0.0 else 2], rail.ravel(), rung.ravel()[1:]])
         for first, rail, rung in zip(origin, rails, rungs)
     ]
-    return DirectedGraph._from_arrays(labels, measures, *edges, exact_weights=_is_dyadic(k))
+    return DirectedGraph._from_arrays(labels, measures, *edges)
 
 
 @dataclass(frozen=True)
@@ -160,9 +154,7 @@ def make_tree(spec: TreeSpec) -> DirectedGraph:
         labels += [f"{labels[p]}.{i}" for p in frontier.tolist() for i in range(c)]
         frontier, views = children.ravel(), -kinds.ravel()
     sources, targets = np.concatenate(sources), np.concatenate(targets)
-    return DirectedGraph._from_arrays(
-        labels, np.ones(len(labels)), sources, targets, np.ones(len(sources)), exact_weights=True
-    )
+    return DirectedGraph._from_arrays(labels, np.ones(len(labels)), sources, targets, np.ones(len(sources)))
 
 
 def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGraph:
@@ -201,5 +193,4 @@ def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGra
         [a for (a, _), _ in edges],
         [b for (_, b), _ in edges],
         [w for _, w in edges],
-        exact_weights=True,
     )

@@ -149,9 +149,6 @@ class DirectedGraph:
     edges
         Iterable of ``(from_label, to_label, weight)`` triples with strictly
         positive weights.  Loops and duplicate edges are rejected.
-    exact_weights
-        Set by generators whose weights are exactly representable, so that
-        balance checks may use tolerance zero.
 
     Every graph is built by one array core, :meth:`_from_arrays`, from
     vertex labels, a measure array and the edges as three arrays (source
@@ -166,15 +163,9 @@ class DirectedGraph:
     check, so it never hides inside an interior set.
     """
 
-    __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "_dist0", "exact_weights")
+    __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "_dist0")
 
-    def __init__(
-        self,
-        vertices: Iterable[tuple[str, float]],
-        edges: Iterable[tuple[str, str, float]],
-        *,
-        exact_weights: bool = False,
-    ):
+    def __init__(self, vertices: Iterable[tuple[str, float]], edges: Iterable[tuple[str, str, float]]):
         vertices = [(str(label), m) for label, m in vertices]
         edges = list(edges)
         labels = [label for label, _ in vertices]
@@ -186,27 +177,17 @@ class DirectedGraph:
             [u for u, _ in ends],
             [v for _, v in ends],
             [_float(w) for _, _, w in edges],
-            exact_weights,
             given=(vertices, edges),
         )
 
     @classmethod
-    def _from_arrays(
-        cls,
-        labels: Sequence[str],
-        measures,
-        sources,
-        targets,
-        weights,
-        *,
-        exact_weights: bool,
-    ) -> DirectedGraph:
+    def _from_arrays(cls, labels: Sequence[str], measures, sources, targets, weights) -> DirectedGraph:
         """The graph on ``labels`` whose edge i runs from id ``sources[i]`` to id ``targets[i]``."""
         g = cls.__new__(cls)
-        g._build(labels, measures, sources, targets, weights, exact_weights)
+        g._build(labels, measures, sources, targets, weights)
         return g
 
-    def _build(self, labels, measures, sources, targets, weights, exact_weights, given=None) -> None:
+    def _build(self, labels, measures, sources, targets, weights, given=None) -> None:
         """Validate the arrays and store the CSR adjacency; ``given`` holds the raw
         ``(vertices, edges)`` of the label constructor, which the errors then quote."""
         labels = tuple(labels)
@@ -256,7 +237,6 @@ class DirectedGraph:
         self._b_out = b_out
         self._b_in = b_in
         self._dist0 = dist
-        self.exact_weights = bool(exact_weights)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -472,19 +452,16 @@ def check_kirchhoff(
 ) -> KirchhoffReport:
     """Check in-strength == out-strength on a set of interior vertices.
 
-    With ``tol=None`` the tolerance is 0 for graphs built by the generators
-    (``exact_weights``) and ``1e-12 * max(out, in)`` per vertex otherwise,
-    since user-supplied floating weights carry rounding.  ``worst_vertex`` is
-    the first probed vertex of largest imbalance.
+    With ``tol=None`` each vertex may be off by ``1e-12 * max(out, in)``,
+    since floating weights carry rounding; ``tol=0.0`` asks for exact
+    balance.  ``worst_vertex`` is the first probed vertex of largest
+    imbalance.
     """
     rows = _vertex_array(g, interior)
     s_out = _row_sums(g, rows, g._b_out)
     s_in = _row_sums(g, rows, g._b_in)
     imbalance = np.abs(s_out - s_in)
-    if tol is None:
-        allowed = 0.0 if g.exact_weights else 1e-12 * np.maximum(s_out, s_in)
-    else:
-        allowed = tol
+    allowed = 1e-12 * np.maximum(s_out, s_in) if tol is None else tol
     worst_imbalance = float(np.fmax.reduce(imbalance, initial=0.0))
     worst = int(rows[np.argmax(imbalance == worst_imbalance)]) if worst_imbalance > 0.0 else None
     return KirchhoffReport(not np.any(imbalance > allowed), worst_imbalance, worst)
@@ -495,9 +472,7 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
     The output is symmetric; idempotent on already-symmetric graphs.
     """
-    return DirectedGraph._from_arrays(
-        g.labels, g._m, g._slot_rows(), g._nbr, _b_sym(g), exact_weights=g.exact_weights
-    )
+    return DirectedGraph._from_arrays(g.labels, g._m, g._slot_rows(), g._nbr, _b_sym(g))
 
 
 # -- asymmetry constants -----------------------------------------------------
@@ -556,10 +531,13 @@ def spheres(g: DirectedGraph, x0: VertexId, n_max: int | None = None) -> list[tu
 
 
 class Ball(NamedTuple):
+    """A distance ball, with the read-only distances from ``root`` it was cut with."""
+
     root: int
     radius: int
     vertices: tuple[int, ...]
     interior: frozenset[int]
+    dist: np.ndarray
 
 
 def ball(g: DirectedGraph, x0: VertexId, radius: int) -> Ball:
@@ -575,10 +553,10 @@ def ball(g: DirectedGraph, x0: VertexId, radius: int) -> Ball:
 
 
 def _ball(x0: VertexId, radius: int, dist: np.ndarray) -> Ball:
-    """:func:`ball` from the distances ``dist`` to ``x0``."""
+    """:func:`ball` from the read-only distances ``dist`` to ``x0``."""
     vertices = tuple(np.flatnonzero((0 <= dist) & (dist <= radius)).tolist())
     interior = frozenset(np.flatnonzero((0 <= dist) & (dist <= radius - 1)).tolist())
-    return Ball(int(x0), int(radius), vertices, interior)
+    return Ball(int(x0), int(radius), vertices, interior, dist)
 
 
 def full_ball(g: DirectedGraph, x0: VertexId = 0) -> Ball:
@@ -693,10 +671,9 @@ class AssumptionReport:
     max_degree: int
     probed_vertices: tuple[int, ...]
 
-    def to_dict(self, labels: Sequence[str] | None = None) -> dict:
-        probed: list = sorted(self.probed_vertices)
-        if labels is not None:
-            probed = [labels[v] for v in probed]
+    def to_dict(self, labels: Sequence[str]) -> dict:
+        """The report with the probed vertices named by ``labels``."""
+        probed = [labels[v] for v in sorted(self.probed_vertices)]
         return {
             "kirchhoff_max_imbalance": self.kirchhoff_max_imbalance,
             "total_asymmetry_constant": self.total_asymmetry_constant,

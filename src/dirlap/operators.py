@@ -61,11 +61,12 @@ class TruncatedOperator:
     duplicates (the frame raises :class:`GraphError` otherwise).  Only these
     three read-only arrays are kept; :meth:`dense` forms the n-by-n array.
 
-    ``vertices[i]`` is the host vertex of row i; ``measure_vector[i]`` its
-    measure, defining the weighted inner product.  ``ball`` gives
-    ``interior_rows`` its interior; it is None for synthetic operators built
-    in tests or edge cases, whose rows are then all interior.  Instances are
-    immutable and safe to share.
+    ``measure_vector[i]`` is the measure of row i, defining the weighted
+    inner product.  ``ball`` is the ball the rows come from: row i is its
+    i-th vertex (see :attr:`vertices`) and ``interior_rows`` reads its
+    interior.  It is None for synthetic operators built in tests or edge
+    cases, whose row i is vertex i and whose rows are all interior.
+    Instances are immutable and safe to share.
     """
 
     data: np.ndarray
@@ -73,10 +74,9 @@ class TruncatedOperator:
     indptr: np.ndarray
     measure_vector: np.ndarray
     kind: str
-    vertices: tuple[int, ...]
     ball: Ball | None
 
-    def __init__(self, matrix, measure_vector, kind: str, vertices: tuple[int, ...] = (), ball: Ball | None = None):
+    def __init__(self, matrix, measure_vector, kind: str, ball: Ball | None = None):
         if isinstance(matrix, tuple):
             data, indices, indptr = (np.array(a) for a in matrix)
         else:
@@ -99,7 +99,6 @@ class TruncatedOperator:
             "indptr": _read_only(np.asarray(indptr, dtype=np.intp)),
             "measure_vector": measure,
             "kind": kind,
-            "vertices": tuple(vertices) or tuple(range(n)),
             "ball": ball,
         }
         for name, value in fields.items():
@@ -108,6 +107,11 @@ class TruncatedOperator:
     @property
     def n(self) -> int:
         return len(self.measure_vector)
+
+    @property
+    def vertices(self) -> tuple[int, ...] | range:
+        """The host vertex of each row: the ball's vertices, else ``range(n)``."""
+        return range(self.n) if self.ball is None else self.ball.vertices
 
     def _entry_rows(self) -> np.ndarray:
         """The row of each stored entry."""
@@ -179,7 +183,7 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
     col = np.concatenate([pos[g._nbr[inside]], every])
     order = np.lexsort((col, row))
     csr = (np.concatenate([off, diag])[order], col[order], np.searchsorted(row[order], np.arange(n + 1)))
-    return TruncatedOperator(csr, measures, kind, tuple(ball_.vertices), ball_)
+    return TruncatedOperator(csr, measures, kind, ball_)
 
 
 # -- weighted geometry ---------------------------------------------------------

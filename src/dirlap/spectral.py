@@ -63,7 +63,6 @@ from .graph import (
     check_asymmetry,
     check_kirchhoff,
     check_total_asymmetry,
-    combinatorial_distance,
 )
 from .graph import ball as make_ball  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
 from .graph import symmetrize
@@ -394,7 +393,6 @@ def fit_sector(sample: NumericalRangeSample, vertex: float) -> Sector:
 class CheegerResult:
     value: float
     witness: tuple[int, ...]
-    method: str
     certified: bool
     witness_index: int | None = None
 
@@ -480,7 +478,6 @@ def cheeger_bruteforce(
     return CheegerResult(
         value=best,
         witness=tuple(sorted(witness)),
-        method="connected-subsets",
         certified=k_max >= n - 1 and not exhausted,
     )
 
@@ -505,7 +502,6 @@ def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> Cheeger
     return CheegerResult(
         value=quotients[idx],
         witness=tuple(sorted(sets[idx])),
-        method="nested-family",
         certified=False,
         witness_index=idx,
     )
@@ -604,8 +600,8 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> Certificate:
     asym = check_asymmetry(g, interior)
     sector_constant = check_asymmetry(g, ball_.vertices)
 
-    # One distance array serves every probe ball and the cutoffs.
-    dist = combinatorial_distance(g, ball_.root)
+    # The ball's distance array serves every probe ball and the cutoffs.
+    dist = ball_.dist
     radii = sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2), max(1, ball_.radius)})
     # The interior of the ball of radius r >= 1 holds its root, so no probe is empty.
     gamma_values = [check_total_asymmetry(g, np.flatnonzero((0 <= dist) & (dist < r))) for r in radii]

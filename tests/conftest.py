@@ -38,7 +38,7 @@ def unit_measure_copy(g):
     """Same vertices and edges with every measure set to 1."""
     vertices = [(g.label(x), 1.0) for x in g.vertex_ids()]
     edges = [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()]
-    return dl.DirectedGraph(vertices, edges, exact_weights=g.exact_weights)
+    return dl.DirectedGraph(vertices, edges)
 
 
 def naive_adjacency(g):

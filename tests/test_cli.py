@@ -213,6 +213,8 @@ def test_radius_below_one_is_an_input_error(tmp_path, capsys, command, radius):
         # ball and the certificate's probes and cutoffs reuse its distances.
         (["certify", "--gen", "ladder", "--N", "12"], 1),
         (["evolve", "--gen", "ladder", "--N", "12", "--measure", "unit", "--t", "0:1:0.5"], 1),
+        # Another root takes one more search, for the ball; the certificate reads the ball's distances.
+        (["certify", "--gen", "ladder", "--N", "12", "--root", "y5", "--radius", "3"], 2),
     ],
 )
 def test_default_ball_runs_one_breadth_first_search(capsys, monkeypatch, argv, searches):

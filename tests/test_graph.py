@@ -65,9 +65,7 @@ def test_rejects_duplicates_and_unknown_endpoints():
 
 def from_arrays(measures=(1.0, 1.0, 1.0), sources=(0, 1, 1), targets=(1, 2, 0), weights=(1.0, 1.0, 2.0)):
     """The array core on the labels a, b, c (by default the path a -> b -> c with b -> a)."""
-    return dl.DirectedGraph._from_arrays(
-        ["a", "b", "c", "d"][: len(measures)], measures, sources, targets, weights, exact_weights=False
-    )
+    return dl.DirectedGraph._from_arrays(["a", "b", "c", "d"][: len(measures)], measures, sources, targets, weights)
 
 
 BAD_VALUES = [(0.0, "0.0"), (-1.5, "-1.5"), (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")]

@@ -391,7 +391,7 @@ def dyadic_measures(g, exponents):
     """``g`` with the measure of vertex i set to 2^exponents[i]."""
     vertices = [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), exponents)]
     edges = [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()]
-    return dl.DirectedGraph(vertices, edges, exact_weights=g.exact_weights)
+    return dl.DirectedGraph(vertices, edges)
 
 
 def random_trace_case(seed, n):
