@@ -9,7 +9,6 @@ contraction or exponential decay of the heat semigroup exp(-tA).
 """
 
 from .graph import (
-    AssumptionReport,
     Ball,
     CutoffSequence,
     DirectedGraph,
@@ -61,7 +60,6 @@ from .semigroup import (
     resolvent_norm,
 )
 from .spectral import (
-    Certificate,
     CheegerBound,
     CheegerResult,
     NumericalRangeSample,

@@ -175,9 +175,8 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     g = _build_graph(args)
     ball_ = _resolve_ball(g, args)
-    report = assumption_report(g, ball_.interior)
+    payload = assumption_report(g, ball_.interior)
     balance = check_kirchhoff(g, sorted(ball_.interior), tol=args.tol_kirchhoff)
-    payload = report.to_dict(labels=g.labels)
     payload["kirchhoff_ok"] = balance.ok
     payload["worst_vertex"] = None if balance.worst_vertex is None else g.label(balance.worst_vertex)
     _emit_report(payload, args, ball_)
@@ -263,8 +262,8 @@ def cmd_certify(args) -> int:
     g = _build_graph(args)
     ball_ = _resolve_ball(g, args)
     cert = accretivity_certificate(g, ball_)
-    _emit_report(cert.to_dict(), args, ball_)
-    return 0 if cert.verdicts["m_sectorial_supported"] else 1
+    _emit_report(cert, args, ball_)
+    return 0 if cert["verdicts"]["m_sectorial_supported"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,6 @@ __all__ = [
     "KirchhoffReport",
     "CutoffSequence",
     "DivergenceReport",
-    "AssumptionReport",
     "out_strength",
     "in_strength",
     "check_kirchhoff",
@@ -457,6 +456,8 @@ def check_kirchhoff(
     balance.  ``worst_vertex`` is the first probed vertex of largest
     imbalance.
     """
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise GraphError(f"Kirchhoff tolerance must be finite and >= 0, got {tol!r}")
     rows = _vertex_array(g, interior)
     s_out = _row_sums(g, rows, g._b_out)
     s_in = _row_sums(g, rows, g._b_in)
@@ -661,40 +662,21 @@ def divergence_criterion(g: DirectedGraph, x0: VertexId, n_max: int) -> Divergen
 # -- aggregated assumption report ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Constants extracted from a graph over a probed set of vertices."""
+def assumption_report(g: DirectedGraph, interior: Iterable[VertexId]) -> dict:
+    """Evaluate all per-vertex assumption constants over ``interior``.
 
-    kirchhoff_max_imbalance: float
-    total_asymmetry_constant: float | None
-    asymmetry_constant: float
-    max_degree: int
-    probed_vertices: tuple[int, ...]
-
-    def to_dict(self, labels: Sequence[str]) -> dict:
-        """The report with the probed vertices named by ``labels``."""
-        probed = [labels[v] for v in sorted(self.probed_vertices)]
-        return {
-            "kirchhoff_max_imbalance": self.kirchhoff_max_imbalance,
-            "total_asymmetry_constant": self.total_asymmetry_constant,
-            "asymmetry_constant": self.asymmetry_constant,
-            "max_degree": self.max_degree,
-            "probed_size": len(probed),
-            "probed_vertices": probed,
-        }
-
-
-def assumption_report(g: DirectedGraph, interior: Iterable[VertexId]) -> AssumptionReport:
-    """Evaluate all per-vertex assumption constants over ``interior``."""
-    probed = tuple(sorted(int(x) for x in interior))
-    balance = check_kirchhoff(g, probed)
-    return AssumptionReport(
-        kirchhoff_max_imbalance=balance.max_imbalance,
-        total_asymmetry_constant=check_total_asymmetry(g, probed),
-        asymmetry_constant=check_asymmetry(g, probed),
-        max_degree=g.max_degree,
-        probed_vertices=probed,
-    )
+    The report is the JSON object ``check`` emits before its envelope, with
+    the probed vertices named by their labels.
+    """
+    probed = sorted(int(x) for x in interior)
+    return {
+        "kirchhoff_max_imbalance": check_kirchhoff(g, probed).max_imbalance,
+        "total_asymmetry_constant": check_total_asymmetry(g, probed),
+        "asymmetry_constant": check_asymmetry(g, probed),
+        "max_degree": g.max_degree,
+        "probed_size": len(probed),
+        "probed_vertices": [g.labels[v] for v in probed],
+    }
 
 
 # -- JSON interchange ----------------------------------------------------------

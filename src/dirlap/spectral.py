@@ -74,7 +74,6 @@ __all__ = [
     "Sector",
     "CheegerResult",
     "CheegerBound",
-    "Certificate",
     "numrange_boundary",
     "check_sector",
     "fit_sector",
@@ -533,71 +532,22 @@ def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound
 # -- aggregated certificate --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Aggregated verdicts on a truncation of a directed weighted graph.
+def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
+    """Run every checker on one truncation and return the aggregated report.
 
-    ``verdicts`` states which operator conclusions are numerically supported
-    on the probed truncation: accretivity plus a bounded asymmetry constant
-    and bounded cutoff energies back m-accretivity, the sector check backs
+    The report is the JSON object ``certify`` emits.  Its ``verdicts`` state
+    which operator conclusions are numerically supported on the probed
+    truncation: accretivity plus a bounded asymmetry constant and bounded
+    cutoff energies back m-accretivity, the sector check backs
     m-sectoriality, and (for unit measure) the Cheeger quotient bounds the
     real part of the numerical range from below.
-    """
-
-    radius: int
-    interior_size: int
-    kirchhoff_ok: bool
-    kirchhoff_max_imbalance: float
-    kirchhoff_worst_vertex: str | None
-    asymmetry_constant: float
-    sector_constant: float
-    cutoff_constant: float
-    total_asymmetry_values: tuple[float, ...]
-    total_asymmetry_trend: str
-    min_real: float
-    sector_vertex: float
-    sector_half_angle: float
-    sector_ok: bool
-    cheeger: dict | None
-    verdicts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "interior_size": self.interior_size,
-            "kirchhoff": {
-                "ok": self.kirchhoff_ok,
-                "max_imbalance": self.kirchhoff_max_imbalance,
-                "worst_vertex": self.kirchhoff_worst_vertex,
-            },
-            "asymmetry_constant": self.asymmetry_constant,
-            "sector_constant": self.sector_constant,
-            "cutoff_constant": self.cutoff_constant,
-            "total_asymmetry": {
-                "values": list(self.total_asymmetry_values),
-                "trend": self.total_asymmetry_trend,
-            },
-            "min_real": self.min_real,
-            "sector": {
-                "vertex": self.sector_vertex,
-                "half_angle": self.sector_half_angle,
-                "ok": self.sector_ok,
-            },
-            "cheeger": self.cheeger,
-            "verdicts": self.verdicts,
-        }
-
-
-def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> Certificate:
-    """Run every checker on one truncation and aggregate the verdicts.
 
     Graphs failing the Kirchhoff balance still get their truncation analyzed;
-    the certificate then reports the hypotheses as not met, which is useful
-    when exploring counterexamples.
+    the report then states the hypotheses as not met, which is useful when
+    exploring counterexamples.
     """
     interior = sorted(ball_.interior)
     balance = check_kirchhoff(g, interior)
-    asym = check_asymmetry(g, interior)
     sector_constant = check_asymmetry(g, ball_.vertices)
 
     # The ball's distance array serves every probe ball and the cutoffs.
@@ -630,29 +580,26 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> Certificate:
         }
 
     accretive = min_real >= -tol
-    verdicts = {
-        "kirchhoff_balance": balance.ok,
-        "accretive_truncation": accretive,
-        "m_accretive_supported": bool(balance.ok and accretive),
-        "m_sectorial_supported": bool(balance.ok and accretive and sector_ok),
-        "cheeger_bound_supported": cheeger_ok,
+    return {
+        "radius": ball_.radius,
+        "interior_size": len(interior),
+        "kirchhoff": {
+            "ok": balance.ok,
+            "max_imbalance": balance.max_imbalance,
+            "worst_vertex": None if balance.worst_vertex is None else g.label(balance.worst_vertex),
+        },
+        "asymmetry_constant": check_asymmetry(g, interior),
+        "sector_constant": sector_constant,
+        "cutoff_constant": cutoffs.constant,
+        "total_asymmetry": {"values": gamma_values, "trend": trend},
+        "min_real": min_real,
+        "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle, "ok": sector_ok},
+        "cheeger": cheeger_info,
+        "verdicts": {
+            "kirchhoff_balance": balance.ok,
+            "accretive_truncation": accretive,
+            "m_accretive_supported": bool(balance.ok and accretive),
+            "m_sectorial_supported": bool(balance.ok and accretive and sector_ok),
+            "cheeger_bound_supported": cheeger_ok,
+        },
     }
-
-    return Certificate(
-        radius=ball_.radius,
-        interior_size=len(interior),
-        kirchhoff_ok=balance.ok,
-        kirchhoff_max_imbalance=balance.max_imbalance,
-        kirchhoff_worst_vertex=None if balance.worst_vertex is None else g.label(balance.worst_vertex),
-        asymmetry_constant=asym,
-        sector_constant=sector_constant,
-        cutoff_constant=cutoffs.constant,
-        total_asymmetry_values=tuple(gamma_values),
-        total_asymmetry_trend=trend,
-        min_real=min_real,
-        sector_vertex=sector.vertex,
-        sector_half_angle=sector.half_angle,
-        sector_ok=sector_ok,
-        cheeger=cheeger_info,
-        verdicts=verdicts,
-    )

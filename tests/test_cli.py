@@ -240,8 +240,41 @@ def test_certify_at_another_root_reads_its_own_distances(capsys):
     report = json.loads(out)
     cert = dl.accretivity_certificate(g, dl.ball(g, g.index("y5"), 6))
     assert code == 0
-    assert {key: report[key] for key in cert.to_dict()} == json.loads(json.dumps(cert.to_dict()))
-    assert report["interior_size"] == cert.interior_size
+    assert {key: report[key] for key in cert} == json.loads(json.dumps(cert))
+    assert report["interior_size"] == cert["interior_size"]
+
+
+REPORT_INPUTS = [
+    (["--gen", "ladder", "--N", "12", "--measure", "unit"], lambda: dl.make_ladder(dl.LadderSpec(12, measure_mode="unit"))),
+    (["--gen", "tree", "--depth", "2"], lambda: dl.make_tree(dl.TreeSpec(depth=2))),
+    (["--gen", "random", "--n", "30"], lambda: dl.make_random_balanced(30, 0, 0.5)),
+]
+
+
+def default_ball(g):
+    return dl.ball(g, 0, max(1, int(dl.combinatorial_distance(g, 0).max()) - 1))
+
+
+@pytest.mark.parametrize("source,build", REPORT_INPUTS, ids=["unit-ladder", "tree", "random"])
+def test_certify_emits_the_library_report(capsys, source, build):
+    g = build()
+    code, out, _ = run(capsys, "certify", *source)
+    report = json.loads(out)
+    cert = dl.accretivity_certificate(g, default_ball(g))
+    assert code == (0 if cert["verdicts"]["m_sectorial_supported"] else 1)
+    assert {key: report[key] for key in cert} == json.loads(json.dumps(cert))
+    if source[1] == "ladder":
+        assert isinstance(report["cheeger"], dict)
+
+
+@pytest.mark.parametrize("source,build", REPORT_INPUTS, ids=["unit-ladder", "tree", "random"])
+def test_check_emits_the_library_report(capsys, source, build):
+    g = build()
+    code, out, _ = run(capsys, "check", *source)
+    envelope = {"config", "version", "interior_size", "kirchhoff_ok", "worst_vertex"}
+    report = {key: value for key, value in json.loads(out).items() if key not in envelope}
+    assert code == 0
+    assert report == json.loads(json.dumps(dl.assumption_report(g, default_ball(g).interior)))
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -345,6 +378,12 @@ def test_non_finite_options_are_input_errors(tmp_path, capsys, argv):
     assert code == 2
     assert not report.exists()
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol, code", [("-1e-3", 2), ("0", 0), ("1e-3", 0)])
+def test_kirchhoff_tolerance_must_be_non_negative(capsys, tol, code):
+    # The N = 10 ladder is exactly balanced; a negative tolerance must not fail it.
+    assert run(capsys, "check", "--gen", "ladder", "--N", "10", f"--tol-kirchhoff={tol}")[0] == code
 
 
 @pytest.mark.parametrize("grid", ["0:1e15:1", "0:1:1e-300"])

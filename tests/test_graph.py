@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -209,6 +210,23 @@ def test_kirchhoff_float_tolerance():
         [("a", "b", 0.1), ("b", "c", 0.1), ("c", "a", 0.1)],
     )
     assert dl.check_kirchhoff(g, g.vertex_ids()).ok
+
+
+def test_kirchhoff_zero_tolerance_asks_for_exact_balance():
+    # a receives 0.1 + 0.2 = 0.30000000000000004 and sends 0.3.
+    g = dl.DirectedGraph(
+        [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)],
+        [("a", "b", 0.3), ("b", "c", 0.1), ("b", "d", 0.2), ("c", "a", 0.1), ("d", "a", 0.2)],
+    )
+    assert dl.check_kirchhoff(g, g.vertex_ids()).ok
+    assert not dl.check_kirchhoff(g, g.vertex_ids(), tol=0.0).ok
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_kirchhoff_tolerance_must_be_finite_and_non_negative(tol):
+    g = dl.DirectedGraph([("a", 1.0), ("b", 1.0)], [("a", "b", 1.0)])
+    with pytest.raises(GraphError, match="Kirchhoff tolerance must be finite and >= 0"):
+        dl.check_kirchhoff(g, [0, 1], tol=tol)
 
 
 # -- symmetrize ----------------------------------------------------------------
@@ -451,13 +469,12 @@ def test_assumption_report_fields(ladder_sqrt):
     g = ladder_sqrt
     interior = sorted(dl.ball(g, 0, 10).interior)
     rep = dl.assumption_report(g, interior)
-    assert rep.kirchhoff_max_imbalance == 0.0
-    assert rep.asymmetry_constant <= 2.0 * rep.total_asymmetry_constant + 1e-12
-    assert rep.max_degree == 3
-    assert rep.probed_vertices == tuple(interior)
-    payload = rep.to_dict(labels=g.labels)
-    assert payload["probed_size"] == len(interior)
-    assert "x0" in payload["probed_vertices"]
+    assert rep["kirchhoff_max_imbalance"] == 0.0
+    assert rep["asymmetry_constant"] <= 2.0 * rep["total_asymmetry_constant"] + 1e-12
+    assert rep["max_degree"] == 3
+    assert rep["probed_vertices"] == [g.label(v) for v in interior]
+    assert rep["probed_size"] == len(interior)
+    assert "x0" in rep["probed_vertices"]
 
 
 # -- JSON round trip ---------------------------------------------------------------------

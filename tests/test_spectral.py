@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -272,7 +273,7 @@ def test_relabeling_keeps_verdicts_and_support_values(request, name, root, radiu
     verdicts, support = [], []
     for h in (g, shuffled):
         ball_ = dl.ball(h, h.index(root), radius)
-        verdicts.append(dl.accretivity_certificate(h, ball_).verdicts)
+        verdicts.append(dl.accretivity_certificate(h, ball_)["verdicts"])
         sample = dl.numrange_boundary(dl.assemble(h, ball_, "laplacian"), 24)
         support.append(np.real(np.exp(1j * sample.angles) * sample.points))
     assert verdicts[0] == verdicts[1]
@@ -388,7 +389,7 @@ def test_sector_verdict_is_one_factorization(monkeypatch):
         _, ok = dl.check_sector(sample, constant)
     assert ok and kinds == ["c"]
     monkeypatch.setattr(sla, "splu", counted)
-    assert dl.accretivity_certificate(ladder, ball_).sector_ok
+    assert dl.accretivity_certificate(ladder, ball_)["sector"]["ok"]
     # The certificate adds one complex factorization, the sector's; min_real factors real matrices.
     assert kinds.count("c") == 2 and set(kinds) == {"c", "f"}
 
@@ -558,29 +559,29 @@ def test_connected_subset_enumeration_complete(random_graphs):
 
 def test_certificate_ladder(ladder_sqrt):
     cert = dl.accretivity_certificate(ladder_sqrt, dl.ball(ladder_sqrt, 0, 10))
-    assert cert.kirchhoff_ok and cert.kirchhoff_max_imbalance == 0.0
-    assert cert.asymmetry_constant <= 12.0
-    assert cert.total_asymmetry_trend == "growing"
-    assert cert.sector_ok
-    assert cert.verdicts["m_accretive_supported"]
-    assert cert.verdicts["m_sectorial_supported"]
-    payload = cert.to_dict()
+    assert cert["kirchhoff"]["ok"] and cert["kirchhoff"]["max_imbalance"] == 0.0
+    assert cert["asymmetry_constant"] <= 12.0
+    assert cert["total_asymmetry"]["trend"] == "growing"
+    assert cert["sector"]["ok"]
+    assert cert["verdicts"]["m_accretive_supported"]
+    assert cert["verdicts"]["m_sectorial_supported"]
+    payload = json.loads(json.dumps(cert))
     assert payload["verdicts"]["m_sectorial_supported"]
 
 
 def test_certificate_tree(tree4):
     cert = dl.accretivity_certificate(tree4, dl.ball(tree4, 0, 3))
-    assert cert.asymmetry_constant == 4.0
-    assert cert.total_asymmetry_trend == "bounded"
-    assert cert.verdicts["m_accretive_supported"]
+    assert cert["asymmetry_constant"] == 4.0
+    assert cert["total_asymmetry"]["trend"] == "bounded"
+    assert cert["verdicts"]["m_accretive_supported"]
 
 
 def test_certificate_single_edge_negative(single_edge):
     cert = dl.accretivity_certificate(single_edge, dl.ball(single_edge, 0, 1))
-    assert not cert.kirchhoff_ok
-    assert cert.kirchhoff_max_imbalance == 3.0
-    assert cert.kirchhoff_worst_vertex == "u"
-    assert not cert.verdicts["m_accretive_supported"]
+    assert not cert["kirchhoff"]["ok"]
+    assert cert["kirchhoff"]["max_imbalance"] == 3.0
+    assert cert["kirchhoff"]["worst_vertex"] == "u"
+    assert not cert["verdicts"]["m_accretive_supported"]
 
 
 def test_certificate_forms_one_similarity(ladder_sqrt, monkeypatch):
@@ -661,8 +662,8 @@ def test_certificate_runs_one_breadth_first_search(ladder_sqrt, monkeypatch):
     ball_ = dl.ball(ladder_sqrt, 0, 10)
     cert = dl.accretivity_certificate(ladder_sqrt, ball_)
     probes = [dl.check_total_asymmetry(ladder_sqrt, dl.ball(ladder_sqrt, 0, r).interior) for r in (2, 5, 10)]
-    assert cert.total_asymmetry_values == tuple(probes)
-    assert cert.cutoff_constant == dl.build_cutoffs(ladder_sqrt, 0, [2, 5]).constant
+    assert cert["total_asymmetry"]["values"] == probes
+    assert cert["cutoff_constant"] == dl.build_cutoffs(ladder_sqrt, 0, [2, 5]).constant
     distances, roots = graph._distances, []
 
     def counted(ptr, nbr, x0):
@@ -687,7 +688,7 @@ def test_certificate_memory_grows_with_the_entries():
     finally:
         tracemalloc.stop()
     # One dense n-by-n array of this truncation (n = 4999) takes 200 MB.
-    assert cert.verdicts["m_sectorial_supported"]
+    assert cert["verdicts"]["m_sectorial_supported"]
     assert peak < 50 * 2**20
 
 
@@ -752,12 +753,12 @@ def test_relabeling_keeps_the_certificate(seed, n, radius, unit):
     g = unit_measure_copy(g) if unit else g
     shuffled = rebuilt(g, np.random.default_rng(seed).permutation(len(g)))
     certs = [dl.accretivity_certificate(h, dl.ball(h, h.index("v0"), radius)) for h in (g, shuffled)]
-    assert certs[0].verdicts == certs[1].verdicts
-    assert certs[0].sector_ok == certs[1].sector_ok
-    assert certs[0].total_asymmetry_trend == certs[1].total_asymmetry_trend
+    assert certs[0]["verdicts"] == certs[1]["verdicts"]
+    assert certs[0]["sector"]["ok"] == certs[1]["sector"]["ok"]
+    assert certs[0]["total_asymmetry"]["trend"] == certs[1]["total_asymmetry"]["trend"]
     a = dl.similarity_to_standard(dl.assemble(g, dl.ball(g, g.index("v0"), radius), "laplacian"))
     tol = 100 * len(a) * np.finfo(float).eps * np.linalg.norm(a)
-    assert abs(certs[0].min_real - certs[1].min_real) <= tol
+    assert abs(certs[0]["min_real"] - certs[1]["min_real"]) <= tol
 
 
 @settings(deadline=None, max_examples=20)
@@ -777,13 +778,13 @@ def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, 
     for s, graph in ((0, g), (k, rebuilt(g, weight_scale=2.0**k))):
         ball_ = dl.ball(graph, 0, radius)
         cert = dl.accretivity_certificate(graph, ball_)
-        verdicts = {key: value for key, value in cert.verdicts.items() if key != "m_sectorial_supported"}
+        verdicts = {key: value for key, value in cert["verdicts"].items() if key != "m_sectorial_supported"}
         bound = dl.cheeger_bound_check(graph, ball_, h * 2.0 ** (s // 2))
         times = np.array([0.0, 0.5, 1.0, 2.0]) * 2.0**-s
         op = dl.assemble(graph, ball_, "laplacian")
         # bound.lambda0 = h^2 / 2M scales by 2^k with h^2.
         trace = dl.evolve_trace(op, np.eye(op.n)[0], times, lambda0=bound.lambda0)
-        outcomes.append((verdicts, cert.total_asymmetry_trend, bound.ok, trace.flagged))
+        outcomes.append((verdicts, cert["total_asymmetry"]["trend"], bound.ok, trace.flagged))
     assert outcomes[0] == outcomes[1]
 
 
@@ -794,4 +795,4 @@ def test_accretivity_threshold_scales_with_the_operator(k):
     scaled = rebuilt(dl.make_random_balanced(60, seed=0, density=2), weight_scale=2.0**k)
     radius = int(dl.combinatorial_distance(scaled, 0).max())
     cert = dl.accretivity_certificate(scaled, dl.ball(scaled, 0, radius))
-    assert cert.verdicts["accretive_truncation"]
+    assert cert["verdicts"]["accretive_truncation"]
