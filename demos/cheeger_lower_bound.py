@@ -11,15 +11,14 @@ well above that line.
 import dirlap as dl
 
 ladder = dl.make_ladder(dl.LadderSpec(depth=22, measure_mode="unit"))
-symmetric = dl.symmetrize(ladder)
 
 print("n   quotient 2(n+1)/(2n+1)")
 family = [dl.ball(ladder, 0, n).vertices for n in range(1, 22)]
 for n, member in zip((1, 2, 5, 10, 21), (family[0], family[1], family[4], family[9], family[20])):
-    value = dl.cheeger_nested(symmetric, [member]).value
+    value = dl.cheeger_nested(ladder, [member]).value
     print(f"{n:2d}   {value:.6f}")
 
-nested = dl.cheeger_nested(symmetric, family)
+nested = dl.cheeger_nested(ladder, family)
 print(f"family minimum: {nested.value:.6f} at member {nested.witness_index} (tends to 1)")
 
 bound = dl.cheeger_bound_check(ladder, dl.ball(ladder, 0, 10), h=1.0)
@@ -32,7 +31,8 @@ for radius in (5, 10, 20):
 print("\nexact small-graph constants (connected-subset enumeration):")
 two = dl.DirectedGraph([("u", 1.0), ("v", 1.0)], [("u", "v", 1.0), ("v", "u", 1.0)])
 print("single edge:", dl.cheeger_bruteforce(two).value)
-small = dl.symmetrize(dl.make_random_balanced(10, seed=4))
+# The quotients read sqrt(b') with b' = (b + b~)/2, so the directed graph needs no symmetrizing.
+small = dl.make_random_balanced(10, seed=4)
 vertices = [(small.label(x), 1.0) for x in small.vertex_ids()]
 edges = [(small.label(x), small.label(y), w) for x, y, w in small.iter_edges()]
 unit = dl.DirectedGraph(vertices, edges)

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .generators import LadderSpec, TreeSpec, make_ladder, make_random_balanced, make_tree
 from .graph import (
+    Ball,
     DirectedGraph,
     GraphError,
     NumericError,
@@ -28,15 +29,14 @@ from .graph import (
     assumption_report,
     ball,  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
     check_asymmetry,
-    check_kirchhoff,
     combinatorial_distance,
     graph_to_dict,
     load_graph,
-    symmetrize,
 )
 from .operators import assemble
 from .semigroup import evolve_trace
 from .spectral import (
+    _require_unit_measure,
     accretivity_certificate,
     check_sector,
     cheeger_bound_check,
@@ -127,14 +127,6 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-def _emit_report(payload: dict, args, ball_) -> None:
-    """Add the resolved configuration, the version and the interior size, then emit."""
-    payload["config"] = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
-    payload["version"] = __version__
-    payload["interior_size"] = len(ball_.interior)
-    _emit(payload, args.out)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -164,28 +156,16 @@ def _parse_time_grid(text: str) -> np.ndarray:
 
 
 # -- subcommands ----------------------------------------------------------------
+# Each verdict maps the graph, its truncation ball and the parsed arguments to
+# its report and exit code; main adds the envelope and emits the report.
 
 
-def cmd_gen(args) -> int:
-    g = _build_graph(args)
-    _emit(graph_to_dict(g), args.out)
-    return 0
+def cmd_check(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
+    report = assumption_report(g, ball_.interior, args.tol_kirchhoff)
+    return report, 0 if report["kirchhoff_ok"] else 1
 
 
-def cmd_check(args) -> int:
-    g = _build_graph(args)
-    ball_ = _resolve_ball(g, args)
-    payload = assumption_report(g, ball_.interior)
-    balance = check_kirchhoff(g, sorted(ball_.interior), tol=args.tol_kirchhoff)
-    payload["kirchhoff_ok"] = balance.ok
-    payload["worst_vertex"] = None if balance.worst_vertex is None else g.label(balance.worst_vertex)
-    _emit_report(payload, args, ball_)
-    return 0 if balance.ok else 1
-
-
-def cmd_spectrum(args) -> int:
-    g = _build_graph(args)
-    ball_ = _resolve_ball(g, args)
+def cmd_spectrum(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     op = assemble(g, ball_, "laplacian")
     sample = numrange_boundary(op, args.angles)
     constant = check_asymmetry(g, ball_.vertices) if args.constant is None else args.constant
@@ -198,33 +178,28 @@ def cmd_spectrum(args) -> int:
             ["angle", "re", "im"],
             ((a, z.real, z.imag) for a, z in zip(sample.angles, sample.points)),
         )
-    payload = {
+    report = {
         "min_real": sample.min_real,
         "asymmetry_constant": constant,
         "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle},
         "sector_ok": ok,
         "angles": args.angles,
     }
-    _emit_report(payload, args, ball_)
-    return 0 if ok else 1
+    return report, 0 if ok else 1
 
 
-def cmd_cheeger(args) -> int:
-    g = _build_graph(args)
-    ball_ = _resolve_ball(g, args)
-    if not np.all(g.measures == 1.0):
-        raise GraphError("Cheeger analysis requires unit vertex measure (ladder: --measure unit)")
-    g_sym = symmetrize(g)
+def cmd_cheeger(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
+    _require_unit_measure(g, "Cheeger analysis requires unit vertex measure (ladder: --measure unit)")
     cap = args.max_subset_size
     if cap is None:
         # complete (certified) enumeration for small graphs, bounded work above
         cap = len(g) - 1 if len(g) <= 20 else 10
-    result = cheeger_bruteforce(g_sym, max_subset_size=cap)
+    result = cheeger_bruteforce(g, max_subset_size=cap)
     bound = cheeger_bound_check(g, ball_, result.value)
     # An uncertified h is only an upper bound, so a failed comparison proves
     # nothing; the exit code still reports the bound as unverified.
     verdict = "pass" if bound.ok else ("fail" if result.certified else "inconclusive")
-    payload = {
+    report = {
         "h": result.value,
         "witness": [g.label(v) for v in result.witness],
         "certified": result.certified,
@@ -233,13 +208,10 @@ def cmd_cheeger(args) -> int:
         "min_real": bound.min_real,
         "verdict": verdict,
     }
-    _emit_report(payload, args, ball_)
-    return 0 if bound.ok else 1
+    return report, 0 if bound.ok else 1
 
 
-def cmd_evolve(args) -> int:
-    g = _build_graph(args)
-    ball_ = _resolve_ball(g, args)
+def cmd_evolve(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     op = assemble(g, ball_, "laplacian")
     times = _parse_time_grid(args.t)
     v0 = np.zeros(op.n)
@@ -253,17 +225,12 @@ def cmd_evolve(args) -> int:
             ["t", "opnorm", "bound", "state_norm"],
             zip(trace.times, trace.operator_norms, trace.bounds, trace.state_norms),
         )
-    payload = trace.to_dict()
-    _emit_report(payload, args, ball_)
-    return 0 if trace.ok else 1
+    return trace.to_dict(), 0 if trace.ok else 1
 
 
-def cmd_certify(args) -> int:
-    g = _build_graph(args)
-    ball_ = _resolve_ball(g, args)
+def cmd_certify(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     cert = accretivity_certificate(g, ball_)
-    _emit_report(cert, args, ball_)
-    return 0 if cert["verdicts"]["m_sectorial_supported"] else 1
+    return cert, 0 if cert["verdicts"]["m_sectorial_supported"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=GENERATORS)
     _add_generator_options(p)
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_gen, graph=None)
+    p.set_defaults(graph=None)
 
     p = sub.add_parser("check", help="Kirchhoff balance and asymmetry constants")
     _add_graph_source(p)
@@ -338,7 +305,18 @@ def main(argv=None) -> int:
     try:
         # Non-finite values raise NumericError; numpy's warnings would repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            g = _build_graph(args)
+            if args.command == "gen":
+                _emit(graph_to_dict(g), args.out)
+                return 0
+            ball_ = _resolve_ball(g, args)
+            report, code = args.func(g, ball_, args)
+        # The envelope: the resolved configuration, the version and the interior size.
+        report["config"] = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+        report["version"] = __version__
+        report["interior_size"] = len(ball_.interior)
+        _emit(report, args.out)
+        return code
     except (GraphError, OSError) as exc:
         print(f"dirlap: input error: {exc}", file=sys.stderr)
         return 2

@@ -662,15 +662,19 @@ def divergence_criterion(g: DirectedGraph, x0: VertexId, n_max: int) -> Divergen
 # -- aggregated assumption report ---------------------------------------------
 
 
-def assumption_report(g: DirectedGraph, interior: Iterable[VertexId]) -> dict:
+def assumption_report(g: DirectedGraph, interior: Iterable[VertexId], tol: float | None = None) -> dict:
     """Evaluate all per-vertex assumption constants over ``interior``.
 
     The report is the JSON object ``check`` emits before its envelope, with
-    the probed vertices named by their labels.
+    vertices named by their labels; ``tol`` is the Kirchhoff tolerance of
+    :func:`check_kirchhoff`.
     """
     probed = sorted(int(x) for x in interior)
+    balance = check_kirchhoff(g, probed, tol)
     return {
-        "kirchhoff_max_imbalance": check_kirchhoff(g, probed).max_imbalance,
+        "kirchhoff_ok": balance.ok,
+        "kirchhoff_max_imbalance": balance.max_imbalance,
+        "worst_vertex": None if balance.worst_vertex is None else g.labels[balance.worst_vertex],
         "total_asymmetry_constant": check_total_asymmetry(g, probed),
         "asymmetry_constant": check_asymmetry(g, probed),
         "max_degree": g.max_degree,

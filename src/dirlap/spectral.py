@@ -37,8 +37,9 @@ factorization decides lambda_max(-(C/8) S - i K) < 1/2 + tau (1 + C/8).
 
 Cheeger constants follow the sqrt-of-weight convention
     h = inf over finite proper U of  sum_{x in U, y outside} sqrt(b'(x,y)) / #U
-on symmetric graphs with unit measure, and bound the real part of the
-numerical range from below by h^2 / (2 * max degree).
+on graphs with unit measure, b' = (b + b~)/2 the symmetrized weight read from
+the graph's own slots, and bound the real part of the numerical range from
+below by h^2 / (2 * max degree).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .graph import (
     DirectedGraph,
     GraphError,
     NumericError,
+    _b_sym,
     _cutoffs,
     _finite,
     _indices,
@@ -65,7 +67,6 @@ from .graph import (
     check_total_asymmetry,
 )
 from .graph import ball as make_ball  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
-from .graph import symmetrize
 from .operators import TruncatedOperator, assemble
 
 __all__ = [
@@ -396,19 +397,14 @@ class CheegerResult:
     witness_index: int | None = None
 
 
-def _require_unit_symmetric(g: DirectedGraph) -> None:
-    if not g.is_symmetric():
-        raise GraphError("Cheeger constants are defined on symmetrized graphs; symmetrize first")
+def _require_unit_measure(g: DirectedGraph, message: str = "Cheeger constants require unit vertex measure") -> None:
     if not np.all(g.measures == 1.0):
-        raise GraphError("Cheeger constants require unit vertex measure")
+        raise GraphError(message)
 
 
 def _out_edges(g: DirectedGraph) -> list[list[tuple[int, float]]]:
-    """Every row's (neighbor, sqrt b) slots, read once for the many quotients that follow.
-
-    Cheeger graphs are symmetric, so every slot carries an edge with b > 0.
-    """
-    ptr, nbr, roots = g._ptr.tolist(), g._nbr.tolist(), np.sqrt(g._b_out).tolist()
+    """Every row's (neighbor, sqrt b') slots, read once for the many quotients that follow."""
+    ptr, nbr, roots = g._ptr.tolist(), g._nbr.tolist(), np.sqrt(_b_sym(g)).tolist()
     return [list(zip(nbr[lo:hi], roots[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
 
 
@@ -445,13 +441,15 @@ def cheeger_bruteforce(
 ) -> CheegerResult:
     """Exact minimum of the boundary quotient over connected proper subsets.
 
-    A disconnected minimizer decomposes into a connected piece with no larger
-    quotient, so restricting to connected subsets loses nothing.  The result
-    is flagged uncertified when the size cap is below #V - 1 or the subset
-    budget was exhausted; it is then only the best value found, an upper
-    bound on the true constant.
+    ``g`` is any graph with unit measure.  Each boundary slot weighs
+    sqrt(b'), b' = (b + b~)/2, so ``g`` and ``symmetrize(g)`` have the same
+    constant.  A disconnected minimizer decomposes into a connected piece
+    with no larger quotient, so restricting to connected subsets loses
+    nothing.  The result is flagged uncertified when the size cap is below
+    #V - 1 or the subset budget was exhausted; it is then only the best
+    value found, an upper bound on the true constant.
     """
-    _require_unit_symmetric(g)
+    _require_unit_measure(g)
     n = len(g)
     if max_subset_size is None:
         if n > 20:
@@ -483,7 +481,7 @@ def cheeger_bruteforce(
 
 def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> CheegerResult:
     """Minimum boundary quotient over a nested increasing family of proper subsets."""
-    _require_unit_symmetric(g)
+    _require_unit_measure(g)
     sets = [frozenset(_vertex_array(g, member).tolist()) for member in family]
     if not sets:
         raise GraphError("family must not be empty")
@@ -524,8 +522,7 @@ def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound
     """Check min Re W(truncation) >= h^2 / (2 M) with M the host max degree."""
     if not 0.0 <= h < math.inf:
         raise GraphError(f"Cheeger constant must be finite and >= 0, got {h!r}")
-    if not np.all(g.measures == 1.0):
-        raise GraphError("the Cheeger lower bound requires unit vertex measure")
+    _require_unit_measure(g, "the Cheeger lower bound requires unit vertex measure")
     return _cheeger_bound(h, g, *_standard_frame(assemble(g, ball_, "laplacian")).unscaled)
 
 
@@ -568,7 +565,7 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     cheeger_info = None
     cheeger_ok = None
     if np.all(g.measures == 1.0) and len(g) <= 200:
-        result = cheeger_bruteforce(symmetrize(g), max_subset_size=min(8, len(g) - 1), budget=500_000)
+        result = cheeger_bruteforce(g, max_subset_size=min(8, len(g) - 1), budget=500_000)
         bound = _cheeger_bound(result.value, g, min_real, tol)
         cheeger_ok = bound.ok if result.certified else None
         cheeger_info = {

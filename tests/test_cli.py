@@ -82,8 +82,10 @@ def test_malformed_graph_exits_two(tmp_path, capsys):
             b' "edges": [{"from": "a", "to": "b", "b": [1]}]}',
             "edge 0",
         ),
+        (b"[]", "must be a JSON object"),
+        (b'{"vertices": [{"id": "a"}], "edges": []}', "vertices[0]: expected an object with 'id' and 'm'"),
     ],
-    ids=["not-utf8", "directory", "measure-not-a-number", "weight-not-a-number"],
+    ids=["not-utf8", "directory", "measure-not-a-number", "weight-not-a-number", "not-an-object", "vertex-without-m"],
 )
 def test_unreadable_graph_files_are_input_errors(tmp_path, capsys, content, message):
     path = tmp_path / "g.json"
@@ -173,12 +175,21 @@ def _old_triplets(matrix):
     return "".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
 
 
+DUMP_SOURCES = {
+    "ladder": ("--gen", "ladder", "--N", "6"),
+    "tree": ("--gen", "tree"),
+    "random": ("--gen", "random", "--seed", "3"),
+    "sink": ("sink",),
+}
+# The spectrum cases keep their plain ids; the evolve cases are prefixed.
+DUMP_COMMANDS = {"": ("spectrum", "--angles", "8"), "evolve-": ("evolve", "--measure", "unit", "--t", "0:1:0.5")}
+
+
 @pytest.mark.parametrize(
-    "source",
-    [("--gen", "ladder", "--N", "6"), ("--gen", "tree"), ("--gen", "random", "--seed", "3"), ("sink",)],
-    ids=["ladder", "tree", "random", "sink"],
+    "command, source",
+    [pytest.param(cmd, src, id=prefix + name) for prefix, cmd in DUMP_COMMANDS.items() for name, src in DUMP_SOURCES.items()],
 )
-def test_dump_matrix_lists_the_row_major_nonzeros(tmp_path, capsys, source):
+def test_dump_matrix_lists_the_row_major_nonzeros(tmp_path, capsys, command, source):
     sink = source == ("sink",)
     if sink:
         # b has no outgoing edge: its Laplacian row, diagonal included, is zero.
@@ -186,7 +197,7 @@ def test_dump_matrix_lists_the_row_major_nonzeros(tmp_path, capsys, source):
         dl.save_graph(g, tmp_path / "sink.json")
         source = ("--graph", str(tmp_path / "sink.json"), "--radius", "2")
     prefix = str(tmp_path / "mat")
-    code, _, _ = run(capsys, "spectrum", *source, "--angles", "8", "--dump-matrix", prefix, "--out", str(tmp_path / "s.json"))
+    code, _, _ = run(capsys, *command, *source, "--dump-matrix", prefix, "--out", str(tmp_path / "s.json"))
     assert code in (0, 1)
     dense = np.loadtxt(prefix + ".csv", delimiter=",", ndmin=2)
     assert (tmp_path / "mat.triplets.txt").read_text() == _old_triplets(dense)
@@ -215,6 +226,9 @@ def test_radius_below_one_is_an_input_error(tmp_path, capsys, command, radius):
         (["evolve", "--gen", "ladder", "--N", "12", "--measure", "unit", "--t", "0:1:0.5"], 1),
         # Another root takes one more search, for the ball; the certificate reads the ball's distances.
         (["certify", "--gen", "ladder", "--N", "12", "--root", "y5", "--radius", "3"], 2),
+        # The Cheeger constant reads b' from the host graph's slots, so no rebuilt graph searches again.
+        (["certify", "--gen", "ladder", "--N", "12", "--measure", "unit"], 1),
+        (["cheeger", "--gen", "ladder", "--N", "12", "--measure", "unit"], 1),
     ],
 )
 def test_default_ball_runs_one_breadth_first_search(capsys, monkeypatch, argv, searches):
@@ -271,7 +285,7 @@ def test_certify_emits_the_library_report(capsys, source, build):
 def test_check_emits_the_library_report(capsys, source, build):
     g = build()
     code, out, _ = run(capsys, "check", *source)
-    envelope = {"config", "version", "interior_size", "kirchhoff_ok", "worst_vertex"}
+    envelope = {"config", "version", "interior_size"}
     report = {key: value for key, value in json.loads(out).items() if key not in envelope}
     assert code == 0
     assert report == json.loads(json.dumps(dl.assumption_report(g, default_ball(g).interior)))
@@ -430,6 +444,8 @@ def test_certify_positive_and_negative(tmp_path, capsys):
 # b = 1e308 both ways: every weight is valid, but b + b~ and the Hermitian
 # part overflow, so no verdict may be reported; its strengths stay finite.
 PAIR = [("a", "b", 1e308), ("b", "a", 1e308)]
+# b(a, c) = 5e-324 is a valid weight, but b'(a, c) = b/2 + b~/2 rounds to 0.
+SUBNORMAL_SLOT = [("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 1.0), ("c", "b", 1.0), ("a", "c", 5e-324)]
 
 
 def test_subnormal_weights_are_a_numeric_failure(tmp_path, capsys):
@@ -454,6 +470,8 @@ def test_subnormal_weights_are_a_numeric_failure(tmp_path, capsys):
         pytest.param("check", [("a", "b", 1e308), ("b", "a", 1.0)], 1.0, id="check-asymmetry"),
         # Every weight sum is finite; dividing by m(a) overflows.
         pytest.param("check", [("a", "b", 1e10), ("b", "a", 1.0)], 1e-300, id="check-tiny-measure"),
+        # cheeger reads b' from the graph as given, and its operator has a subnormal entry.
+        pytest.param("cheeger", SUBNORMAL_SLOT, 1.0, id="cheeger-subnormal"),
     ],
 )
 def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edges, measure_a):
@@ -472,6 +490,14 @@ def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edge
     code, _, _ = run(capsys, "check", "--graph", save(PAIR, "pair.json"), *argv)
     assert code == 0
     assert "NaN" not in report.read_text() and "Infinity" not in report.read_text()
+
+
+def test_kirchhoff_tolerance_is_checked_before_any_sum(tmp_path, capsys):
+    # The asymmetry sums of this graph are not finite, but the bad tolerance is reported first.
+    dl.save_graph(dl.DirectedGraph([(v, 1.0) for v in "abc"], SUBNORMAL_SLOT), tmp_path / "g.json")
+    code, out, err = run(capsys, "check", "--graph", str(tmp_path / "g.json"), "--radius", "1", "--tol-kirchhoff=-1")
+    assert (code, out) == (2, "")
+    assert err == "dirlap: input error: Kirchhoff tolerance must be finite and >= 0, got -1.0\n"
 
 
 @pytest.mark.parametrize(

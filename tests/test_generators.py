@@ -175,6 +175,11 @@ def test_random_balanced_needs_three_vertices():
         dl.make_random_balanced(2, seed=0)
 
 
+def test_random_balanced_rejects_a_negative_density():
+    with pytest.raises(GraphError, match="density must be >= 0"):
+        dl.make_random_balanced(5, seed=0, density=-1)
+
+
 def test_single_cycle_balance_by_hand():
     g = dl.DirectedGraph(
         [("a", 1.0), ("b", 1.0), ("c", 1.0)],

@@ -462,6 +462,11 @@ def test_divergence_requires_large_host(ladder_sqrt):
         dl.divergence_criterion(ladder_sqrt, 0, 13)
 
 
+def test_divergence_needs_a_sphere(ladder_sqrt):
+    with pytest.raises(GraphError, match="n_max must be >= 1"):
+        dl.divergence_criterion(ladder_sqrt, 0, 0)
+
+
 # -- assumption report ----------------------------------------------------------------
 
 

@@ -137,6 +137,16 @@ def test_synthetic_operator_validation():
         dl.TruncatedOperator(np.zeros((2, 3)), np.ones(2), "laplacian")
     with pytest.raises(GraphError):
         dl.TruncatedOperator(np.zeros((2, 2)), np.array([1.0, 0.0]), "laplacian")
+    with pytest.raises(GraphError, match="unknown operator kind 'hamiltonian'"):
+        dl.TruncatedOperator(np.zeros((2, 2)), np.ones(2), "hamiltonian")
+
+
+def test_row_of_a_vertex_outside_the_ball(ladder_sqrt):
+    op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 2), "laplacian")
+    outside = ladder_sqrt.index("x5")
+    assert outside not in op.vertices
+    with pytest.raises(GraphError, match="not in the truncation"):
+        op.row_of(outside)
 
 
 # -- weighted geometry -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -424,6 +425,16 @@ def test_fit_sector(ladder_sqrt):
         dl.fit_sector(sample, vertex=sample.points.real.max() + 1.0)
 
 
+def test_fit_sector_vertex_inside_a_real_range(two_vertex_symmetric):
+    # Every point of a symmetric operator is real, so a vertex between two of them
+    # leaves a point to its left and no sector of angle below pi/2 holds that point.
+    op = dl.assemble(two_vertex_symmetric, dl.full_ball(two_vertex_symmetric, 0), "laplacian")
+    sample = dl.numrange_boundary(op, 8)
+    inside = (sample.points.real.min() + sample.points.real.max()) / 2.0
+    with pytest.raises(GraphError, match="no sector"):
+        dl.fit_sector(sample, vertex=inside)
+
+
 # -- Cheeger constants ------------------------------------------------------------------
 
 
@@ -447,10 +458,40 @@ def test_cheeger_triangle():
 
 
 def test_cheeger_preconditions(ladder_sqrt, single_edge):
-    with pytest.raises(GraphError, match="symmetriz"):
-        dl.cheeger_bruteforce(single_edge)
+    assert dl.cheeger_bruteforce(single_edge) == dl.cheeger_bruteforce(dl.symmetrize(single_edge))
     with pytest.raises(GraphError, match="unit"):
         dl.cheeger_bruteforce(dl.symmetrize(ladder_sqrt))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10**6), st.integers(3, 10), st.floats(0.0, 1.5))
+def test_cheeger_reads_the_symmetrized_weights_of_the_host(seed, n, density):
+    # The boundary weight is sqrt(b'), and b' of symmetrize(g) is b' of g bit for bit.
+    g = unit_measure_copy(dl.make_random_balanced(n, seed, density))
+    host, sym = dl.cheeger_bruteforce(g), dl.cheeger_bruteforce(dl.symmetrize(g))
+    assert host.value.hex() == sym.value.hex()
+    assert (host.witness, host.certified) == (sym.witness, sym.certified)
+
+
+def test_cheeger_budget_keeps_the_best_of_the_subsets_visited(random_graphs):
+    from dirlap.spectral import _boundary_quotient, _connected_subsets, _out_edges
+
+    g = unit_measure_copy(random_graphs[0])
+    budget = 12
+    first = list(itertools.islice(_connected_subsets(g, len(g) - 1), budget))
+    result = dl.cheeger_bruteforce(g, budget=budget)
+    assert not result.certified
+    assert result.value == min(_boundary_quotient(_out_edges(g), s) for s in first)
+    assert result.value > dl.cheeger_bruteforce(g).value
+
+
+def test_cheeger_enumeration_limits(random_graphs, ladder_unit):
+    g = unit_measure_copy(random_graphs[0])
+    with pytest.raises(GraphError, match="max_subset_size must be >= 1"):
+        dl.cheeger_bruteforce(g, max_subset_size=0)
+    assert len(ladder_unit) > 20
+    with pytest.raises(GraphError, match="more than 20 vertices"):
+        dl.cheeger_bruteforce(ladder_unit)
 
 
 def test_cheeger_matches_exhaustive_oracle(random_graphs):
