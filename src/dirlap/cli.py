@@ -220,12 +220,9 @@ def cmd_evolve(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     if args.dump_matrix:
         _dump_matrix(op, args.dump_matrix)
     if args.out_csv:
-        _write_csv(
-            args.out_csv,
-            ["t", "opnorm", "bound", "state_norm"],
-            zip(trace.times, trace.operator_norms, trace.bounds, trace.state_norms),
-        )
-    return trace.to_dict(), 0 if trace.ok else 1
+        columns = ("times", "operator_norms", "bounds", "state_norms")
+        _write_csv(args.out_csv, ["t", "opnorm", "bound", "state_norm"], zip(*(trace[c] for c in columns)))
+    return trace, 0 if trace["ok"] else 1
 
 
 def cmd_certify(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:

@@ -23,7 +23,6 @@ label round trip; the labels are only attached for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -171,26 +170,20 @@ def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGra
     if density < 0:
         raise GraphError("density must be >= 0")
     rng = np.random.default_rng(seed)
-
-    weights: dict[tuple[int, int], float] = {}
-
-    def add_cycle(order: Sequence[int]) -> None:
-        w = int(rng.integers(4, 33)) / 16.0
-        for a, b in zip(order, list(order[1:]) + [order[0]]):
-            key = (int(a), int(b))
-            weights[key] = weights.get(key, 0.0) + w
-
-    add_cycle(list(rng.permutation(n)))
+    # Each cycle draws its vertices, then its weight; the measures come last.
+    cycles = [rng.permutation(n)]
+    weights = [int(rng.integers(4, 33)) / 16.0]
     for _ in range(int(round(density * n))):
-        length = int(rng.integers(2, min(6, n) + 1))
-        add_cycle(list(rng.choice(n, size=length, replace=False)))
-
+        cycles.append(rng.choice(n, size=int(rng.integers(2, min(6, n) + 1)), replace=False))
+        weights.append(int(rng.integers(4, 33)) / 16.0)
     measures = rng.integers(4, 33, size=n) / 16.0
-    edges = sorted(weights.items())
-    return DirectedGraph._from_arrays(
-        [f"v{i}" for i in range(n)],
-        measures,
-        [a for (a, _), _ in edges],
-        [b for (_, b), _ in edges],
-        [w for _, w in edges],
-    )
+
+    # Edge i runs from sources[i] to the next vertex of its cycle; repeated edges add their weights.
+    lengths = np.array([len(c) for c in cycles])
+    starts = np.cumsum(lengths) - lengths
+    sources = np.concatenate(cycles)
+    targets = np.roll(sources, -1)
+    targets[starts + lengths - 1] = sources[starts]
+    keys, edge = np.unique(sources * n + targets, return_inverse=True)
+    summed = np.bincount(edge, weights=np.repeat(weights, lengths))
+    return DirectedGraph._from_arrays([f"v{i}" for i in range(n)], measures, keys // n, keys % n, summed)

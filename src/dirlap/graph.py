@@ -480,8 +480,18 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
 
 def _asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
-    d = g._b_out - g._b_in
-    return _row_sums(g, rows, d * d / _b_sym(g), per_measure=True)
+    """Divides only over the slots of ``rows``; a slot there whose b' underflows to 0 is a NumericError."""
+    slot_rows = g._slot_rows()
+    slots = np.flatnonzero(np.isin(slot_rows, rows))
+    b_sym = _b_sym(g)[slots]
+    if not b_sym.all():
+        k = slots[np.argmin(b_sym)]
+        x, y = g.labels[slot_rows[k]], g.labels[g._nbr[k]]
+        raise NumericError(f"the symmetrized weight b' of {x!r} and {y!r} underflows to 0")
+    d = g._b_out[slots] - g._b_in[slots]
+    values = np.zeros(len(slot_rows))
+    values[slots] = d * d / b_sym
+    return _row_sums(g, rows, values, per_measure=True)
 
 
 def _total_asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:

@@ -18,12 +18,12 @@ propagator: one SVD of its first nonzero step keeps the r singular
 directions above n eps sigma_1 (r is small for heat flow, n for the skew
 part), and each later step acts on that n-by-r block, whose r-by-r Gram
 matrix gives the norm.  The state vector is stepped on its own.
+:func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,7 +32,6 @@ from .graph import _EPS, GraphError, NumericError, _finite, _tolerance
 from .operators import TruncatedOperator, _similar, similarity_to_standard, weighted_norm
 
 __all__ = [
-    "EvolutionTrace",
     "expm_apply",
     "operator_norm_expm",
     "resolvent_norm",
@@ -131,45 +130,19 @@ def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
     return float(1.0 / smallest)
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """Weighted norms of exp(-tA) along a time grid.
-
-    ``bounds[i]`` is min(1, exp(-lambda0 * t_i)) (just 1 when no decay rate
-    was given); ``flagged`` lists the grid indices where the operator norm
-    exceeds its bound by more than the rounding slack 100 n eps of a norm <= 1.
-    """
-
-    times: np.ndarray
-    operator_norms: np.ndarray
-    state_norms: np.ndarray
-    bounds: np.ndarray
-    flagged: tuple[int, ...]
-    lambda0: float | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
-
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "operator_norms": self.operator_norms.tolist(),
-            "state_norms": self.state_norms.tolist(),
-            "bounds": self.bounds.tolist(),
-            "flagged": list(self.flagged),
-            "lambda0": self.lambda0,
-            "ok": self.ok,
-        }
-
-
 def evolve_trace(
     op: TruncatedOperator,
     v0: np.ndarray,
     t_grid,
     lambda0: float | None = None,
-) -> EvolutionTrace:
+) -> dict:
     """Evolve v0 under exp(-tA) over a sorted, finite, nonnegative time grid.
+
+    Returns the JSON object ``evolve`` emits before its envelope, of lists:
+    the ``times``, the weighted norms of exp(-tA) (``operator_norms``) and of
+    exp(-tA) v0 (``state_norms``), the ``bounds`` min(1, exp(-lambda0 t)) (1
+    without ``lambda0``), the ``flagged`` indices whose norm exceeds its bound
+    by more than the slack 100 n eps, then ``lambda0`` and ``ok`` (none flagged).
 
     The grid is stepped by the semigroup law, exp(-t_k A) = exp(-h_k A)
     exp(-t_(k-1) A) with h_k = t_k - t_(k-1) and t_(-1) = 0, so only each
@@ -220,8 +193,16 @@ def evolve_trace(
         bounds = np.ones_like(times)
     else:
         bounds = np.minimum(1.0, np.exp(-float(lambda0) * times))
-    flagged = tuple(int(i) for i in np.nonzero(op_norms > bounds + _tolerance(op.n, 1.0))[0])
-    return EvolutionTrace(times, op_norms, state_norms, bounds, flagged, lambda0)
+    flagged = np.flatnonzero(op_norms > bounds + _tolerance(op.n, 1.0)).tolist()
+    return {
+        "times": times.tolist(),
+        "operator_norms": op_norms.tolist(),
+        "state_norms": state_norms.tolist(),
+        "bounds": bounds.tolist(),
+        "flagged": flagged,
+        "lambda0": lambda0,
+        "ok": not flagged,
+    }
 
 
 def positivity_check(op: TruncatedOperator, t: float) -> bool:

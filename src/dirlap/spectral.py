@@ -70,7 +70,6 @@ from .graph import ball as make_ball  # noqa: F401  (kept importable here; perfb
 from .operators import TruncatedOperator, assemble
 
 __all__ = [
-    "NumericError",
     "NumericalRangeSample",
     "Sector",
     "CheegerResult",

@@ -291,6 +291,25 @@ def test_check_emits_the_library_report(capsys, source, build):
     assert report == json.loads(json.dumps(dl.assumption_report(g, default_ball(g).interior)))
 
 
+@pytest.mark.parametrize("source,build", REPORT_INPUTS, ids=["unit-ladder", "tree", "random"])
+@pytest.mark.parametrize("lambda0", [None, 5.0])
+def test_evolve_emits_the_library_report(capsys, source, build, lambda0):
+    from dirlap.cli import _parse_time_grid
+
+    g = build()
+    rate = [] if lambda0 is None else ["--lambda0", str(lambda0)]
+    code, out, _ = run(capsys, "evolve", *source, "--t", "0:2:0.25", *rate)
+    envelope = {"config", "version", "interior_size"}
+    report = {key: value for key, value in json.loads(out).items() if key not in envelope}
+    ball_ = default_ball(g)
+    op = dl.assemble(g, ball_, "laplacian")
+    v0 = np.zeros(op.n)
+    v0[op.row_of(ball_.root)] = 1.0
+    trace = dl.evolve_trace(op, v0, _parse_time_grid("0:2:0.25"), lambda0=lambda0)
+    assert code == (0 if trace["ok"] else 1)
+    assert report == json.loads(json.dumps(trace))
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     import dirlap.cli as cli
 
@@ -492,8 +511,16 @@ def test_non_finite_values_are_a_numeric_failure(tmp_path, capsys, command, edge
     assert "NaN" not in report.read_text() and "Infinity" not in report.read_text()
 
 
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_an_underflowed_symmetrized_weight_is_named(tmp_path, capsys, command):
+    dl.save_graph(dl.DirectedGraph([(v, 1.0) for v in "abc"], SUBNORMAL_SLOT), tmp_path / "g.json")
+    code, out, err = run(capsys, command, "--graph", str(tmp_path / "g.json"), "--radius", "1")
+    assert (code, out) == (3, "")
+    assert err == "dirlap: numeric failure: the symmetrized weight b' of 'a' and 'c' underflows to 0\n"
+
+
 def test_kirchhoff_tolerance_is_checked_before_any_sum(tmp_path, capsys):
-    # The asymmetry sums of this graph are not finite, but the bad tolerance is reported first.
+    # The asymmetry of this graph is a numeric failure, but the bad tolerance is reported first.
     dl.save_graph(dl.DirectedGraph([(v, 1.0) for v in "abc"], SUBNORMAL_SLOT), tmp_path / "g.json")
     code, out, err = run(capsys, "check", "--graph", str(tmp_path / "g.json"), "--radius", "1", "--tol-kirchhoff=-1")
     assert (code, out) == (2, "")

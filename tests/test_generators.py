@@ -255,6 +255,39 @@ def test_generators_match_the_label_constructor(g):
     assert_bitwise_equal(dl.symmetrize(g), symmetrized_by_labels(g))
 
 
+def reference_random_balanced(n, seed, density=0.5):
+    """make_random_balanced as a loop over a dict of edges: the same draws, in the same order."""
+    rng = np.random.default_rng(seed)
+    weights = {}
+
+    def add_cycle(order):
+        w = int(rng.integers(4, 33)) / 16.0
+        for a, b in zip(order, list(order[1:]) + [order[0]]):
+            key = (int(a), int(b))
+            weights[key] = weights.get(key, 0.0) + w
+
+    add_cycle(list(rng.permutation(n)))
+    for _ in range(int(round(density * n))):
+        length = int(rng.integers(2, min(6, n) + 1))
+        add_cycle(list(rng.choice(n, size=length, replace=False)))
+
+    measures = rng.integers(4, 33, size=n) / 16.0
+    edges = sorted(weights.items())
+    return dl.DirectedGraph._from_arrays(
+        [f"v{i}" for i in range(n)],
+        measures,
+        [a for (a, _), _ in edges],
+        [b for (_, b), _ in edges],
+        [w for _, w in edges],
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 80), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+def test_random_balanced_matches_the_dict_reference(n, seed, density):
+    assert_bitwise_equal(dl.make_random_balanced(n, seed, density), reference_random_balanced(n, seed, density))
+
+
 @settings(deadline=None, max_examples=60)
 @given(ladders(st.integers(2, 300), st.integers(0, 1600).map(lambda j: j / 16)) | TREES | RANDOMS, st.booleans())
 def test_generated_imbalances_are_zero_or_beyond_the_default_tolerance(g, symmetric):

@@ -296,6 +296,22 @@ def test_asymmetry_symmetric_graph_zero(two_vertex_symmetric):
     assert dl.check_asymmetry(two_vertex_symmetric, [0, 1]) == 0.0
 
 
+def test_asymmetry_names_the_slot_whose_symmetrized_weight_underflows():
+    # b(a, c) = 5e-324 is a valid weight, but b'(a, c) = b/2 + b~/2 rounds to 0. Only the
+    # vertices holding that slot fail; b's sums divide over b's slots alone, with no warning.
+    edges = [("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 1.0), ("c", "b", 1.0), ("a", "c", 5e-324)]
+    g = dl.DirectedGraph([(v, 1.0) for v in "abc"], edges)
+    a, b, c = (g.index(v) for v in "abc")
+    assert dl.asymmetry_at(g, b) == 0.0
+    assert dl.check_asymmetry(g, [b]) == 0.0
+    for x, message in ((a, "'a' and 'c'"), (c, "'c' and 'a'")):
+        with pytest.raises(dl.NumericError, match=f"symmetrized weight b' of {message} underflows to 0"):
+            dl.asymmetry_at(g, x)
+        with pytest.raises(dl.NumericError, match=f"of {message} underflows"):
+            dl.check_asymmetry(g, [b, x])
+    assert dl.check_total_asymmetry(g, [a, b, c]) == 5e-324
+
+
 def test_total_asymmetry_ladder(ladder_sqrt):
     g = ladder_sqrt
     for n in range(1, 11):

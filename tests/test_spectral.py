@@ -825,7 +825,7 @@ def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, 
         op = dl.assemble(graph, ball_, "laplacian")
         # bound.lambda0 = h^2 / 2M scales by 2^k with h^2.
         trace = dl.evolve_trace(op, np.eye(op.n)[0], times, lambda0=bound.lambda0)
-        outcomes.append((verdicts, cert["total_asymmetry"]["trend"], bound.ok, trace.flagged))
+        outcomes.append((verdicts, cert["total_asymmetry"]["trend"], bound.ok, trace["flagged"]))
     assert outcomes[0] == outcomes[1]
 
 
