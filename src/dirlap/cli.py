@@ -190,11 +190,7 @@ def cmd_spectrum(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
 
 def cmd_cheeger(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     _require_unit_measure(g, "Cheeger analysis requires unit vertex measure (ladder: --measure unit)")
-    cap = args.max_subset_size
-    if cap is None:
-        # complete (certified) enumeration for small graphs, bounded work above
-        cap = len(g) - 1 if len(g) <= 20 else 10
-    result = cheeger_bruteforce(g, max_subset_size=cap)
+    result = cheeger_bruteforce(g, max_subset_size=args.max_subset_size)
     bound = cheeger_bound_check(g, ball_, result.value)
     # An uncertified h is only an upper bound, so a failed comparison proves
     # nothing; the exit code still reports the bound as unverified.

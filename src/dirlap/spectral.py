@@ -39,7 +39,9 @@ Cheeger constants follow the sqrt-of-weight convention
     h = inf over finite proper U of  sum_{x in U, y outside} sqrt(b'(x,y)) / #U
 on graphs with unit measure, b' = (b + b~)/2 the symmetrized weight read from
 the graph's own slots, and bound the real part of the numerical range from
-below by h^2 / (2 * max degree).
+below by h^2 / (2 * max degree).  The defaults of :func:`cheeger_bruteforce`
+are the one enumeration policy; they are complete up to 20 vertices, the only
+graphs on which :func:`accretivity_certificate` reports the bound.
 """
 
 from __future__ import annotations
@@ -435,6 +437,11 @@ def _connected_subsets(g: DirectedGraph, k_max: int):
         yield from extend([root], start_ext, {root} | set(start_ext), root)
 
 
+# A graph with at most this many vertices has at most 2**20 - 2 connected proper
+# subsets, below the default budget, so its default enumeration is complete.
+_COMPLETE_ENUMERATION = 20
+
+
 def cheeger_bruteforce(
     g: DirectedGraph, max_subset_size: int | None = None, budget: int = 2_000_000
 ) -> CheegerResult:
@@ -444,16 +451,15 @@ def cheeger_bruteforce(
     sqrt(b'), b' = (b + b~)/2, so ``g`` and ``symmetrize(g)`` have the same
     constant.  A disconnected minimizer decomposes into a connected piece
     with no larger quotient, so restricting to connected subsets loses
-    nothing.  The result is flagged uncertified when the size cap is below
-    #V - 1 or the subset budget was exhausted; it is then only the best
-    value found, an upper bound on the true constant.
+    nothing.  The default size cap is #V - 1 (complete) up to 20 vertices
+    and 10 above.  The result is flagged uncertified when the size cap is
+    below #V - 1 or the subset budget was exhausted; it is then only the
+    best value found, an upper bound on the true constant.
     """
     _require_unit_measure(g)
     n = len(g)
     if max_subset_size is None:
-        if n > 20:
-            raise GraphError("graphs with more than 20 vertices need an explicit max_subset_size")
-        max_subset_size = n - 1
+        max_subset_size = n - 1 if n <= _COMPLETE_ENUMERATION else 10
     k_max = min(int(max_subset_size), n - 1)
     if k_max < 1:
         raise GraphError("max_subset_size must be >= 1")
@@ -535,8 +541,8 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     which operator conclusions are numerically supported on the probed
     truncation: accretivity plus a bounded asymmetry constant and bounded
     cutoff energies back m-accretivity, the sector check backs
-    m-sectoriality, and (for unit measure) the Cheeger quotient bounds the
-    real part of the numerical range from below.
+    m-sectoriality, and (for unit measure, up to 20 vertices) the Cheeger
+    constant bounds the real part of the numerical range from below.
 
     Graphs failing the Kirchhoff balance still get their truncation analyzed;
     the report then states the hypotheses as not met, which is useful when
@@ -562,17 +568,16 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     min_real, tol = frame.unscaled
 
     cheeger_info = None
-    cheeger_ok = None
-    if np.all(g.measures == 1.0) and len(g) <= 200:
-        result = cheeger_bruteforce(g, max_subset_size=min(8, len(g) - 1), budget=500_000)
+    # The default enumeration is complete only there, so the h reported is the constant itself.
+    if np.all(g.measures == 1.0) and len(g) <= _COMPLETE_ENUMERATION:
+        result = cheeger_bruteforce(g)
         bound = _cheeger_bound(result.value, g, min_real, tol)
-        cheeger_ok = bound.ok if result.certified else None
         cheeger_info = {
             "h": result.value,
             "witness": [g.label(v) for v in result.witness],
             "certified": result.certified,
             "lambda0": bound.lambda0,
-            "ok": cheeger_ok,
+            "ok": bound.ok,
         }
 
     accretive = min_real >= -tol
@@ -596,6 +601,6 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
             "accretive_truncation": accretive,
             "m_accretive_supported": bool(balance.ok and accretive),
             "m_sectorial_supported": bool(balance.ok and accretive and sector_ok),
-            "cheeger_bound_supported": cheeger_ok,
+            "cheeger_bound_supported": None if cheeger_info is None else cheeger_info["ok"],
         },
     }

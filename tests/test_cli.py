@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 import dirlap as dl
 from dirlap.cli import main
+
+from conftest import unit_measure_copy
 
 
 def run(capsys, *argv):
@@ -259,9 +262,18 @@ def test_certify_at_another_root_reads_its_own_distances(capsys):
 
 
 REPORT_INPUTS = [
-    (["--gen", "ladder", "--N", "12", "--measure", "unit"], lambda: dl.make_ladder(dl.LadderSpec(12, measure_mode="unit"))),
-    (["--gen", "tree", "--depth", "2"], lambda: dl.make_tree(dl.TreeSpec(depth=2))),
-    (["--gen", "random", "--n", "30"], lambda: dl.make_random_balanced(30, 0, 0.5)),
+    pytest.param(
+        ["--gen", "ladder", "--N", "12", "--measure", "unit"],
+        lambda: dl.make_ladder(dl.LadderSpec(12, measure_mode="unit")),
+        id="unit-ladder",
+    ),
+    pytest.param(["--gen", "tree", "--depth", "2"], lambda: dl.make_tree(dl.TreeSpec(depth=2)), id="tree"),
+    pytest.param(["--gen", "random", "--n", "30"], lambda: dl.make_random_balanced(30, 0, 0.5), id="random"),
+    pytest.param(
+        ["--gen", "ladder", "--N", "6", "--measure", "unit"],
+        lambda: dl.make_ladder(dl.LadderSpec(6, measure_mode="unit")),
+        id="small-unit-ladder",
+    ),
 ]
 
 
@@ -269,7 +281,7 @@ def default_ball(g):
     return dl.ball(g, 0, max(1, int(dl.combinatorial_distance(g, 0).max()) - 1))
 
 
-@pytest.mark.parametrize("source,build", REPORT_INPUTS, ids=["unit-ladder", "tree", "random"])
+@pytest.mark.parametrize("source,build", REPORT_INPUTS)
 def test_certify_emits_the_library_report(capsys, source, build):
     g = build()
     code, out, _ = run(capsys, "certify", *source)
@@ -278,10 +290,79 @@ def test_certify_emits_the_library_report(capsys, source, build):
     assert code == (0 if cert["verdicts"]["m_sectorial_supported"] else 1)
     assert {key: report[key] for key in cert} == json.loads(json.dumps(cert))
     if source[1] == "ladder":
-        assert isinstance(report["cheeger"], dict)
+        # certify reports the Cheeger constant only where its enumeration is complete.
+        if len(g) <= 20:
+            assert isinstance(report["cheeger"], dict)
+        else:
+            assert report["cheeger"] is None
 
 
-@pytest.mark.parametrize("source,build", REPORT_INPUTS, ids=["unit-ladder", "tree", "random"])
+def directed_unit_cycle(n):
+    labels = [f"v{i}" for i in range(n)]
+    return dl.DirectedGraph([(v, 1.0) for v in labels], [(labels[i], labels[(i + 1) % n], 1.0) for i in range(n)])
+
+
+# Unit-measure graphs of at most 20 vertices, each with the radius to probe (None: the default).
+AGREEMENT_INPUTS = (
+    [
+        pytest.param(dl.make_ladder(dl.LadderSpec(N, measure_mode="unit")), None, id=f"unit-ladder-{N}")
+        for N in range(2, 10)
+    ]
+    + [pytest.param(dl.make_tree(dl.TreeSpec(depth=d)), None, id=f"tree-{d}") for d in (1, 2)]
+    + [
+        pytest.param(directed_unit_cycle(n), radius, id=f"cycle-{n}-radius-{radius}")
+        for n in range(3, 21)
+        for radius in (None, n)
+    ]
+    + [
+        pytest.param(unit_measure_copy(dl.make_random_balanced(n, 0, 1.0)), None, id=f"unit-random-{n}")
+        for n in range(3, 13)
+    ]
+)
+
+
+@pytest.mark.parametrize("g, radius", AGREEMENT_INPUTS)
+def test_certify_and_cheeger_report_one_cheeger_constant(tmp_path, capsys, g, radius):
+    dl.save_graph(g, tmp_path / "g.json")
+    argv = ["--graph", str(tmp_path / "g.json")] + ([] if radius is None else ["--radius", str(radius)])
+    _, out, _ = run(capsys, "certify", *argv)
+    cert = json.loads(out)
+    code, out, _ = run(capsys, "cheeger", *argv)
+    report = json.loads(out)
+    keys = ("h", "witness", "certified", "lambda0")
+    assert {key: cert["cheeger"][key] for key in keys} == {key: report[key] for key in keys}
+    assert report["certified"] is True
+    assert cert["verdicts"]["cheeger_bound_supported"] is (code == 0)
+
+
+def test_certify_enumerates_no_subsets_above_20_vertices(capsys, monkeypatch):
+    from dirlap import spectral
+
+    calls = []
+    enumerate_subsets = spectral._connected_subsets
+    monkeypatch.setattr(
+        spectral, "_connected_subsets", lambda g, k_max: calls.append(k_max) or enumerate_subsets(g, k_max)
+    )
+    source = ["--gen", "ladder", "--N", "12", "--measure", "unit"]
+    report = json.loads(run(capsys, "certify", *source)[1])
+    assert report["cheeger"] is None and report["verdicts"]["cheeger_bound_supported"] is None
+    assert calls == []
+    # The counter is live: cheeger on the same 25 vertices enumerates up to its default cap.
+    run(capsys, "cheeger", *source)
+    assert calls == [10]
+
+
+def test_certify_cheeger_block_on_nine_vertices(capsys):
+    code, out, _ = run(capsys, "certify", "--gen", "ladder", "--N", "4", "--measure", "unit")
+    block = json.loads(out)["cheeger"]
+    assert code == 0
+    assert block["h"] == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)  # 0.3536
+    assert block["lambda0"] == pytest.approx(1.0 / 48.0, rel=1e-15)  # h^2 / (2 * 3)
+    assert block["witness"] == ["x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4"]
+    assert block["certified"] is True and block["ok"] is True
+
+
+@pytest.mark.parametrize("source,build", REPORT_INPUTS)
 def test_check_emits_the_library_report(capsys, source, build):
     g = build()
     code, out, _ = run(capsys, "check", *source)
@@ -291,7 +372,7 @@ def test_check_emits_the_library_report(capsys, source, build):
     assert report == json.loads(json.dumps(dl.assumption_report(g, default_ball(g).interior)))
 
 
-@pytest.mark.parametrize("source,build", REPORT_INPUTS, ids=["unit-ladder", "tree", "random"])
+@pytest.mark.parametrize("source,build", REPORT_INPUTS)
 @pytest.mark.parametrize("lambda0", [None, 5.0])
 def test_evolve_emits_the_library_report(capsys, source, build, lambda0):
     from dirlap.cli import _parse_time_grid

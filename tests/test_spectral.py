@@ -490,8 +490,21 @@ def test_cheeger_enumeration_limits(random_graphs, ladder_unit):
     with pytest.raises(GraphError, match="max_subset_size must be >= 1"):
         dl.cheeger_bruteforce(g, max_subset_size=0)
     assert len(ladder_unit) > 20
-    with pytest.raises(GraphError, match="more than 20 vertices"):
-        dl.cheeger_bruteforce(ladder_unit)
+    # Above 20 vertices the default size cap is 10, short of a complete enumeration.
+    result = dl.cheeger_bruteforce(ladder_unit)
+    assert result == dl.cheeger_bruteforce(ladder_unit, max_subset_size=10)
+    assert not result.certified
+
+
+def test_cheeger_reads_an_underflowed_symmetrized_weight_as_zero():
+    # b'(a, c) = 5e-324 / 2 rounds to 0.  Its true square root is below 2**-537,
+    # far below half an ulp of every quotient here, so reading it as 0 moves none.
+    vertices = [(v, 1.0) for v in "abc"]
+    path = [("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 1.0), ("c", "b", 1.0)]
+    with_slot = dl.cheeger_bruteforce(dl.DirectedGraph(vertices, path + [("a", "c", 5e-324)]))
+    without = dl.cheeger_bruteforce(dl.DirectedGraph(vertices, path))
+    assert with_slot.value.hex() == without.value.hex()
+    assert (with_slot.witness, with_slot.certified) == (without.witness, without.certified)
 
 
 def test_cheeger_matches_exhaustive_oracle(random_graphs):
