@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ball, DirectedGraph, GraphError, _read_only, _row_sums, _vertex_array
+from .graph import Ball, DirectedGraph, GraphError, NumericError, _read_only, _row_sums, _vertex_array
 
 __all__ = [
     "KINDS",
@@ -215,6 +215,20 @@ def _similar(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
     """D^(1/2) M D^(-1/2) with D = diag(measure), for any matrix M acting on the ball."""
     d = np.sqrt(measure)
     return matrix * d[:, None] / d[None, :]
+
+
+def _standard_entries(op: TruncatedOperator) -> np.ndarray:
+    """The stored entries of D^(1/2) A D^(-1/2), in the order of ``op.data``.
+
+    A subnormal entry is a :class:`NumericError`: its rounding is absolute,
+    not relative to ||A||, so no tolerance covers it.  Every verdict on an
+    operator, ``evolve`` included, calls this.
+    """
+    d = np.sqrt(op.measure_vector)
+    values = op.data * d[op._entry_rows()] / d[op.indices]
+    if np.any((values != 0.0) & (np.abs(values) < np.finfo(float).tiny)):
+        raise NumericError("the operator has subnormal entries, whose rounding no tolerance covers")
+    return values
 
 
 def quadratic_form(op: TruncatedOperator, values: np.ndarray) -> complex:

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .graph import _EPS, GraphError, NumericError, _finite, _tolerance
-from .operators import TruncatedOperator, _similar, similarity_to_standard, weighted_norm
+from .operators import TruncatedOperator, _similar, _standard_entries, similarity_to_standard, weighted_norm
 
 __all__ = [
     "expm_apply",
@@ -158,6 +158,9 @@ def evolve_trace(
     2 n^3), and sigma_1 comes from its r-by-r Gram matrix.  v is stepped the
     same way, v_k = exp(-h_k A) v_(k-1).  Each product adds one product's
     rounding, so the error grows linearly with the number of steps.
+
+    A subnormal entry of D^(1/2) A D^(-1/2) is a :class:`NumericError`, as in
+    :func:`dirlap.spectral.numrange_boundary`: no slack covers its rounding.
     """
     times = np.asarray(list(t_grid), dtype=float)
     if times.size == 0:
@@ -170,6 +173,7 @@ def evolve_trace(
         raise GraphError(f"decay rate lambda0 must be finite, got {lambda0}")
 
     v = _vector(op, v0)
+    _standard_entries(op)
 
     steps = np.diff(times, prepend=0.0).tolist()
     last_use = {h: k for k, h in enumerate(steps)}

@@ -9,18 +9,25 @@ reduced to standard ones once, in the :class:`Frame` that every verdict
 reads; it is built in O(nnz) on the operator's own symmetric CSR pattern and
 holds no n-by-n array.
 
-Every certified eigenvalue comes from one routine, :func:`_top_eigenpair`:
-inverse iteration on sparse LDL^H factorizations whose negative pivots
-certify, by inertia, that each shift lies above the spectrum (Parlett, The
-Symmetric Eigenvalue Problem, SIAM 1998).  It keeps a bracket of the top
-eigenvalue that every solve at least halves, and returns once the residual
-of the Rayleigh quotient rho is within a slack and a shift at most rho plus
-that slack certifies.  min Re W = lambda_min(S), S the Hermitian part, which
-decides accretivity and the Cheeger bound, is the top eigenvalue of -S to
-the data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
-entries of a row).  Each sweep angle is the top eigenvalue of
-cos(phi) S + i sin(phi) K to tau, warm-started from the previous angle.  An
-enclosure that does not certify is a :class:`NumericError`, never a verdict.
+Certified eigenvalues come from two routines.  min Re W = lambda_min(S), S
+the Hermitian part, which decides accretivity and the Cheeger bound, comes
+from Noda iteration (:func:`_noda`; Noda, Numer. Math. 17, 1971) whenever S
+is a Z-matrix, as it is for the three Laplacian kinds.  For any positive
+vector u, min_i (S u)_i / u_i <= lambda_min(S) (Collatz-Wielandt), so its
+lower end is rigorous once lowered by the rounding of S u, and the Rayleigh
+quotient is its upper end; the iteration stops when the two lie within the
+data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
+entries of a row).  Everything else, the sweep angles, the sector and the
+S of ``skew_part`` (rounding noise of both signs), reads
+:func:`_top_eigenpair`: inverse iteration on sparse LDL^H factorizations
+whose negative pivots certify, by inertia, that each shift lies above the
+spectrum (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  It keeps a
+bracket of the top eigenvalue that every solve at least halves, and returns
+once the residual of the Rayleigh quotient rho is within a slack and a shift
+at most rho plus that slack certifies.  Each sweep angle is the top
+eigenvalue of cos(phi) S + i sin(phi) K to tau, warm-started from the
+previous angle.  An enclosure that does not certify is a
+:class:`NumericError`, never a verdict.
 
 A value derived from a matrix A of n rows may carry rounding up to
 tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`): the accretivity,
@@ -58,6 +65,7 @@ from .graph import (
     DirectedGraph,
     GraphError,
     NumericError,
+    _EPS,
     _b_sym,
     _cutoffs,
     _finite,
@@ -69,7 +77,7 @@ from .graph import (
     check_total_asymmetry,
 )
 from .graph import ball as make_ball  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
-from .operators import TruncatedOperator, assemble
+from .operators import TruncatedOperator, _standard_entries, assemble
 
 __all__ = [
     "NumericalRangeSample",
@@ -134,10 +142,7 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
     import scipy.sparse as sparse
 
     n, rows = op.n, op._entry_rows()
-    d = np.sqrt(op.measure_vector)
-    values = op.data * d[rows] / d[op.indices]
-    if np.any((values != 0.0) & (np.abs(values) < np.finfo(float).tiny)):
-        raise NumericError("the operator has subnormal entries, whose rounding no tolerance covers")
+    values = _standard_entries(op)
     # The Frobenius norm bounds the spectral norm and costs one pass over the
     # row-major nonzeros; BLAS nrm2 scales, so it does not overflow early.
     norm = _finite(scipy.linalg.norm(values[values != 0.0], check_finite=False), "the norm of the operator")
@@ -170,23 +175,39 @@ _SHIFT_TRIES = 16
 _SOLVES = 48 + 52
 
 
-def _negative_definite(h, sigma: float):
+def _diagonal_positions(h) -> np.ndarray:
+    """The positions in ``h.data`` of the diagonal of a canonical CSC ``h`` whose pattern holds it."""
+    return np.flatnonzero(h.indices == np.repeat(np.arange(h.shape[1]), np.diff(h.indptr)))
+
+
+def _shifted(h, sigma: float, diagonal: np.ndarray):
+    """h - sigma I on the pattern of h: only the data at the ``diagonal`` positions changes."""
+    data = h.data.copy()
+    data[diagonal] -= sigma
+    return type(h)((data, h.indices, h.indptr), shape=h.shape)
+
+
+def _factor(h):
+    """SuperLU factors P h P^T = L U with diagonal pivots, LDL^H for a Hermitian ``h``.
+
+    Raises RuntimeError when a pivot is exactly zero.
+    """
+    from scipy.sparse.linalg import splu
+
+    return splu(h, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _negative_definite(h, sigma: float, diagonal: np.ndarray):
     """LDL^H factors of h - sigma I if they certify sigma > lambda_max(h), else None.
 
-    ``h`` is Hermitian canonical CSC with its diagonal in its pattern.  SuperLU factors
+    ``h`` is Hermitian canonical CSC with its diagonal at the positions
+    ``diagonal`` of its data (:func:`_diagonal_positions`).  SuperLU factors
     P (h - sigma I) P^T = L D L^H with diagonal pivots (``perm_r == perm_c`` is
     checked).  If every pivot is negative, sigma lies above the spectrum of h
     by Sylvester's law of inertia, up to the rounding of the factors (Rump, BIT 46, 2006).
     """
-    from scipy.sparse.linalg import splu
-
-    # h - sigma I on the pattern of h: only the data at the diagonal positions changes.
-    diagonal = np.flatnonzero(h.indices == np.repeat(np.arange(h.shape[1]), np.diff(h.indptr)))
-    data = h.data.copy()
-    data[diagonal] -= sigma
-    shifted = type(h)((data, h.indices, h.indptr), shape=h.shape)
     try:
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = _factor(_shifted(h, sigma, diagonal))
     except RuntimeError:  # exactly singular: sigma is an eigenvalue
         return None
     certified = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real < 0.0)
@@ -218,13 +239,13 @@ def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, w
     uncertified shift search or solve budget raises :class:`NumericError`,
     whose message names the eigenvalue by ``where``.
     """
-    n = h.shape[0]
-    diag = h.diagonal().real
+    n, diagonal = h.shape[0], _diagonal_positions(h)
+    diag = h.data[diagonal].real
     sums = np.bincount(h.indices, np.abs(h.data), n)
     cap = float(np.max(diag + (sums - np.abs(diag)))) + slack
     for attempt in range(_SHIFT_TRIES):
         sigma = min(base + margin * 10.0**attempt, cap)
-        lu = _negative_definite(h, sigma)
+        lu = _negative_definite(h, sigma, diagonal)
         if lu is not None or sigma == cap:
             break
     if lu is None:
@@ -238,7 +259,7 @@ def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, w
         if residual <= slack:
             if sigma <= rho + slack:
                 return rho, v, lu
-            top_lu = _negative_definite(h, rho + slack)
+            top_lu = _negative_definite(h, rho + slack, diagonal)
             if top_lu is not None:
                 return rho, v, top_lu
             low = rho + slack  # the top eigenvector jumped away from v
@@ -248,13 +269,13 @@ def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, w
             low = max(low, rho)
             trial = rho + residual
             if low < trial < low + (sigma - low) / 2.0:
-                trial_lu = _negative_definite(h, trial)
+                trial_lu = _negative_definite(h, trial, diagonal)
                 if trial_lu is not None:
                     sigma, lu = trial, trial_lu
                     continue
                 low = trial
         trial = low + (sigma - low) / 2.0
-        trial_lu = _negative_definite(h, trial)
+        trial_lu = _negative_definite(h, trial, diagonal)
         if trial_lu is None:
             low = trial
         else:
@@ -262,19 +283,114 @@ def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, w
     raise NumericError(f"no certified eigenvalue within {_SOLVES} solves {where}")
 
 
+# Solves per call of _noda.  Noda iteration converges quadratically once the
+# shift nears lambda_min; every ladder, tree and random balanced truncation
+# tried certified within 8 solves.
+_NODA_SOLVES = 32
+# Past this fill of the first factorization (entries of L + U per entry of
+# S), later Noda steps solve by conjugate gradients instead of factoring their
+# shift.  Measured per min_real (2-vCPU VM, BLAS on one thread): random
+# balanced truncations filling 4.3x and 4.9x took 1.6 and 2.8 ms with
+# factors and 1.9 and 3.4 ms with CG; filling 7.2x and 22x, 4.4 and 142 ms
+# against 2.8 and 3.7 ms.  Ladders fill 1.5x and trees up to depth 7 at most
+# 3.1x, and CG needs thousands of iterations on a ladder.
+_CG_FILL = 6.0
+# Relative residual of each CG solve.  Any positive u gives a rigorous lower
+# end, so the solves may be inexact (Jia, Lin & Liu, Numer. Math. 130, 2015).
+_CG_RTOL = 1e-4
+
+
+def _positive(w: np.ndarray) -> bool:
+    return bool(np.all((w > 0.0) & (w < math.inf)))
+
+
+def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
+    """[lower, upper], upper - lower <= ``delta``, containing lambda_min(s) of a symmetric Z-matrix.
+
+    ``s`` is real symmetric canonical CSC with its diagonal at the positions
+    ``diagonal`` of its data and no positive off-diagonal entry.  For the
+    current u > 0, starting from u = 1:
+
+    * lower = min_i ((S u)_i - gamma (|S| u)_i) / u_i.  B = c I - S is
+      nonnegative, so rho(B) <= max_i (B u)_i / u_i (Collatz-Wielandt, for
+      any u > 0, reducible S too), that is lambda_min(S) >= min_i
+      (S u)_i / u_i.  The computed (S u)_i, a sum of at most d + 1
+      products, is off by at most gamma_(d+1) (|S| u)_i (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., section 3.1);
+      gamma = gamma_(d+3) also covers the subtraction and the division;
+    * upper = <S u, u> / <u, u>, the Rayleigh quotient.
+
+    Once they lie within ``delta`` they are returned.  Otherwise a Noda step
+    (Noda, Numer. Math. 17, 1971) solves (S - sigma I) w = u and sets
+    u = w / max w.  The shift sigma = lower - delta / 2 lies below
+    lambda_min, so S - sigma I is a positive definite M-matrix whose inverse
+    is entrywise nonnegative, nonsingular even when the quotients of u are
+    already exact (a diagonal S).  The solves use SuperLU factors, until the
+    first factorization fills more than ``_CG_FILL`` times the entries of S;
+    later steps then run conjugate gradients from u / (upper - sigma), and
+    go back to factors for good once CG stops short, loses positivity or
+    fails to halve upper - lower (on rows where u is tiny an inexact w
+    stalls the lower end).  A w that is not finite and positive, an exactly
+    singular factorization or a spent budget of ``_NODA_SOLVES`` solves is a
+    :class:`NumericError` naming min Re W.
+    """
+    from scipy.sparse.linalg import cg
+
+    n, unit = s.shape[0], _EPS / 2.0
+    terms = int(np.diff(s.indptr).max()) + 2
+    gamma = terms * unit / (1.0 - terms * unit)
+    magnitude = abs(s)
+    u = np.ones(n)
+    use_cg, stepped_cg, gap = None, False, math.inf  # use_cg is set by the first factorization
+    for solves in range(_NODA_SOLVES + 1):
+        su = s @ u
+        lower = float(np.min((su - gamma * (magnitude @ u)) / u))
+        upper = float(np.dot(su, u) / np.dot(u, u))
+        if upper - lower <= delta:
+            return lower, upper
+        if solves == _NODA_SOLVES:
+            raise NumericError(f"no certified eigenvalue within {_NODA_SOLVES} solves for min Re W")
+        if stepped_cg and upper - lower > gap / 2.0:
+            use_cg = False
+        gap, sigma = upper - lower, lower - delta / 2.0
+        shifted = _shifted(s, sigma, diagonal)
+        w, stepped_cg = None, bool(use_cg)
+        if use_cg:
+            w, info = cg(shifted, u, x0=u / (upper - sigma), rtol=_CG_RTOL, maxiter=n)
+            if info != 0 or not _positive(w):
+                w, use_cg, stepped_cg = None, False, False
+        if w is None:
+            try:
+                lu = _factor(shifted)
+            except RuntimeError:
+                raise NumericError(f"S - sigma I is exactly singular at sigma = {sigma!r} for min Re W") from None
+            if use_cg is None:
+                use_cg = lu.nnz > _CG_FILL * s.nnz
+            w = lu.solve(u)
+        if not _positive(w):
+            raise NumericError("the Noda iterate for min Re W is not finite and positive")
+        u = w / np.max(w)
+
+
 def _lowest_eigenvalue(s) -> float:
     """lambda_min(s) for a real symmetric CSC ``s`` with its diagonal in its pattern, certified.
 
-    :func:`_top_eigenpair` runs on h = -s from the Gershgorin cap and a fixed
-    vector, with the data slack delta = 100 (d + 2) eps ||s||_inf, d the
-    largest number of off-diagonal entries in a row: the rounding of the
-    entries of s moves no eigenvalue further (Weyl).  The returned m = -rho
-    then satisfies lambda_min(s) in [m - delta, m].
+    The data slack is delta = 100 (d + 2) eps ||s||_inf, d the largest number
+    of off-diagonal entries in a row: the rounding of the entries of s moves
+    no eigenvalue further (Weyl).  The returned m satisfies lambda_min(s) in
+    [m - delta, m].  When no off-diagonal entry of s is positive (every
+    Laplacian kind), m is the upper end of :func:`_noda`, whose lower end is
+    a Collatz-Wielandt bound.  Otherwise (the rounding noise of the
+    ``skew_part``) :func:`_top_eigenpair` runs on h = -s from the Gershgorin
+    cap and a fixed vector, and m = -rho.
     """
     n = s.shape[0]
     delta = _tolerance(int(np.diff(s.indptr).max()) + 1, float(np.bincount(s.indices, np.abs(s.data), n).max()))
     if delta == 0.0:
         return 0.0
+    diagonal = _diagonal_positions(s)
+    if np.all(np.delete(s.data, diagonal) <= 0.0):
+        return _noda(s, delta, diagonal)[1]
     v = np.random.default_rng(0).standard_normal(n)
     return -_top_eigenpair(-s, delta, v, math.inf, delta, "for min Re W")[0]
 
@@ -355,7 +471,8 @@ def _sector(frame: Frame, c: float) -> tuple[Sector, bool]:
     slope = c / 8.0
     h = frame.sym.astype(complex)
     h.data[:] = -slope * frame.sym.data - 1j * frame.skew.data
-    ok = _negative_definite(h, math.ldexp(0.5, -frame.e) + frame.tol * (1.0 + slope)) is not None
+    line = math.ldexp(0.5, -frame.e) + frame.tol * (1.0 + slope)
+    ok = _negative_definite(h, line, _diagonal_positions(h)) is not None
     if c == 0.0:
         return Sector(vertex=frame.unscaled[0], half_angle=0.0), ok
     return Sector(vertex=-4.0 / c, half_angle=min(math.atan(slope), math.nextafter(math.pi / 2.0, 0.0))), ok

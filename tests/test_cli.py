@@ -560,6 +560,21 @@ def test_subnormal_weights_are_a_numeric_failure(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_evolve_rejects_subnormal_entries_as_every_verdict_does(tmp_path, capsys):
+    g = dl.make_random_balanced(12, 0, 0.5)
+    edges = [(g.label(x), g.label(y), w * 1e-318) for x, y, w in g.iter_edges()]
+    dl.save_graph(dl.DirectedGraph([(g.label(x), g.measure(x)) for x in g.vertex_ids()], edges), tmp_path / "g.json")
+    path = str(tmp_path / "g.json")
+    message = "dirlap: numeric failure: the operator has subnormal entries, whose rounding no tolerance covers\n"
+    for command in ("evolve", "spectrum", "certify"):
+        assert run(capsys, command, "--graph", path) == (3, "", message)
+    # The check reads numpy alone, so evolve still leaves scipy.sparse unloaded.
+    code = "import sys; from dirlap.cli import main; sys.exit(main(sys.argv[1:]) != 3 or 'scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dl.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", code, "evolve", "--graph", path]
+    assert subprocess.run(argv, env=env, capture_output=True, timeout=60).returncode == 0
+
+
 @pytest.mark.parametrize(
     "command, edges, measure_a",
     [pytest.param(cmd, PAIR, 1.0, id=cmd) for cmd in ("spectrum", "certify", "cheeger", "evolve")]

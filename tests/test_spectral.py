@@ -171,42 +171,59 @@ def test_frame_neither_sorts_nor_hashes(ladder_sqrt, monkeypatch):
 def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatch):
     import scipy.sparse.linalg as sla
 
+    import dirlap.spectral as spectral
+
     op = dl.assemble(ladder_sqrt, dl.ball(ladder_sqrt, 0, 6), "laplacian")
     splu = sla.splu
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    def first_shift_only(kind):
-        factored = []
+    def only(kind, factor):
+        # ``factor`` factors the matrices of this dtype kind, splu the others:
+        # min_real factors real matrices, the sweep complex ones.
+        def patched(*args, **kwargs):
+            return (factor if args[0].dtype.kind == kind else splu)(*args, **kwargs)
 
-        def factor(*args, **kwargs):
-            # The first shift of this kind of matrix certifies; no lower shift
-            # ever does.  The other kind factors as usual.
-            if args[0].dtype.kind == kind:
-                if factored:
-                    singular()
-                factored.append(True)
-            return splu(*args, **kwargs)
+        return patched
 
-        return factor
+    def first_shift_only(*args, **kwargs):
+        # The sweep's first shift certifies; no lower shift ever does.
+        if factored:
+            singular()
+        factored.append(True)
+        return splu(*args, **kwargs)
+
+    class Flipped:
+        """Factors whose solves return -w, so that the Noda iterate is negative."""
+
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            return -self.lu.solve(b)
 
     with monkeypatch.context() as patch:
-        patch.setattr(sla, "splu", singular)
+        patch.setattr(sla, "splu", only("c", singular))
         with pytest.raises(dl.NumericError, match="no shift"):
             dl.numrange_boundary(op, 8)
     with monkeypatch.context() as patch:
-        # The real factorizations of min_real pass; the sweep's are complex.
-        patch.setattr(sla, "splu", first_shift_only("c"))
+        factored = []
+        patch.setattr(sla, "splu", only("c", first_shift_only))
         with pytest.raises(dl.NumericError, match="no certified eigenvalue .* at angle 0.000000"):
             dl.numrange_boundary(op, 8)
+    # Each way Noda iteration can fail names min Re W, in the sweep and in the certificate.
+    failures = [
+        (sla, "splu", only("f", singular), r"exactly singular at sigma = .* for min Re W"),
+        (sla, "splu", only("f", lambda *a, **k: Flipped(splu(*a, **k))), "Noda iterate for min Re W is not finite"),
+        (spectral, "_NODA_SOLVES", 1, "no certified eigenvalue within 1 solves for min Re W"),
+    ]
     for verdict in (lambda: dl.numrange_boundary(op, 8), lambda: dl.accretivity_certificate(ladder_sqrt, op.ball)):
-        with monkeypatch.context() as patch:
-            # min_real's first shift certifies and no later one does, so its enclosure never
-            # certifies and the bisection runs out of solves.
-            patch.setattr(sla, "splu", first_shift_only("f"))
-            with pytest.raises(dl.NumericError, match="no certified eigenvalue within 100 solves for min Re W"):
-                verdict()
+        for module, name, value, message in failures:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, value)
+                with pytest.raises(dl.NumericError, match=message):
+                    verdict()
     assert_matches_dense_sweep(op, 8)
 
 
@@ -389,10 +406,13 @@ def test_sector_verdict_is_one_factorization(monkeypatch):
         patch.setattr(np.linalg, "eigvalsh", second_frame)
         _, ok = dl.check_sector(sample, constant)
     assert ok and kinds == ["c"]
+    kinds.clear()
     monkeypatch.setattr(sla, "splu", counted)
+    monkeypatch.setattr(sla, "cg", second_frame)
     assert dl.accretivity_certificate(ladder, ball_)["sector"]["ok"]
-    # The certificate adds one complex factorization, the sector's; min_real factors real matrices.
-    assert kinds.count("c") == 2 and set(kinds) == {"c", "f"}
+    # The one complex factorization is the sector's.  min_real's Noda steps factor real
+    # matrices, one per solve, and the ladder fills too little for CG.
+    assert kinds.count("c") == 1 and 1 <= kinds.count("f") <= 5 and len(kinds) == 1 + kinds.count("f")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -699,9 +719,10 @@ def test_shifted_factors_match_the_setdiag_construction(graph, monkeypatch):
 
     monkeypatch.setattr(sla, "splu", recorded)
     for h in (-frame.sym, frame.sym, sector):
+        diagonal = spectral._diagonal_positions(h)
         for sigma in (-1.0, -frame.min_real, 0.0, 0.25, 1.0 + frame.tol):
             factors.clear()
-            spectral._negative_definite(h, sigma)
+            spectral._negative_definite(h, sigma, diagonal)
             shifted = h.copy()
             shifted.setdiag(h.diagonal() - sigma)
             reference = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -756,6 +777,20 @@ def with_measure(g, measure):
     )
 
 
+def min_real_slack(sym):
+    """The certified half-width 100 (d + 2) eps ||S||_inf of min_real, d the most off-diagonal entries of a row."""
+    eps = np.finfo(float).eps
+    return 100 * (np.diff(sym.indptr).max() + 1) * eps * abs(sym).sum(axis=1).max()
+
+
+def exact_eigenvalues(dense):
+    """The eigenvalues of a real symmetric array, ascending, by mpmath at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(dense.tolist()), eigvals_only=True))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(0, 10**6),
@@ -768,23 +803,21 @@ def with_measure(g, measure):
 # eigvalsh puts lambda_max of this S 5.4e-16 below its exact value, beyond the allowance of 4.7e-16.
 @example(seed=285693, n=12, radius=1, kind="laplacian", measure="unit", phi=0.0)
 def test_min_real_encloses_the_dense_lowest_eigenvalue(seed, n, radius, kind, measure, phi):
-    import mpmath
-
     import dirlap.spectral as spectral
 
     g = with_measure(dl.make_random_balanced(n, seed), measure)
     frame = spectral._standard_frame(dl.assemble(g, dl.ball(g, 0, radius), kind))
     sym = frame.sym.toarray()
     eps = np.finfo(float).eps
-    # The certified half-width 100 (d + 2) eps ||S||_inf, d the most off-diagonal entries of a row.
-    delta = 100 * (np.diff(frame.sym.indptr).max() + 1) * eps * np.abs(sym).sum(axis=1).max()
+    delta = min_real_slack(frame.sym)
     # The rounding of rho; the reference eigenvalues are exact to 30 digits.
     rho_error = len(sym) * eps * np.linalg.norm(sym, 2)
-    with mpmath.workdps(30):
-        exact = sorted(float(x) for x in mpmath.eigsy(mpmath.matrix(sym.tolist()), eigvals_only=True))
+    exact = exact_eigenvalues(sym)
     rho = frame.min_real
     assert rho - delta - rho_error <= exact[0] <= rho + rho_error
-    top = -spectral._lowest_eigenvalue(-frame.sym)
+    # -S is no Z-matrix, so lambda_max(S) comes from the sweep's routine, to the same slack.
+    v = np.random.default_rng(0).standard_normal(len(sym))
+    top = spectral._top_eigenpair(frame.sym, delta, v, math.inf, delta, "for max Re W")[0] if delta else 0.0
     assert top - rho_error <= exact[-1] <= top + delta + rho_error
     if frame.tol == 0.0:
         return  # a = 0, whose boundary points the sweep leaves at 0 without a solve
@@ -798,6 +831,135 @@ def test_min_real_encloses_the_dense_lowest_eigenvalue(seed, n, radius, kind, me
     # and rho, whose exact value lies below lambda_max, by sums of at most n products each.
     rounding = len(sym) * eps * (np.linalg.norm(dense, 2) + 2.0 * np.linalg.norm(dense))
     assert rho - rounding <= np.linalg.eigvalsh(dense)[-1] <= rho + frame.tol + rounding
+
+
+LAPLACIAN_KINDS = ("laplacian", "adjoint", "symmetric_part")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 14),
+    st.integers(1, 3),
+    st.sampled_from(LAPLACIAN_KINDS),
+    st.sampled_from(["unit", "sqrt"]),
+)
+def test_noda_encloses_the_exact_lowest_eigenvalue(seed, n, radius, kind, measure):
+    import dirlap.spectral as spectral
+
+    g = with_measure(dl.make_random_balanced(n, seed), measure)
+    s = spectral._standard_frame(dl.assemble(g, dl.ball(g, 0, radius), kind)).sym
+    # Every Laplacian kind gives a Z-matrix S, bit for bit, so min_real reads Noda's enclosure.
+    off_diagonal = s.toarray()[~np.eye(s.shape[0], dtype=bool)]
+    assert np.all(off_diagonal <= 0.0)
+    delta = min_real_slack(s)
+    lower, upper = spectral._noda(s, delta, spectral._diagonal_positions(s))
+    assert upper - lower <= delta and spectral._lowest_eigenvalue(s) == upper
+    # The lower end is rigorous for the stored S.  The upper end is a computed
+    # Rayleigh quotient, whose exact value lies above lambda_min.
+    dense = s.toarray()
+    lowest = exact_eigenvalues(dense)[0]
+    assert lower <= lowest <= upper + len(dense) * np.finfo(float).eps * np.linalg.norm(dense, 2)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 14),
+    st.integers(1, 3),
+    st.sampled_from(LAPLACIAN_KINDS),
+    st.sampled_from(["unit", "sqrt"]),
+    st.integers(-40, 40),
+)
+def test_min_real_is_kept_by_relabeling_and_scales_with_the_weights(seed, n, radius, kind, measure, k):
+    import dirlap.spectral as spectral
+
+    g = with_measure(dl.make_random_balanced(n, seed), measure)
+    shuffled = rebuilt(g, np.random.default_rng(seed).permutation(len(g)))
+    frames = [
+        spectral._standard_frame(dl.assemble(h, dl.ball(h, h.index("v0"), radius), kind))
+        for h in (g, rebuilt(g, weight_scale=2.0**k), shuffled)
+    ]
+    (base, _), (scaled, _), (relabeled, _) = (frame.unscaled for frame in frames)
+    assert scaled == base * 2.0**k
+    # Both enclosures [m - delta, m] hold the same lambda_min, up to the rounding of each m.
+    dense = frames[0].sym.toarray()
+    rounding = len(dense) * np.finfo(float).eps * np.linalg.norm(dense, 2)
+    assert abs(frames[2].min_real - frames[0].min_real) <= min_real_slack(frames[0].sym) + 2.0 * rounding
+    assert math.ldexp(frames[2].min_real, frames[2].e) == relabeled
+
+
+def test_noda_shifts_below_a_lower_end_that_is_already_exact():
+    import scipy.sparse as sparse
+
+    import dirlap.spectral as spectral
+
+    # From u = 1 every quotient of a diagonal S is exact, so S - lower I would be singular.
+    s = sparse.csc_matrix(np.diag([3.0, 1.0, 2.0]))
+    delta = min_real_slack(s)
+    lower, upper = spectral._noda(s, delta, spectral._diagonal_positions(s))
+    assert lower <= 1.0 <= upper <= lower + delta
+
+
+def test_noda_solves_fill_heavy_truncations_by_conjugate_gradients(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    import dirlap.spectral as spectral
+
+    g = dl.make_random_balanced(300, seed=1, density=0.5)
+    s = spectral._standard_frame(dl.assemble(g, dl.full_ball(g, 0), "laplacian")).sym
+    delta, diagonal = min_real_slack(s), spectral._diagonal_positions(s)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_CG_FILL", math.inf)
+        factored = spectral._noda(s, delta, diagonal)
+    splu, cg, kinds, solves = sla.splu, sla.cg, [], []
+
+    def counted_splu(*args, **kwargs):
+        kinds.append(args[0].dtype.kind)
+        return splu(*args, **kwargs)
+
+    def counted_cg(*args, **kwargs):
+        solves.append(cg(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sla, "splu", counted_splu)
+    monkeypatch.setattr(sla, "cg", counted_cg)
+    lower, upper = spectral._noda(s, delta, diagonal)
+    # The first factorization fills past _CG_FILL; every later step is one CG solve.
+    assert kinds == ["f"] and len(solves) >= 2 and all(info == 0 for _, info in solves)
+    assert lower <= factored[1] and factored[0] <= upper and upper - lower <= delta
+    assert upper == pytest.approx(np.linalg.eigvalsh(s.toarray())[0], abs=delta)
+
+
+@pytest.mark.parametrize("failure", ["no-convergence", "negative", "stalled"])
+def test_noda_returns_to_factors_when_conjugate_gradients_fail(failure, monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    import dirlap.spectral as spectral
+
+    g = dl.make_random_balanced(300, seed=1, density=0.5)
+    s = spectral._standard_frame(dl.assemble(g, dl.full_ball(g, 0), "laplacian")).sym
+    delta, diagonal = min_real_slack(s), spectral._diagonal_positions(s)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_CG_FILL", math.inf)
+        factored = spectral._noda(s, delta, diagonal)
+    calls = []
+
+    def failing(a, b, x0, **kwargs):
+        calls.append(True)
+        if failure == "no-convergence":
+            return x0, 1
+        # A negative iterate, or the start itself, which leaves upper - lower where it was.
+        return (-x0 if failure == "negative" else x0), 0
+
+    monkeypatch.setattr(sla, "cg", failing)
+    lower, upper = spectral._noda(s, delta, diagonal)
+    assert len(calls) == 1 and upper - lower <= delta
+    if failure == "stalled":
+        assert lower <= factored[1] and factored[0] <= upper
+    else:
+        # The failed step factors its own shift, as the factored run did.
+        assert (lower, upper) == factored
 
 
 @settings(deadline=None, max_examples=20)
