@@ -103,7 +103,7 @@ def _build_graph(args) -> DirectedGraph:
 
 def _resolve_ball(g: DirectedGraph, args):
     # Vertex id 0 is a graph file's first vertex and every generator's origin (x0, r, v0).
-    root = g.index(args.root or g.label(0))
+    root = g.index(g.label(0) if args.root is None else args.root)
     radius = args.radius
     if radius is not None and radius < 1:
         # A radius-0 ball has no interior, and the certificate's radius-1 probes would lie outside it.

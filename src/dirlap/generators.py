@@ -22,6 +22,7 @@ label round trip; the labels are only attached for reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +168,12 @@ def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGra
     """
     if n < 3:
         raise GraphError("need at least 3 vertices")
+    if seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
     if density < 0:
         raise GraphError("density must be >= 0")
+    if not math.isfinite(density * n):
+        raise GraphError(f"density * n must be finite, got density {density!r} at n = {n}")
     rng = np.random.default_rng(seed)
     # Each cycle draws its vertices, then its weight; the measures come last.
     cycles = [rng.permutation(n)]

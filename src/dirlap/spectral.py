@@ -17,7 +17,9 @@ vector u, min_i (S u)_i / u_i <= lambda_min(S) (Collatz-Wielandt), so its
 lower end is rigorous once lowered by the rounding of S u, and the Rayleigh
 quotient is its upper end; the iteration stops when the two lie within the
 data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
-entries of a row).  Everything else, the sweep angles, the sector and the
+entries of a row).  It factors its first shift with SuperLU, on every graph,
+and those factors precondition the conjugate-gradient solves of the later
+steps.  Everything else, the sweep angles, the sector and the
 S of ``skew_part`` (rounding noise of both signs), reads
 :func:`_top_eigenpair`: inverse iteration on sparse LDL^H factorizations
 whose negative pivots certify, by inertia, that each shift lies above the
@@ -287,14 +289,6 @@ def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, w
 # shift nears lambda_min; every ladder, tree and random balanced truncation
 # tried certified within 8 solves.
 _NODA_SOLVES = 32
-# Past this fill of the first factorization (entries of L + U per entry of
-# S), later Noda steps solve by conjugate gradients instead of factoring their
-# shift.  Measured per min_real (2-vCPU VM, BLAS on one thread): random
-# balanced truncations filling 4.3x and 4.9x took 1.6 and 2.8 ms with
-# factors and 1.9 and 3.4 ms with CG; filling 7.2x and 22x, 4.4 and 142 ms
-# against 2.8 and 3.7 ms.  Ladders fill 1.5x and trees up to depth 7 at most
-# 3.1x, and CG needs thousands of iterations on a ladder.
-_CG_FILL = 6.0
 # Relative residual of each CG solve.  Any positive u gives a rigorous lower
 # end, so the solves may be inexact (Jia, Lin & Liu, Numer. Math. 130, 2015).
 _CG_RTOL = 1e-4
@@ -325,23 +319,25 @@ def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
     u = w / max w.  The shift sigma = lower - delta / 2 lies below
     lambda_min, so S - sigma I is a positive definite M-matrix whose inverse
     is entrywise nonnegative, nonsingular even when the quotients of u are
-    already exact (a diagonal S).  The solves use SuperLU factors, until the
-    first factorization fills more than ``_CG_FILL`` times the entries of S;
-    later steps then run conjugate gradients from u / (upper - sigma), and
-    go back to factors for good once CG stops short, loses positivity or
-    fails to halve upper - lower (on rows where u is tiny an inexact w
-    stalls the lower end).  A w that is not finite and positive, an exactly
-    singular factorization or a spent budget of ``_NODA_SOLVES`` solves is a
-    :class:`NumericError` naming min Re W.
+    already exact (a diagonal S).  The first step factors its shift with
+    SuperLU.  Each later step runs conjugate gradients preconditioned by the
+    last factors, started from their solve of u: the factored shift lies
+    below the current one, so the preconditioned matrix is I less a
+    positive semidefinite term that is small except near lambda_min.  A step
+    factors its own shift, which then preconditions, when CG stops short or
+    its w is not finite and positive, or when the previous CG step did not
+    halve upper - lower (on rows where u is tiny an inexact w stalls the
+    lower end).  A factored w that is not finite and positive, an exactly
+    singular factorization or a spent budget of ``_NODA_SOLVES`` solves is
+    a :class:`NumericError` naming min Re W.
     """
-    from scipy.sparse.linalg import cg
+    from scipy.sparse.linalg import LinearOperator, cg
 
     n, unit = s.shape[0], _EPS / 2.0
     terms = int(np.diff(s.indptr).max()) + 2
     gamma = terms * unit / (1.0 - terms * unit)
     magnitude = abs(s)
-    u = np.ones(n)
-    use_cg, stepped_cg, gap = None, False, math.inf  # use_cg is set by the first factorization
+    u, lu, gap = np.ones(n), None, math.inf
     for solves in range(_NODA_SOLVES + 1):
         su = s @ u
         lower = float(np.min((su - gamma * (magnitude @ u)) / u))
@@ -350,25 +346,21 @@ def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
             return lower, upper
         if solves == _NODA_SOLVES:
             raise NumericError(f"no certified eigenvalue within {_NODA_SOLVES} solves for min Re W")
-        if stepped_cg and upper - lower > gap / 2.0:
-            use_cg = False
-        gap, sigma = upper - lower, lower - delta / 2.0
+        sigma, halved = lower - delta / 2.0, upper - lower <= gap / 2.0
+        gap = upper - lower
         shifted = _shifted(s, sigma, diagonal)
-        w, stepped_cg = None, bool(use_cg)
-        if use_cg:
-            w, info = cg(shifted, u, x0=u / (upper - sigma), rtol=_CG_RTOL, maxiter=n)
-            if info != 0 or not _positive(w):
-                w, use_cg, stepped_cg = None, False, False
-        if w is None:
+        w, info = None, 1
+        if lu is not None and halved:
+            preconditioner = LinearOperator(s.shape, lu.solve, dtype=s.dtype)
+            w, info = cg(shifted, u, x0=lu.solve(u), rtol=_CG_RTOL, maxiter=n, M=preconditioner)
+        if info != 0 or not _positive(w):
             try:
-                lu = _factor(shifted)
+                lu, gap = _factor(shifted), math.inf  # a factored step is exact: no stall to watch
             except RuntimeError:
                 raise NumericError(f"S - sigma I is exactly singular at sigma = {sigma!r} for min Re W") from None
-            if use_cg is None:
-                use_cg = lu.nnz > _CG_FILL * s.nnz
             w = lu.solve(u)
-        if not _positive(w):
-            raise NumericError("the Noda iterate for min Re W is not finite and positive")
+            if not _positive(w):
+                raise NumericError("the Noda iterate for min Re W is not finite and positive")
         u = w / np.max(w)
 
 
@@ -554,14 +546,14 @@ def _connected_subsets(g: DirectedGraph, k_max: int):
         yield from extend([root], start_ext, {root} | set(start_ext), root)
 
 
+# Connected subsets that one enumeration visits at most.
+_BUDGET = 2_000_000
 # A graph with at most this many vertices has at most 2**20 - 2 connected proper
-# subsets, below the default budget, so its default enumeration is complete.
+# subsets, below _BUDGET, so its default enumeration is complete.
 _COMPLETE_ENUMERATION = 20
 
 
-def cheeger_bruteforce(
-    g: DirectedGraph, max_subset_size: int | None = None, budget: int = 2_000_000
-) -> CheegerResult:
+def cheeger_bruteforce(g: DirectedGraph, max_subset_size: int | None = None) -> CheegerResult:
     """Exact minimum of the boundary quotient over connected proper subsets.
 
     ``g`` is any graph with unit measure.  Each boundary slot weighs
@@ -570,8 +562,8 @@ def cheeger_bruteforce(
     with no larger quotient, so restricting to connected subsets loses
     nothing.  The default size cap is #V - 1 (complete) up to 20 vertices
     and 10 above.  The result is flagged uncertified when the size cap is
-    below #V - 1 or the subset budget was exhausted; it is then only the
-    best value found, an upper bound on the true constant.
+    below #V - 1 or the budget of ``_BUDGET`` subsets was spent; it is then
+    only the best value found, an upper bound on the true constant.
     """
     _require_unit_measure(g)
     n = len(g)
@@ -587,7 +579,7 @@ def cheeger_bruteforce(
     edges = _out_edges(g)
     for subset in _connected_subsets(g, k_max):
         count += 1
-        if count > budget:
+        if count > _BUDGET:
             exhausted = True
             break
         q = _boundary_quotient(edges, subset)

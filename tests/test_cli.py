@@ -102,6 +102,32 @@ def test_unreadable_graph_files_are_input_errors(tmp_path, capsys, content, mess
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--n", "5", "--density", "1e308"), "density * n must be finite, got density 1e+308 at n = 5"),
+    ],
+    ids=["negative-seed", "overflowing-density"],
+)
+def test_random_generator_inputs_that_numpy_rejects_are_input_errors(capsys, options, message):
+    # Exit 1 means "verified false"; a bad generator input is exit 2 with one line, not a traceback.
+    code, out, err = run(capsys, "check", "--gen", "random", *options)
+    assert code == 2 and out == ""
+    assert err == f"dirlap: input error: {message}\n"
+
+
+def test_an_empty_root_label_is_that_vertex_not_the_first(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    vertices = [{"id": label, "m": 1} for label in ("a", "", "c")]
+    edges = [{"from": x, "to": y, "b": 1} for x, y in (("a", ""), ("", "a"), ("", "c"), ("c", ""))]
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--root", "", "--radius", "1")
+    report = json.loads(out)
+    assert code == 0 and report["config"]["root"] == ""
+    assert report["probed_vertices"] == [""] and report["interior_size"] == 1
+
+
 def test_graph_source_required(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2 and "exactly one" in err

@@ -198,7 +198,7 @@ def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatc
         """Factors whose solves return -w, so that the Noda iterate is negative."""
 
         def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
+            self.lu = lu
 
         def solve(self, b):
             return -self.lu.solve(b)
@@ -408,11 +408,10 @@ def test_sector_verdict_is_one_factorization(monkeypatch):
     assert ok and kinds == ["c"]
     kinds.clear()
     monkeypatch.setattr(sla, "splu", counted)
-    monkeypatch.setattr(sla, "cg", second_frame)
     assert dl.accretivity_certificate(ladder, ball_)["sector"]["ok"]
-    # The one complex factorization is the sector's.  min_real's Noda steps factor real
-    # matrices, one per solve, and the ladder fills too little for CG.
-    assert kinds.count("c") == 1 and 1 <= kinds.count("f") <= 5 and len(kinds) == 1 + kinds.count("f")
+    # min_real factors its first Noda shift, and those factors precondition its later
+    # steps; the one complex factorization is the sector's.
+    assert kinds == ["f", "c"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -493,13 +492,16 @@ def test_cheeger_reads_the_symmetrized_weights_of_the_host(seed, n, density):
     assert (host.witness, host.certified) == (sym.witness, sym.certified)
 
 
-def test_cheeger_budget_keeps_the_best_of_the_subsets_visited(random_graphs):
+def test_cheeger_budget_keeps_the_best_of_the_subsets_visited(random_graphs, monkeypatch):
+    import dirlap.spectral as spectral
     from dirlap.spectral import _boundary_quotient, _connected_subsets, _out_edges
 
     g = unit_measure_copy(random_graphs[0])
     budget = 12
     first = list(itertools.islice(_connected_subsets(g, len(g) - 1), budget))
-    result = dl.cheeger_bruteforce(g, budget=budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_BUDGET", budget)
+        result = dl.cheeger_bruteforce(g)
     assert not result.certified
     assert result.value == min(_boundary_quotient(_out_edges(g), s) for s in first)
     assert result.value > dl.cheeger_bruteforce(g).value
@@ -901,34 +903,47 @@ def test_noda_shifts_below_a_lower_end_that_is_already_exact():
     assert lower <= 1.0 <= upper <= lower + delta
 
 
-def test_noda_solves_fill_heavy_truncations_by_conjugate_gradients(monkeypatch):
+def noda_matrices():
+    """S on the N = 150 sqrt ladder and the depth-4 tree at certify's default radius, and on random n = 300."""
+    import dirlap.spectral as spectral
+
+    balls = []
+    for g in (dl.make_ladder(dl.LadderSpec(depth=150)), dl.make_tree(dl.TreeSpec(depth=4))):
+        balls.append((g, dl.ball(g, 0, int(dl.combinatorial_distance(g, 0).max()) - 1)))
+    g = dl.make_random_balanced(300, seed=1, density=0.5)
+    balls.append((g, dl.full_ball(g, 0)))
+    return [spectral._standard_frame(dl.assemble(g, ball_, "laplacian")).sym for g, ball_ in balls]
+
+
+def test_noda_factors_once_and_preconditions_every_later_step(monkeypatch):
     import scipy.sparse.linalg as sla
 
     import dirlap.spectral as spectral
 
-    g = dl.make_random_balanced(300, seed=1, density=0.5)
-    s = spectral._standard_frame(dl.assemble(g, dl.full_ball(g, 0), "laplacian")).sym
-    delta, diagonal = min_real_slack(s), spectral._diagonal_positions(s)
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_CG_FILL", math.inf)
-        factored = spectral._noda(s, delta, diagonal)
-    splu, cg, kinds, solves = sla.splu, sla.cg, [], []
+    splu, cg, calls = sla.splu, sla.cg, []
 
     def counted_splu(*args, **kwargs):
-        kinds.append(args[0].dtype.kind)
+        calls.append(args[0].dtype.kind)
         return splu(*args, **kwargs)
 
     def counted_cg(*args, **kwargs):
-        solves.append(cg(*args, **kwargs))
-        return solves[-1]
+        w, info = cg(*args, **kwargs)
+        calls.append(info)
+        return w, info
 
     monkeypatch.setattr(sla, "splu", counted_splu)
     monkeypatch.setattr(sla, "cg", counted_cg)
-    lower, upper = spectral._noda(s, delta, diagonal)
-    # The first factorization fills past _CG_FILL; every later step is one CG solve.
-    assert kinds == ["f"] and len(solves) >= 2 and all(info == 0 for _, info in solves)
-    assert lower <= factored[1] and factored[0] <= upper and upper - lower <= delta
-    assert upper == pytest.approx(np.linalg.eigvalsh(s.toarray())[0], abs=delta)
+    # A ladder and a tree factor with little fill, the random graph with much; one path serves all three.
+    for s in noda_matrices():
+        calls.clear()
+        delta = min_real_slack(s)
+        lower, upper = spectral._noda(s, delta, spectral._diagonal_positions(s))
+        assert calls[0] == "f" and len(calls) >= 3 and calls[1:] == [0] * (len(calls) - 1)
+        assert upper - lower <= delta
+        assert upper == pytest.approx(np.linalg.eigvalsh(s.toarray())[0], abs=delta)
+        calls.clear()
+        spectral._lowest_eigenvalue(s)
+        assert calls.count("f") == 1
 
 
 @pytest.mark.parametrize("failure", ["no-convergence", "negative", "stalled"])
@@ -937,29 +952,36 @@ def test_noda_returns_to_factors_when_conjugate_gradients_fail(failure, monkeypa
 
     import dirlap.spectral as spectral
 
-    g = dl.make_random_balanced(300, seed=1, density=0.5)
-    s = spectral._standard_frame(dl.assemble(g, dl.full_ball(g, 0), "laplacian")).sym
-    delta, diagonal = min_real_slack(s), spectral._diagonal_positions(s)
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_CG_FILL", math.inf)
-        factored = spectral._noda(s, delta, diagonal)
-    calls = []
+    splu, cg, calls = sla.splu, sla.cg, []
 
-    def failing(a, b, x0, **kwargs):
-        calls.append(True)
+    def counted_splu(*args, **kwargs):
+        calls.append("factors")
+        return splu(*args, **kwargs)
+
+    def failing_once(a, b, **kwargs):
+        if "failed" in calls:
+            calls.append("cg")
+            return cg(a, b, **kwargs)
+        calls.append("failed")
         if failure == "no-convergence":
-            return x0, 1
-        # A negative iterate, or the start itself, which leaves upper - lower where it was.
-        return (-x0 if failure == "negative" else x0), 0
+            return kwargs["x0"], 1
+        # A negative iterate, or w = u, which leaves upper - lower where it was.
+        return (-kwargs["x0"] if failure == "negative" else b), 0
 
-    monkeypatch.setattr(sla, "cg", failing)
-    lower, upper = spectral._noda(s, delta, diagonal)
-    assert len(calls) == 1 and upper - lower <= delta
-    if failure == "stalled":
-        assert lower <= factored[1] and factored[0] <= upper
-    else:
-        # The failed step factors its own shift, as the factored run did.
-        assert (lower, upper) == factored
+    for s in noda_matrices():
+        delta, diagonal = min_real_slack(s), spectral._diagonal_positions(s)
+        with monkeypatch.context() as patch:
+            patch.setattr(sla, "cg", lambda a, b, **kwargs: (kwargs["x0"], 1))  # every step factors
+            factored = spectral._noda(s, delta, diagonal)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sla, "splu", counted_splu)
+            patch.setattr(sla, "cg", failing_once)
+            lower, upper = spectral._noda(s, delta, diagonal)
+        # The failed step factors its own shift (a stalled one: the next step), and
+        # those factors precondition the CG solves that follow.
+        assert calls[:3] == ["factors", "failed", "factors"] and set(calls[3:]) <= {"cg"}
+        assert upper - lower <= delta and lower <= factored[1] and factored[0] <= upper
 
 
 @settings(deadline=None, max_examples=20)
