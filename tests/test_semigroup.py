@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import dirlap as dl
 from dirlap import GraphError, NumericError
 from dirlap.cli import _parse_time_grid
-from dirlap.graph import _tolerance
+from dirlap.graph import _EPS, _tolerance
 from dirlap.operators import KINDS, _similar
-from dirlap.semigroup import _largest_singular_value, _propagator
+from dirlap.semigroup import _SKETCH, _largest_singular_value, _propagator, _range_basis
 
 RNG = np.random.default_rng(4321)
 
@@ -191,26 +191,54 @@ def test_norm_of_a_propagator_near_the_identity(monkeypatch):
 
 
 def test_svd_calls_per_verdict(ladder_sqrt, monkeypatch):
-    # A grid runs one SVD, of its first nonzero step; single times read a Gram matrix;
-    # sigma_min of the resolvent needs the SVD.
-    calls = []
+    # Single times read a Gram matrix; sigma_min of the resolvent needs the SVD. A grid runs
+    # SVDs on its first nonzero step only: below 2 _SKETCH rows the full SVD. Above, a sketch
+    # of _SKETCH columns runs three with _SKETCH rows (two orthonormalize Y^T, one splits
+    # B = U^T Q). A heat step stops there, with no SVD of n rows; a full-rank step then
+    # runs the full SVD.
+    shapes = []
     for module in (np.linalg, scipy.linalg):
         svd = module.svd
-        monkeypatch.setattr(module, "svd", lambda *a, svd=svd, **kw: calls.append(1) or svd(*a, **kw))
+        monkeypatch.setattr(module, "svd", lambda a, *args, svd=svd, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
 
-    def count(verdict):
-        calls.clear()
+    def svd_shapes(verdict):
+        shapes.clear()
         verdict()
-        return len(calls)
+        return list(shapes)
 
     op = laplacian_on_ball(ladder_sqrt, 6)
     v0 = np.ones(op.n)
-    assert count(lambda: dl.operator_norm_expm(op, 1.0)) == 0
-    assert count(lambda: dl.positivity_check(op, 1.0)) == 0
-    assert count(lambda: dl.resolvent_norm(op, 1.0)) == 1
-    assert count(lambda: dl.evolve_trace(op, v0, np.arange(13) * 0.25)) == 1
-    assert count(lambda: dl.evolve_trace(op, v0, [0.0, 0.5, 1.0])) == 1
-    assert count(lambda: dl.evolve_trace(op, v0, [0.0])) == 0
+    assert svd_shapes(lambda: dl.operator_norm_expm(op, 1.0)) == []
+    assert svd_shapes(lambda: dl.positivity_check(op, 1.0)) == []
+    assert svd_shapes(lambda: dl.resolvent_norm(op, 1.0)) == [(op.n, op.n)]
+    assert svd_shapes(lambda: dl.evolve_trace(op, v0, np.arange(13) * 0.25)) == [(op.n, op.n)]
+    assert svd_shapes(lambda: dl.evolve_trace(op, v0, [0.0, 0.5, 1.0])) == [(op.n, op.n)]
+    assert svd_shapes(lambda: dl.evolve_trace(op, v0, [0.0])) == []
+
+    g = dl.make_ladder(dl.LadderSpec(depth=50, measure_mode="unit"))
+    heat, skew = (dl.assemble(g, dl.ball(g, 0, 49), kind) for kind in ("laplacian", "skew_part"))
+    assert heat.n == 99
+    v0 = np.ones(heat.n)
+    for times in (np.arange(13) * 0.25, [0.0, 0.5, 1.0]):
+        assert svd_shapes(lambda: dl.evolve_trace(heat, v0, times)) == [(_SKETCH, heat.n)] * 3
+    sketch_then_full = [(_SKETCH, skew.n)] * 3 + [(skew.n, skew.n)]
+    assert svd_shapes(lambda: dl.evolve_trace(skew, v0, np.arange(13) * 0.25)) == sketch_then_full
+
+
+def test_one_shot_rounding_grows_with_the_norm_of_tA():
+    # The skew part generates rotations, so the norm of exp(-tK) is exactly 1. One
+    # scaling-and-squaring of tK rounds in proportion to ||K|| t: here the one-shot norm is
+    # 1 + 1.5e-13, over the grid's slack _tolerance(n, 1) = 1.1e-13. The stepped grid
+    # composes 71 steps of ||K|| h = 0.22 and stays within that slack.
+    g = dl.make_random_balanced(9, 0)
+    op = dl.assemble(g, dl.ball(g, 0, 1), "skew_part")
+    assert op.n == 5
+    norm_k = float(np.linalg.norm(dl.similarity_to_standard(op), 2))
+    t = 4.4375
+    assert abs(dl.operator_norm_expm(op, t) - 1.0) <= _tolerance(op.n, norm_k * t)
+    trace = dl.evolve_trace(op, np.ones(op.n), np.arange(72) * 0.0625)
+    assert trace["times"][-1] == t
+    assert np.all(np.abs(np.asarray(trace["operator_norms"]) - 1.0) <= _tolerance(op.n, 1.0))
 
 
 # -- resolvent ----------------------------------------------------------------------
@@ -392,6 +420,83 @@ def dyadic_measures(g, exponents):
     vertices = [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), exponents)]
     edges = [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()]
     return dl.DirectedGraph(vertices, edges)
+
+
+def spread_measures(g, seed, lowest):
+    """``g`` with random measures 2^j, j in [lowest, 0]: a wider spread of A's spectrum, so heat steps of lower rank."""
+    return dyadic_measures(g, np.random.default_rng(seed).integers(lowest, 1, size=len(g.vertex_ids())))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 200),
+    st.integers(1, 8),
+    st.sampled_from(KINDS),
+    st.one_of(st.just(1e-12), st.floats(0.01, 2.0)),
+    st.integers(-30, 0),
+)
+def test_range_basis_drops_at_most_n_eps_sigma_1(seed, n, radius, kind, h, lowest):
+    # Sketched (rank below n / 2) and full-SVD bases, r = n included (steps of 1e-12, the skew
+    # part). The slack beyond n eps sigma_1 is rounding: W's departure from orthonormality,
+    # ~r eps sigma_1 for forming (I - W W^T) Q, and ~eps sigma_1 for the dense SVD.
+    g = spread_measures(dl.make_random_balanced(n, seed), seed, lowest)
+    op = dl.assemble(g, dl.ball(g, 0, radius), kind)
+    step = _propagator(op, h)
+    q = _similar(step, op.measure_vector)
+    w, sigma = _range_basis(op, step, h)
+    r = len(sigma)
+    reference = np.linalg.svd(q, compute_uv=False)
+    assert w.shape == (op.n, r)
+    departure = np.linalg.norm(w.T @ w - np.eye(r), 2) if r else 0.0
+    assert departure <= _tolerance(op.n, 1.0)
+    leak = np.linalg.svd(q - w @ (w.T @ q), compute_uv=False)[0]
+    assert leak <= ((op.n + r + 1) * _EPS + departure) * reference[0]
+    assert np.all(np.abs(sigma - reference[:r]) <= _tolerance(op.n, reference[0]))
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(0, 10**6),
+    st.integers(20, 150),
+    st.integers(1, 8),
+    st.sampled_from(KINDS),
+    st.integers(-12, 0),
+    st.floats(0.25, 2.0),
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, None]), min_size=1, max_size=12),
+)
+def test_trace_in_the_range_of_the_first_step_matches_the_dense_reference(seed, n, radius, kind, lowest, first, increments):
+    # Spread measures lower the rank r of the first step, so that many of these grids step
+    # the r-by-r block W^T Q_h W (2r < n); None repeats the first step.
+    g = spread_measures(dl.make_random_balanced(n, seed), seed, lowest)
+    op = dl.assemble(g, dl.ball(g, 0, radius), kind)
+    times = np.cumsum([first, *(first if h is None else h for h in increments)])
+    v0 = np.random.default_rng(seed).standard_normal(op.n)
+    trace = dl.evolve_trace(op, v0, times)
+    # The reference multiplies the weighted steps in the grid's order, exp(-h_k A) exp(-t_(k-1) A):
+    # the unweighted product would round relative to entries up to 2^12 times those of its result.
+    weighted = np.eye(op.n)
+    for h, norm in zip(np.diff(times, prepend=0.0).tolist(), trace["operator_norms"]):
+        weighted = _similar(_propagator(op, h), op.measure_vector) @ weighted
+        sigma = np.linalg.svd(weighted, compute_uv=False)[0]
+        assert abs(norm - sigma) <= _tolerance(op.n, sigma)
+
+
+def test_trace_in_the_range_of_the_first_step_on_the_ladders():
+    # Unit ladder: r = 24 of 99 rows at step 0.25; sqrt ladder: r = 45. Repeated, distinct and
+    # zero steps.
+    times = [0.0, 0.25, 0.5, 0.5, 0.75, 1.75, 1.85, 3.0, 5.0]
+    for measure in ("unit", "sqrt_n"):
+        g = dl.make_ladder(dl.LadderSpec(depth=50, measure_mode=measure))
+        op = laplacian_on_ball(g, 49)
+        v0 = np.eye(op.n)[0]
+        trace = dl.evolve_trace(op, v0, times)
+        propagator = np.eye(op.n)
+        for h, norm in zip(np.diff(times, prepend=0.0).tolist(), trace["operator_norms"]):
+            propagator = propagator @ _propagator(op, h)
+            sigma = largest_singular_value(op, propagator)
+            assert abs(norm - sigma) <= _tolerance(op.n, sigma)
+        assert_matches_per_time(op, v0, trace)
 
 
 def random_trace_case(seed, n):
