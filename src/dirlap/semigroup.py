@@ -18,10 +18,10 @@ propagator.  A randomized range finder with an explicitly computed residual
 finds the r singular directions of its first nonzero step above
 n eps sigma_1, in O(n^2 r) flops, and falls back to the full SVD when r is
 near n (the skew part, tiny steps).  All propagators commute, so each later
-step maps those directions into themselves, up to n eps sigma_1.  When r is
-below n / 2 the grid steps the r-by-r block W^T Q_h W, formed once per
-distinct step; otherwise it steps the n-by-r block of the SVD.  The norm is
-read from the r-by-r Gram matrix.  The state vector is stepped on its own.
+step maps those directions into themselves, up to n eps sigma_1.  The grid
+steps the r-by-r block W^T Q_h W, formed once per distinct step, when r is
+below n / 2, and the n-by-r block of the SVD otherwise.  The norm is read
+from the r-by-r Gram matrix.  The state vector is stepped on its own.
 :func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
 """
 
@@ -91,17 +91,19 @@ def _largest_singular_value(q: np.ndarray, what: str) -> float:
     return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
 
 
-def _residual(q: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
+def _residual(q: np.ndarray, u: np.ndarray, b: np.ndarray, scale: float) -> float:
     """||q - u b||_F, formed in row blocks so that no n-by-n temporary is made.
 
-    BLAS nrm2 and ``math.hypot`` scale as they sum, so no square underflows
-    or overflows.
+    Each block is first scaled by 2^-e, with 2^e the power of two of
+    ``scale`` (sigma_1), so that no square that matters underflows or
+    overflows.
     """
+    e = math.frexp(scale)[1]
     norm = 0.0
     for i in range(0, len(q), _RESIDUAL_ROWS):
-        block = q[i : i + _RESIDUAL_ROWS] - u[i : i + _RESIDUAL_ROWS] @ b
-        norm = math.hypot(norm, scipy.linalg.norm(block.ravel(), check_finite=False))
-    return norm
+        block = np.ldexp(q[i : i + _RESIDUAL_ROWS] - u[i : i + _RESIDUAL_ROWS] @ b, -e)
+        norm = math.hypot(norm, np.linalg.norm(block))
+    return math.ldexp(norm, e)
 
 
 def _svd(matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,12 +120,11 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     Q = D^(1/2) E D^(-1/2) is the weighted step.  V has r orthonormal
     columns, and F is what the basis drops.  A randomized range finder (Halko,
     Martinsson & Tropp, *SIAM Review* 53, 2011) sketches Y = Q Omega, with a
-    Gaussian Omega of fixed seed, and orthonormalizes Y to U (n-by-k), the
-    right singular vectors of Y^T.  As the SVD serves every factorization
-    here, no QR code is paged in (on the n = 299 unit ladder it added ~0.5 MB
-    to the peak resident set of an ``evolve`` verdict), and no SVD input has
-    n rows unless it is the full one.  The small k-by-n
-    block B = U^T Q has the SVD U_B Sigma V_B^T.  The residual
+    Gaussian Omega of fixed seed from numpy's legacy ``RandomState``, whose
+    stream numpy keeps frozen.  It orthonormalizes Y to U (n-by-k), the
+    right singular vectors of Y^T.  So the SVD serves every factorization
+    here, and no SVD input has n rows unless it is the full one.  The small
+    k-by-n block B = U^T Q has the SVD U_B Sigma V_B^T.  The residual
     rho = ||Q - U B||_F is computed explicitly, and the sketch is accepted
     only when rho <= n eps sigma_1 / 2, with sigma_1 = sigma_1(B) <=
     sigma_1(Q).  It keeps the r singular values above n eps sigma_1 - rho:
@@ -134,16 +135,19 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     block orthogonalized against U and normalized twice, so no product is
     repeated.  The next k is at least 2k.  It is at least the rank where the
     decay of B's lower half of singular values, extrapolated, reaches
-    n eps sigma_1 / 2, and n without decay.  Once k would reach n / 2 the
-    sketch no longer pays: U = I, and Q gets the full SVD, with r the count
-    of sigma_j > n eps sigma_1 (Golub & Van Loan, *Matrix Computations*,
+    n eps sigma_1 / 2, and n without decay.  Doubling alone would not do:
+    rounding leaves the last singular value of a full-rank step's sketch
+    just below the middle one, so at n = 299 it would run sketches of 32, 64
+    and 128 columns before the SVD.  Once k would reach n / 2 the sketch no
+    longer pays: U = I, and Q gets the full SVD, with r the count of
+    sigma_j > n eps sigma_1 (Golub & Van Loan, *Matrix Computations*,
     section 2.4), and then F V = 0.  A full-rank step (the skew part, or
     ||A|| h far below 1) pays one sketch of ``_SKETCH`` columns before that
     SVD.
     """
     q = _finite(_similar(step, op.measure_vector), f"exp(-{t} A)")
     n = op.n
-    rng = np.random.default_rng(0)
+    rng = np.random.RandomState(0)
     u, b = np.empty((n, 0)), np.empty((0, n))
     k = _SKETCH
     while 2 * k < n:
@@ -152,7 +156,7 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
             y = _svd((y - u @ (u.T @ y)).T, t)[2].T
         u, b = np.hstack([u, y]), np.vstack([b, y.T @ q])
         u_b, s, _ = _svd(b, t)
-        rho, tol = _residual(q, u, b), n * _EPS * s[0]
+        rho, tol = _residual(q, u, b, s[0]), n * _EPS * s[0]
         if rho <= tol / 2:
             r = int(np.count_nonzero(s > tol - rho))
             return u @ u_b[:, :r], s[:r]
@@ -249,9 +253,15 @@ def evolve_trace(
     starting from ||X_1 - Y_1|| = ||F V|| <= n eps sigma_1.  On a
     contraction the error thus grows by at most n eps sigma_1 per step, like
     the rounding of the products.  The exact propagators commute; the
-    computed ones do so to rounding.  With 2r >= n, W^T Q_h W would cost
-    more than it saves: the n-by-r block Y_k = Q_(h_k) Y_(k-1), Y_1 =
-    W Sigma_r, is stepped instead, and Y_k = X_k - R_k F V.
+    computed ones do so to rounding.
+
+    With 2r >= n (the skew part, tiny steps), W^T Q_h W would cost more
+    than it saves, and it would round worse: W is orthonormal only to
+    rounding, so ||M_h|| can exceed ||Q_h|| by a few eps, and a repeated
+    step compounds that excess.  On 1000 steps of a rotation it crossed the
+    slack 100 n eps.  So the n-by-r block D^(-1/2) W Sigma_r is stepped by
+    exp(-hA) itself, n^2 r flops per step, and sigma_1 is read from D^(1/2)
+    times it; then Y_k = X_k - R_k F V.
 
     v is stepped in full, v_k = exp(-h_k A) v_(k-1).  Each product adds one
     product's rounding, so the error grows linearly with the number of steps.
@@ -278,6 +288,7 @@ def evolve_trace(
     cache: dict[float, list] = {}
     root_measure = np.sqrt(op.measure_vector)[:, None]
     block = left = right = None
+    frame = 1.0
     op_norms, state_norms = np.ones_like(times), np.empty_like(times)
     for k, (t, h) in enumerate(zip(times.tolist(), steps)):
         entry = cache.pop(h) if h in cache else [_propagator(op, h), None]
@@ -289,16 +300,16 @@ def evolve_trace(
             w, sigma = _range_basis(op, step, t)
             if 2 * len(sigma) < op.n:
                 left, right, block = root_measure * w, w / root_measure, np.diag(sigma)
-            else:  # W^T Q_h W would cost more than it saves: step W Sigma_r in the weighted frame.
-                block = w * sigma
+            else:  # Step D^(-1/2) W Sigma_r by exp(-hA) itself; the docstring says why.
+                frame, block = root_measure, w * (sigma / root_measure)
         elif h > 0.0 and left is None:
-            block = _similar(step, op.measure_vector) @ block
+            block = step @ block
         elif h > 0.0:
             if entry[1] is None:
                 entry[1] = _finite(left.T @ (step @ right), f"exp(-{h} A)")
             block = entry[1] @ block
         if block is not None:
-            op_norms[k] = _largest_singular_value(block, f"exp(-{t} A)")
+            op_norms[k] = _largest_singular_value(frame * block, f"exp(-{t} A)")
         state_norms[k] = weighted_norm(v, op.measure_vector)
     if lambda0 is None:
         bounds = np.ones_like(times)

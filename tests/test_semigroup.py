@@ -415,6 +415,18 @@ def test_long_trace_does_not_drift_past_an_exact_bound(ladder_sqrt):
     assert trace["flagged"] == []
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_long_rotation_does_not_drift_past_one(seed):
+    # The skew part generates rotations: every norm is exactly 1, and its first step has full
+    # rank. Stepping W^T Q_h W, with W orthonormal only to rounding, drifted past the slack
+    # on 5 of these 6 grids of 1000 steps; stepping exp(-hA) itself stays below a fifth of it.
+    g = dl.make_random_balanced(12, seed)
+    op = dl.assemble(g, dl.ball(g, 0, 2), "skew_part")
+    trace = dl.evolve_trace(op, np.ones(op.n), np.arange(1001) * 0.0625)
+    assert trace["ok"]
+    assert np.all(np.abs(np.asarray(trace["operator_norms"]) - 1.0) <= _tolerance(op.n, 1.0) / 5)
+
+
 def dyadic_measures(g, exponents):
     """``g`` with the measure of vertex i set to 2^exponents[i]."""
     vertices = [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), exponents)]
