@@ -32,6 +32,7 @@ from .graph import (
     combinatorial_distance,
     graph_to_dict,
     load_graph,
+    save_graph,
 )
 from .operators import assemble
 from .semigroup import evolve_trace
@@ -300,7 +301,10 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             g = _build_graph(args)
             if args.command == "gen":
-                _emit(graph_to_dict(g), args.out)
+                if args.out:
+                    save_graph(g, args.out)
+                else:
+                    _emit(graph_to_dict(g), None)
                 return 0
             ball_ = _resolve_ball(g, args)
             report, code = args.func(g, ball_, args)

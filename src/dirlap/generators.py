@@ -98,30 +98,16 @@ def make_ladder(spec: LadderSpec) -> DirectedGraph:
 class TreeSpec:
     """Parameters of the increasing-branching tree.
 
-    ``branching[d]`` is the number of children of every vertex at depth d;
-    it must be >= 3 and non-decreasing so that every vertex can host one
-    strictly outgoing, one strictly incoming and at least one bidirectional
-    child edge.  Defaults to d + 3.
+    Every vertex at depth d has d + 3 children: at least three, so that it
+    can host one strictly outgoing, one strictly incoming and at least one
+    bidirectional child edge.
     """
 
     depth: int
-    branching: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise GraphError("tree depth must be >= 1")
-        if self.branching is not None:
-            object.__setattr__(self, "branching", tuple(int(c) for c in self.branching))
-
-    def resolved_branching(self) -> tuple[int, ...]:
-        branching = self.branching if self.branching is not None else tuple(d + 3 for d in range(self.depth))
-        if len(branching) != self.depth:
-            raise GraphError(f"branching needs one entry per level, expected {self.depth}")
-        if any(c < 3 for c in branching):
-            raise GraphError("branching must be >= 3 at every level")
-        if any(b < a for a, b in zip(branching, branching[1:])):
-            raise GraphError("branching must be non-decreasing")
-        return branching
 
 
 # Child-edge orientation depends on how the vertex is attached to its parent,
@@ -136,12 +122,11 @@ _OUT, _IN, _BOTH = 1, -1, 0
 
 def make_tree(spec: TreeSpec) -> DirectedGraph:
     """Build the increasing-branching tree with unit weights and measures."""
-    branching = spec.resolved_branching()
     labels = ["r"]
     frontier = np.zeros(1, dtype=np.int64)
     views = np.array([_BOTH])  # the parent edge of each frontier vertex, seen from the vertex
     sources, targets = [], []
-    for c in branching:
+    for c in range(3, spec.depth + 3):
         parents = np.repeat(frontier, c).reshape(-1, c)
         children = len(labels) + np.arange(parents.size).reshape(-1, c)
         kinds = np.full(children.shape, _BOTH)

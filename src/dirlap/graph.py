@@ -27,7 +27,7 @@ Checkers implemented in this module:
 * Kirchhoff balance: total incoming weight equals total outgoing weight,
 * the (quadratic) asymmetry constant  ``sup_x (1/m(x)) sum_y |b(x,y)-b(y,x)|^2 / b'(x,y)``,
 * the total (L1) asymmetry constant   ``sup_x (1/m(x)) sum_y |b(x,y)-b(y,x)|``,
-* combinatorial distances, balls and spheres of the undirected skeleton,
+* combinatorial distances and balls of the undirected skeleton,
 * tent-shaped cutoff sequences with their exact per-vertex energy constant,
 * the sphere-growth divergence criterion certifying that cutoffs exist.
 
@@ -58,7 +58,6 @@ __all__ = [
     "CutoffSequence",
     "DivergenceReport",
     "out_strength",
-    "in_strength",
     "check_kirchhoff",
     "symmetrize",
     "check_asymmetry",
@@ -66,7 +65,6 @@ __all__ = [
     "check_total_asymmetry",
     "total_asymmetry_at",
     "combinatorial_distance",
-    "spheres",
     "ball",
     "full_ball",
     "build_cutoffs",
@@ -296,9 +294,6 @@ class DirectedGraph:
         self.require_vertex(x)
         return tuple(self._nbr[self._ptr[x] : self._ptr[x + 1]].tolist())
 
-    def degree(self, x: VertexId) -> int:
-        return len(self.neighbors(x))
-
     def _slot_rows(self) -> np.ndarray:
         """The vertex whose row holds each slot."""
         return np.repeat(np.arange(len(self)), np.diff(self._ptr))
@@ -307,9 +302,6 @@ class DirectedGraph:
         """All directed edges as (source id, target id, weight), by ascending (source, target)."""
         s = np.flatnonzero(self._b_out)
         return zip(self._slot_rows()[s].tolist(), self._nbr[s].tolist(), self._b_out[s].tolist())
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self._b_out, self._b_in))
 
 
 # -- whole-array helpers ------------------------------------------------------
@@ -433,11 +425,6 @@ def out_strength(g: DirectedGraph, x: VertexId) -> float:
     return float(_row_sums(g, _vertex_array(g, [x]), g._b_out)[0])
 
 
-def in_strength(g: DirectedGraph, x: VertexId) -> float:
-    """Total incoming weight at ``x``."""
-    return float(_row_sums(g, _vertex_array(g, [x]), g._b_in)[0])
-
-
 class KirchhoffReport(NamedTuple):
     ok: bool
     max_imbalance: float
@@ -533,14 +520,6 @@ def combinatorial_distance(g: DirectedGraph, x0: VertexId) -> np.ndarray:
     return g._dist0 if x0 == 0 else _read_only(_distances(g._ptr, g._nbr, int(x0)))
 
 
-def spheres(g: DirectedGraph, x0: VertexId, n_max: int | None = None) -> list[tuple[int, ...]]:
-    """Vertex spheres S_n = {x : d(x0, x) = n} up to ``n_max`` (or the eccentricity)."""
-    dist = combinatorial_distance(g, x0)
-    radius = int(dist.max()) if n_max is None else int(n_max)
-    out = [tuple(np.nonzero(dist == r)[0]) for r in range(radius + 1)]
-    return out
-
-
 class Ball(NamedTuple):
     """A distance ball, with the read-only distances from ``root`` it was cut with."""
 
@@ -580,19 +559,17 @@ def full_ball(g: DirectedGraph, x0: VertexId = 0) -> Ball:
 class CutoffSequence:
     """Tent-shaped cutoff functions equal to 1 on nested balls.
 
-    ``functions[i]`` is defined on every host vertex, equals 1 on the ball of
-    radius ``radii[i]`` and vanishes outside the ball of radius
-    ``2 * radii[i]``.  ``constant`` is the exact maximum over the sequence and
-    over all host vertices of the per-vertex weighted gradient energy
+    ``functions[i]``, for the i-th requested radius r, is defined on every
+    host vertex, equals 1 exactly on the ball of radius r and vanishes
+    outside the ball of radius 2r.  ``per_radius[i]`` is the exact maximum
+    over all host vertices of its per-vertex weighted gradient energy
 
         (1/m(x)) * sum_y b'(x,y) * |chi(x) - chi(y)|^2,
 
-    a probed bound, not a proof of the infinite-graph property.
+    and ``constant`` the maximum over the sequence: a probed bound, not a
+    proof of the infinite-graph property.
     """
 
-    root: int
-    radii: tuple[int, ...]
-    sets: tuple[frozenset[int], ...]
     functions: tuple[np.ndarray, ...]
     constant: float
     per_radius: tuple[float, ...]
@@ -603,16 +580,15 @@ def build_cutoffs(g: DirectedGraph, x0: VertexId, radii: Sequence[int]) -> Cutof
     radii = [int(r) for r in radii]
     if not radii or any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise GraphError("radii must be strictly increasing positive integers")
-    return _cutoffs(g, int(x0), combinatorial_distance(g, x0), radii)
+    return _cutoffs(g, combinatorial_distance(g, x0), radii)
 
 
-def _cutoffs(g: DirectedGraph, x0: int, dist: np.ndarray, radii: list[int]) -> CutoffSequence:
-    """:func:`build_cutoffs` from the distances ``dist`` to ``x0`` and valid ``radii``."""
+def _cutoffs(g: DirectedGraph, dist: np.ndarray, radii: list[int]) -> CutoffSequence:
+    """:func:`build_cutoffs` from the distances ``dist`` to its root and valid ``radii``."""
     dist = dist.astype(float)
     rows = g._slot_rows()
     every = np.arange(len(g))
     b_sym = _b_sym(g)
-    sets = []
     functions = []
     per_radius = []
     for r in radii:
@@ -620,13 +596,9 @@ def _cutoffs(g: DirectedGraph, x0: int, dist: np.ndarray, radii: list[int]) -> C
         chi.setflags(write=False)
         diff = chi[rows] - chi[g._nbr]
         energy = _row_sums(g, every, b_sym * diff * diff, per_measure=True)
-        sets.append(frozenset(int(v) for v in np.nonzero(dist <= r)[0]))
         functions.append(chi)
         per_radius.append(float(np.max(energy, initial=0.0)))
     return CutoffSequence(
-        root=x0,
-        radii=tuple(radii),
-        sets=tuple(sets),
         functions=tuple(functions),
         constant=max(per_radius),
         per_radius=tuple(per_radius),

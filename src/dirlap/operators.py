@@ -31,17 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Ball, DirectedGraph, GraphError, NumericError, _read_only, _row_sums, _vertex_array
+from .graph import Ball, DirectedGraph, GraphError, NumericError, _not_positive, _read_only, _row_sums, _vertex_array
 
 __all__ = [
     "KINDS",
     "TruncatedOperator",
     "assemble",
-    "weighted_dot",
     "weighted_norm",
     "similarity_to_standard",
-    "quadratic_form",
-    "green_residual",
     "green_residual_batch",
 ]
 
@@ -89,8 +86,8 @@ class TruncatedOperator:
             indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
         n = len(indptr) - 1
         measure = _read_only(np.array(measure_vector, dtype=float))
-        if measure.shape != (n,) or np.any(measure <= 0):
-            raise GraphError("measure vector must be positive with one entry per row")
+        if measure.shape != (n,) or _not_positive(measure).any():
+            raise GraphError("measure vector must be finite and positive with one entry per row")
         if kind not in KINDS:
             raise GraphError(f"unknown operator kind {kind!r}")
         fields = {
@@ -189,15 +186,6 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
 # -- weighted geometry ---------------------------------------------------------
 
 
-def weighted_dot(u: np.ndarray, v: np.ndarray, measure: np.ndarray) -> complex:
-    """<u, v> = sum m(x) u(x) conj(v(x))."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape or u.shape != np.asarray(measure).shape:
-        raise GraphError("weighted_dot needs vectors and measure of equal length")
-    return complex(np.sum(measure * u * np.conj(v)))
-
-
 def weighted_norm(u: np.ndarray, measure: np.ndarray) -> float:
     return float(np.sqrt(np.sum(measure * np.abs(np.asarray(u)) ** 2)))
 
@@ -231,16 +219,6 @@ def _standard_entries(op: TruncatedOperator) -> np.ndarray:
     return values
 
 
-def quadratic_form(op: TruncatedOperator, values: np.ndarray) -> complex:
-    """<A f, f> in the weighted inner product, for f normalized to norm 1."""
-    values = np.asarray(values)
-    nrm = weighted_norm(values, op.measure_vector)
-    if nrm == 0.0:
-        raise GraphError("quadratic form of the zero vector is undefined")
-    f = values / nrm
-    return weighted_dot(op.apply(f), f, op.measure_vector)
-
-
 # -- Green identity -------------------------------------------------------------
 
 
@@ -256,7 +234,16 @@ def _as_columns(values: np.ndarray, n: int) -> np.ndarray:
 def green_residual_batch(
     g: DirectedGraph, ball_: Ball, f: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """Green identity residuals for columns of f and h (see green_residual)."""
+    """Green identity residuals, one per column of f and h:
+
+        |<Lf, h> + conj(<Lh, f>) - sum_edges b(x,y)(f(x)-f(y)) conj(h(x)-h(y))|.
+
+    Both sides are exact for f, h supported in the interior of the ball: the
+    left-hand side uses the truncated Laplacian, the right-hand side the raw
+    edge sum over the whole host graph.  Under the Kirchhoff balance the
+    conjugated pairing equals the adjoint pairing <L'f, h>, and with f = h
+    the identity reduces to 2 Re <Lf, f> = sum b(x,y) |f(x)-f(y)|^2 >= 0.
+    """
     n = len(ball_.vertices)
     F = _as_columns(f, n)
     H = _as_columns(h, n)
@@ -266,7 +253,7 @@ def green_residual_batch(
     interior = ball_.interior
     boundary_rows = [i for i, v in enumerate(ball_.vertices) if v not in interior]
     if boundary_rows and (np.any(F[boundary_rows] != 0) or np.any(H[boundary_rows] != 0)):
-        raise GraphError("green_residual needs f and h supported in the ball interior")
+        raise GraphError("the Green identity needs f and h supported in the ball interior")
 
     op = assemble(g, ball_, "laplacian")
     m = op.measure_vector
@@ -288,15 +275,3 @@ def green_residual_batch(
     dh = hh[src] - hh[dst]
     rhs = np.sum(w[:, None] * df * np.conj(dh), axis=0)
     return np.abs(lhs - rhs)
-
-
-def green_residual(g: DirectedGraph, ball_: Ball, f: np.ndarray, h: np.ndarray) -> float:
-    """|<Lf, h> + conj(<Lh, f>) - sum_edges b(x,y)(f(x)-f(y)) conj(h(x)-h(y))|.
-
-    Both sides are exact for f, h supported in the interior of the ball: the
-    left-hand side uses the truncated Laplacian, the right-hand side the raw
-    edge sum over the whole host graph.  Under the Kirchhoff balance the
-    conjugated pairing equals the adjoint pairing <L'f, h>, and with f = h
-    the identity reduces to 2 Re <Lf, f> = sum b(x,y) |f(x)-f(y)|^2 >= 0.
-    """
-    return float(green_residual_batch(g, ball_, f, h)[0])

@@ -227,6 +227,8 @@ def evolve_trace(
     The grid is stepped by the semigroup law, exp(-t_k A) = exp(-h_k A)
     exp(-t_(k-1) A) with h_k = t_k - t_(k-1) and t_(-1) = 0, so only each
     distinct step h forms a matrix exponential: a uniform grid forms one.
+    On a grid of non-dyadic times the differences round to several floats,
+    and each forms its own: 7 for ``0:5:0.1``, where ``0:5:0.125`` forms 1.
     A step is cached by its float value only until its last use on the
     grid, so the cache never holds a step no later time needs.  Each h_k is
     the exact difference when t_(k-1) >= t_k / 2 (Sterbenz), so the steps

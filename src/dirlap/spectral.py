@@ -451,10 +451,6 @@ class Sector:
         if not (0.0 <= self.half_angle < np.pi / 2.0):
             raise GraphError("sector half-angle must lie in [0, pi/2)")
 
-    @property
-    def slope(self) -> float:
-        return math.tan(self.half_angle)
-
 
 def _sector(frame: Frame, c: float) -> tuple[Sector, bool]:
     """:func:`check_sector` on a scaled frame of :func:`_standard_frame`."""
@@ -648,10 +644,12 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
 
     The report is the JSON object ``certify`` emits.  Its ``verdicts`` state
     which operator conclusions are numerically supported on the probed
-    truncation: accretivity plus a bounded asymmetry constant and bounded
-    cutoff energies back m-accretivity, the sector check backs
-    m-sectoriality, and (for unit measure, up to 20 vertices) the Cheeger
-    constant bounds the real part of the numerical range from below.
+    truncation: m-accretivity reads the Kirchhoff balance on the interior and
+    the accretivity of the truncation (``min_real`` >= -tol), m-sectoriality
+    reads both and the sector check, and (for unit measure, up to 20
+    vertices) the Cheeger verdict reads whether the Cheeger constant bounds
+    the real part of the numerical range from below.  The asymmetry, total
+    asymmetry and cutoff constants are reported; no verdict reads them.
 
     Graphs failing the Kirchhoff balance still get their truncation analyzed;
     the report then states the hypotheses as not met, which is useful when
@@ -670,7 +668,7 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     growing = gamma_values[-1] > gamma_values[0] + _tolerance(g.max_degree, gamma_values[0])
     trend = "growing" if growing else "bounded"
 
-    cutoffs = _cutoffs(g, ball_.root, dist, sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)}))
+    cutoffs = _cutoffs(g, dist, sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)}))
 
     frame = _standard_frame(assemble(g, ball_, "laplacian"))
     sector, sector_ok = _sector(frame, sector_constant)

@@ -116,8 +116,8 @@ def test_tree_simple_weights_and_measures(tree4):
 
 def test_tree_root_degree_and_sizes():
     g = dl.make_tree(dl.TreeSpec(depth=3))
-    assert g.degree(g.index("r")) == 3
-    # level sizes 1, 3, 12, 60 with the default branching d + 3
+    assert len(g.neighbors(g.index("r"))) == 3
+    # level sizes 1, 3, 12, 60 with branching d + 3
     assert len(g) == 76
 
 
@@ -128,20 +128,7 @@ def test_tree_kirchhoff_interior(tree4):
 
 def test_tree_spec_validation():
     with pytest.raises(GraphError):
-        dl.make_tree(dl.TreeSpec(depth=2, branching=(2, 3)))
-    with pytest.raises(GraphError):
-        dl.make_tree(dl.TreeSpec(depth=2, branching=(4, 3)))
-    with pytest.raises(GraphError):
-        dl.make_tree(dl.TreeSpec(depth=2, branching=(3,)))
-    with pytest.raises(GraphError):
         dl.TreeSpec(depth=0)
-
-
-def test_tree_custom_branching():
-    g = dl.make_tree(dl.TreeSpec(depth=2, branching=(3, 3)))
-    assert len(g) == 1 + 3 + 9
-    interior = dl.ball(g, 0, 2).interior
-    assert dl.check_kirchhoff(g, interior).ok
 
 
 # -- random balanced ----------------------------------------------------------------
@@ -187,7 +174,7 @@ def test_single_cycle_balance_by_hand():
     )
     for x in g.vertex_ids():
         assert dl.out_strength(g, x) == 2.5
-        assert dl.in_strength(g, x) == 2.5
+        assert dl.check_kirchhoff(g, [x], tol=0.0) == (True, 0.0, None)
 
 
 def test_superposed_cycles_add_at_shared_vertex():
@@ -199,7 +186,7 @@ def test_superposed_cycles_add_at_shared_vertex():
         ],
     )
     assert dl.out_strength(g, 0) == 1.5
-    assert dl.in_strength(g, 0) == 1.5
+    assert dl.check_kirchhoff(g, [0], tol=0.0) == (True, 0.0, None)
 
 
 # -- the array core against the label constructor -------------------------------
@@ -239,11 +226,7 @@ def ladders(depth, k):
     return st.builds(lambda depth, k, mode: dl.make_ladder(dl.LadderSpec(depth, k, mode)), depth, k, modes)
 
 
-TREES = st.builds(
-    lambda depth, branching: dl.make_tree(dl.TreeSpec(depth, branching and tuple(sorted(branching[:depth])))),
-    st.integers(1, 3),
-    st.none() | st.lists(st.integers(3, 5), min_size=3, max_size=3),
-)
+TREES = st.builds(lambda depth: dl.make_tree(dl.TreeSpec(depth)), st.integers(1, 3))
 RANDOMS = st.builds(dl.make_random_balanced, st.integers(3, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
 GENERATED = st.one_of(ladders(st.integers(2, 60), st.sampled_from([0.0, 0.5, 1.0, 3.3])), TREES, RANDOMS)
 
@@ -346,4 +329,4 @@ def test_generators_do_not_go_through_the_label_constructor(monkeypatch):
         dl.make_random_balanced(12, seed=4),
     ]
     for g in graphs:
-        assert dl.symmetrize(g).is_symmetric()
+        assert dl.check_total_asymmetry(dl.symmetrize(g), g.vertex_ids()) == 0.0

@@ -135,8 +135,9 @@ def test_assemble_near_the_float_limit():
 def test_synthetic_operator_validation():
     with pytest.raises(GraphError):
         dl.TruncatedOperator(np.zeros((2, 3)), np.ones(2), "laplacian")
-    with pytest.raises(GraphError):
-        dl.TruncatedOperator(np.zeros((2, 2)), np.array([1.0, 0.0]), "laplacian")
+    for measure in ([1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(GraphError):
+            dl.TruncatedOperator(np.zeros((2, 2)), np.array(measure), "laplacian")
     with pytest.raises(GraphError, match="unknown operator kind 'hamiltonian'"):
         dl.TruncatedOperator(np.zeros((2, 2)), np.ones(2), "hamiltonian")
 
@@ -152,20 +153,11 @@ def test_row_of_a_vertex_outside_the_ball(ladder_sqrt):
 # -- weighted geometry -------------------------------------------------------------
 
 
-def test_weighted_dot_examples():
+def test_weighted_norm_example():
     m = np.array([2.0, 3.0])
-    assert dl.weighted_dot(np.array([1.0, 1.0]), np.array([1.0, 0.0]), m) == 2.0
-    u = np.array([1 + 2j, -1j])
-    assert dl.weighted_dot(u, u, m).real == pytest.approx(dl.weighted_norm(u, m) ** 2)
-    assert dl.weighted_dot(np.zeros(2), np.zeros(2), m) == 0.0
-    with pytest.raises(GraphError):
-        dl.weighted_dot(np.ones(2), np.ones(3), m)
-
-
-def test_weighted_dot_unit_measure_is_standard():
-    u = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
-    v = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
-    assert dl.weighted_dot(u, v, np.ones(5)) == pytest.approx(complex(np.vdot(v, u)))
+    # 2 |1 + 2i|^2 + 3 |-i|^2 = 13
+    assert dl.weighted_norm(np.array([1 + 2j, -1j]), m) == pytest.approx(np.sqrt(13.0), rel=1e-15)
+    assert dl.weighted_norm(np.zeros(2), m) == 0.0
 
 
 def test_similarity_identity_for_unit_measure(ladder_unit):
@@ -178,22 +170,23 @@ def test_similarity_preserves_quadratic_form(ladder_sqrt):
     a_std = dl.similarity_to_standard(op)
     f = RNG.standard_normal(op.n) + 1j * RNG.standard_normal(op.n)
     g_std = np.sqrt(op.measure_vector) * f
-    weighted = dl.weighted_dot(op.dense() @ f, f, op.measure_vector)
+    weighted = np.vdot(f, op.measure_vector * (op.dense() @ f))
     standard = np.vdot(g_std, a_std @ g_std)
     assert weighted == pytest.approx(complex(standard), rel=1e-12)
 
 
 def test_quadratic_form_kinds(ladder_sqrt):
+    # <A f, f> = sum m(x) (A f)(x) conj(f(x)) for f of weighted norm 1
     b = dl.ball(ladder_sqrt, 0, 5)
     f = RNG.standard_normal(len(b.vertices)) + 1j * RNG.standard_normal(len(b.vertices))
-    h_val = dl.quadratic_form(dl.assemble(ladder_sqrt, b, "symmetric_part"), f)
-    assert abs(h_val.imag) < 1e-12
-    b_val = dl.quadratic_form(dl.assemble(ladder_sqrt, b, "skew_part"), f)
-    assert abs(b_val.real) < 1e-12
-    lap_val = dl.quadratic_form(dl.assemble(ladder_sqrt, b, "laplacian"), f)
-    assert lap_val.real >= -1e-12
-    with pytest.raises(GraphError):
-        dl.quadratic_form(dl.assemble(ladder_sqrt, b, "laplacian"), np.zeros(len(b.vertices)))
+    m = dl.assemble(ladder_sqrt, b, "laplacian").measure_vector
+    f = f / dl.weighted_norm(f, m)
+    form = {kind: np.vdot(f, m * dl.assemble(ladder_sqrt, b, kind).apply(f)) for kind in dl.KINDS}
+    assert abs(form["symmetric_part"].imag) < 1e-12
+    assert abs(form["skew_part"].real) < 1e-12
+    assert form["laplacian"].real >= -1e-12
+    # Re <L f, f> = <S f, f>
+    assert form["laplacian"].real == pytest.approx(form["symmetric_part"].real, rel=1e-12)
 
 
 def test_adjoint_pairing(ladder_sqrt):
@@ -203,8 +196,8 @@ def test_adjoint_pairing(ladder_sqrt):
     adj = dl.assemble(ladder_sqrt, b, "adjoint")
     f = RNG.standard_normal(lap.n) + 1j * RNG.standard_normal(lap.n)
     h = RNG.standard_normal(lap.n) + 1j * RNG.standard_normal(lap.n)
-    lhs = dl.weighted_dot(lap.dense() @ f, h, lap.measure_vector)
-    rhs = dl.weighted_dot(f, adj.dense() @ h, lap.measure_vector)
+    lhs = np.vdot(h, lap.measure_vector * (lap.dense() @ f))
+    rhs = np.vdot(adj.dense() @ h, lap.measure_vector * f)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -218,7 +211,7 @@ def test_green_residual_matches_naive(ladder_sqrt):
     h = interior_random_vectors(dl.assemble(g, b, "laplacian"), 1, RNG)[:, 0]
     lhs, rhs = naive_green_sides(g, b, f, h)
     assert abs(lhs - rhs) < 1e-10
-    assert dl.green_residual(g, b, f, h) == pytest.approx(abs(lhs - rhs), abs=1e-12)
+    assert dl.green_residual_batch(g, b, f, h)[0] == pytest.approx(abs(lhs - rhs), abs=1e-12)
 
 
 def test_green_residual_small_on_random_pairs(ladder_sqrt, ladder_unit, tree4, random_graphs):
@@ -249,7 +242,7 @@ def test_green_identity_real_diagonal_is_edge_energy(ladder_sqrt):
     f = interior_random_vectors(op, 1, RNG, complex_values=False)[:, 0].real
     lhs, rhs = naive_green_sides(g, b, f, f)
     assert rhs.real >= 0.0
-    assert lhs == pytest.approx(2.0 * dl.weighted_dot(op.dense() @ f, f, op.measure_vector).real)
+    assert lhs == pytest.approx(2.0 * np.vdot(f, op.measure_vector * (op.dense() @ f)).real)
 
 
 def test_green_residual_locally_constant_vanishes(ladder_sqrt):
@@ -264,7 +257,7 @@ def test_green_residual_locally_constant_vanishes(ladder_sqrt):
             f[i] = 1.0
     h = np.zeros(op.n)
     h[op.row_of(g.index("x0"))] = 1.0  # all neighbors of x0 share the value 1
-    assert dl.green_residual(g, b, f, h) < 1e-12
+    assert dl.green_residual_batch(g, b, f, h)[0] < 1e-12
 
 
 def test_green_residual_rejects_boundary_support(ladder_sqrt):
@@ -274,7 +267,7 @@ def test_green_residual_rejects_boundary_support(ladder_sqrt):
     boundary_row = [i for i, v in enumerate(b.vertices) if v not in b.interior][0]
     bad[boundary_row] = 1.0
     with pytest.raises(GraphError, match="interior"):
-        dl.green_residual(g, b, bad, bad)
+        dl.green_residual_batch(g, b, bad, bad)
 
 
 # -- the two operator inequalities ------------------------------------------------------
