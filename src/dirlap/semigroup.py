@@ -6,7 +6,7 @@ right half-plane, and a positive lower bound on the real part of the
 numerical range turns contraction into exponential decay.  All norms are
 taken in the measure-weighted geometry via the similarity transform.
 
-A single time t forms one propagator P = exp(-tA) by dense
+A single time t forms one propagator P = exp(-tA) by
 scaling-and-squaring (exact to rounding at the intended sizes, a few
 thousand rows at most).  Both P v and the weighted operator norm are read
 from that one P.  The norm, the largest singular value of
@@ -23,6 +23,10 @@ steps the r-by-r block W^T Q_h W, formed once per distinct step, when r is
 below n / 2, and the n-by-r block of the SVD otherwise.  The norm is read
 from the r-by-r Gram matrix.  The state vector is stepped on its own.
 :func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
+
+Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) forms
+the Pade-13 step on the band and squares it densely when ||tA||_1 >
+theta_13; every other input takes ``scipy.linalg.expm``.
 """
 
 from __future__ import annotations
@@ -45,19 +49,73 @@ __all__ = [
 
 # Columns of the first range sketch of a grid's first nonzero step; a rejected sketch at least doubles them.
 _SKETCH = 32
-# Rows per block of the explicit sketch residual.
-_RESIDUAL_ROWS = 64
+# Rows per block of the explicit sketch residual and of the banded Pade products.
+_BLOCK_ROWS = 64
+# The Pade-13 coefficients b_0..b_13, and theta_13, the largest ||X||_1 it takes unscaled (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+           10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
-    """exp(-tA) as a dense matrix; t must be finite and nonnegative (one-sided semigroup)."""
+    """exp(-tA) as a dense matrix; t must be finite and nonnegative (one-sided semigroup).
+
+    :func:`_banded_expm` forms it when the stored band width w has 13 w < n - 1 and
+    ||tA||_1 > theta_13; else, for wide bands and steps too short to square, ``scipy.linalg.expm``.
+    """
     if not math.isfinite(t):
         raise GraphError(f"time must be finite, got {t}")
     if t < 0:
         raise GraphError("the semigroup is one-sided: t must be >= 0")
     if t == 0.0:
         return np.eye(op.n)
+    width = int(np.abs(op._entry_rows() - op.indices).max(initial=0))
+    if 13 * width < op.n - 1:
+        if not math.isfinite(norm := t * float(np.bincount(op.indices, np.abs(op.data), op.n).max())):
+            raise NumericError(f"||{t} A||_1 is not finite")
+        if norm > _THETA13:
+            return _finite(_banded_expm(op, t, norm, width), f"exp(-{t} A)")
     return _finite(scipy.linalg.expm(-t * op.dense()), f"exp(-{t} A)")
+
+
+def _band_product(x: np.ndarray, y: np.ndarray, wx: int, wy: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ y for n-by-n x and y zero beyond |i - j| > wx and wy, in row blocks that touch only the band.
+
+    The product goes into ``out`` (zero off the band) or, without it, into a new array.
+    """
+    out = np.zeros_like(x) if out is None else out
+    for i in range(0, len(x), _BLOCK_ROWS):
+        inner = slice(max(0, i - wx), i + _BLOCK_ROWS + wx)
+        cols = slice(max(0, i - wx - wy), i + _BLOCK_ROWS + wx + wy)
+        out[i : i + _BLOCK_ROWS, cols] = x[i : i + _BLOCK_ROWS, inner] @ y[inner, cols]
+    return out
+
+
+def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.ndarray:
+    """exp(-tA) for band width w, by scaling and squaring of the Pade-13 approximant.
+
+    X = 2^-s (-tA), with s = ceil(log2(||tA||_1 / theta_13)), has ||X||_1 <= theta_13 (Higham,
+    *SIAM J. Matrix Anal. Appl.* 26, 2005).  X^2, X^4, X^6 and the Pade numerator V + U and
+    denominator V - U have band width at most 13 w, so their products touch only the band.  One
+    dense solve gives P = (V - U)^-1 (V + U), and s dense squarings give exp(-tA) = P^(2^s).
+    """
+    n, b = op.n, _PADE13
+    s = math.ceil(math.log2(norm / _THETA13))
+    x = np.zeros((n, n))
+    x[op._entry_rows(), op.indices] = np.ldexp(-t * op.data, -s)
+    powers = np.zeros((4, n, n))  # I, X^2, X^4, X^6; tensordot(c, powers, 1) sums c_k times the k-th
+    powers[0].flat[:: n + 1] = 1.0
+    _band_product(x, x, w, w, powers[1])
+    _band_product(powers[1], powers[1], 2 * w, 2 * w, powers[2])
+    _band_product(powers[2], powers[1], 4 * w, 2 * w, powers[3])
+    u = _band_product(powers[3], np.tensordot(b[9:14:2], powers[1:], 1), 6 * w, 6 * w)
+    u = _band_product(x, u + np.tensordot(b[1:8:2], powers, 1), w, 12 * w)
+    v = _band_product(powers[3], np.tensordot(b[8:13:2], powers[1:], 1), 6 * w, 6 * w)
+    v += np.tensordot(b[0:7:2], powers, 1)
+    p, spare = np.linalg.solve(v - u, v + u), np.empty((n, n))
+    for _ in range(s):
+        p, spare = np.matmul(p, p, out=spare), p
+    return p
 
 
 def _vector(op: TruncatedOperator, values) -> np.ndarray:
@@ -100,8 +158,8 @@ def _residual(q: np.ndarray, u: np.ndarray, b: np.ndarray, scale: float) -> floa
     """
     e = math.frexp(scale)[1]
     norm = 0.0
-    for i in range(0, len(q), _RESIDUAL_ROWS):
-        block = np.ldexp(q[i : i + _RESIDUAL_ROWS] - u[i : i + _RESIDUAL_ROWS] @ b, -e)
+    for i in range(0, len(q), _BLOCK_ROWS):
+        block = np.ldexp(q[i : i + _BLOCK_ROWS] - u[i : i + _BLOCK_ROWS] @ b, -e)
         norm = math.hypot(norm, np.linalg.norm(block))
     return math.ldexp(norm, e)
 

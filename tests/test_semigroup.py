@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirlap as dl
-from dirlap import GraphError, NumericError
+from dirlap import GraphError, NumericError, semigroup
 from dirlap.cli import _parse_time_grid
 from dirlap.graph import _EPS, _tolerance
 from dirlap.operators import KINDS, _similar
-from dirlap.semigroup import _SKETCH, _largest_singular_value, _propagator, _range_basis
+from dirlap.semigroup import _SKETCH, _THETA13, _band_product, _largest_singular_value, _propagator, _range_basis
 
 RNG = np.random.default_rng(4321)
 
@@ -241,6 +241,87 @@ def test_one_shot_rounding_grows_with_the_norm_of_tA():
     assert np.all(np.abs(np.asarray(trace["operator_norms"]) - 1.0) <= _tolerance(op.n, 1.0))
 
 
+# -- the banded Pade path ------------------------------------------------------------
+
+
+def band_width(op):
+    return int(np.abs(op._entry_rows() - op.indices).max(initial=0))
+
+
+def one_norm(op):
+    return float(np.bincount(op.indices, np.abs(op.data), op.n).max())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("w", [0, 1, 2, "n - 1"])
+def test_band_product_matches_the_dense_product(n, w):
+    # Small integers keep every product and sum exact, so any entry the row blocks miss shows.
+    w = n - 1 if w == "n - 1" else min(w, n - 1)
+    rng = np.random.default_rng(n + w)
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w
+    x, y = (np.where(band, rng.integers(-3, 4, (n, n)), 0).astype(float) for _ in range(2))
+    assert np.array_equal(_band_product(x, y, w, w), x @ y)
+    out = np.zeros((n, n))
+    assert _band_product(x, y, w, w, out) is out
+    assert np.array_equal(out, x @ y)
+
+
+def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
+    # The benchmark ladder (w = 2 of 299 rows) at t = 0.25 takes the band; a step too short to
+    # square, and a random graph's wide band, take scipy.linalg.expm, whose output is unchanged.
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(len(a)) or expm(a))
+    ladder = laplacian_on_ball(dl.make_ladder(dl.LadderSpec(depth=150, measure_mode="unit")), 149)
+    g = dl.make_random_balanced(300, 0, 2.0)
+    wide = dl.assemble(g, dl.ball(g, 0, int(dl.combinatorial_distance(g, 0).max()) - 1), "laplacian")
+    assert (ladder.n, band_width(ladder)) == (299, 2) and 13 * band_width(wide) >= wide.n - 1
+    for op, t, expected_calls in ((ladder, 0.25, 0), (ladder, 1e-12, 1), (wide, 0.25, 1), (wide, 1e-12, 1)):
+        calls.clear()
+        p = _propagator(op, t)
+        assert len(calls) == expected_calls
+        if expected_calls:
+            assert np.array_equal(p, expm(-t * op.dense()))
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(15, 40),
+    st.sampled_from(["unit", "sqrt_n"]),
+    st.sampled_from(KINDS),
+    st.one_of(st.none(), st.integers(-12, 0)),
+    st.floats(_THETA13 * (1 + 1e-9), 1e5),
+    st.integers(0, 10**6),
+)
+def test_banded_propagator_matches_scipy(depth, measure, kind, lowest, norm_t, seed):
+    # Ladders are pentadiagonal, so n >= 29 rows take the band once ||tA||_1 > theta_13. None
+    # keeps the ladder's own measures; else they are 2^j, j in [lowest, 0].
+    g = dl.make_ladder(dl.LadderSpec(depth=depth, measure_mode=measure))
+    if lowest is not None:
+        g = spread_measures(g, seed, lowest)
+    op = dl.assemble(g, dl.ball(g, 0, depth - 1), kind)
+    assert 13 * band_width(op) < op.n - 1
+    t = norm_t / one_norm(op)
+    reference = scipy.linalg.expm(-t * op.dense())
+    tol = per_time_tolerance(op, t)
+    assert abs(dl.operator_norm_expm(op, t) - largest_singular_value(op, reference)) <= tol
+    v = np.random.default_rng(seed).standard_normal(op.n)
+    error = dl.weighted_norm(dl.expm_apply(op, t, v) - reference @ v, op.measure_vector)
+    assert error <= tol * dl.weighted_norm(v, op.measure_vector)
+
+
+@pytest.mark.parametrize(
+    "diagonal, t",
+    [(-1000.0, 1.0), (1e300, 1e10)],
+    ids=["exp(-tA) overflows", "||tA||_1 overflows"],
+)
+def test_banded_propagator_non_finite_is_a_numeric_failure(diagonal, t):
+    op = dl.TruncatedOperator(np.diag(np.full(30, diagonal)), np.ones(30), "laplacian")
+    assert band_width(op) == 0
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        _propagator(op, t)
+
+
 # -- resolvent ----------------------------------------------------------------------
 
 
@@ -335,10 +416,16 @@ def assert_matches_per_time(op, v0, trace):
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """The arguments of every scipy.linalg.expm call made while the test runs."""
+    """The time t of every exp(-tA), t > 0, formed while the test runs; both of its paths go through _propagator."""
     calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    propagator = semigroup._propagator
+
+    def counted(op, t):
+        if t > 0:
+            calls.append(t)
+        return propagator(op, t)
+
+    monkeypatch.setattr(semigroup, "_propagator", counted)
     return calls
 
 
@@ -381,16 +468,16 @@ def test_trace_on_a_non_uniform_grid_frees_each_step(ladder_sqrt, monkeypatch):
     v0 = RNG.standard_normal(op.n)
     times = np.sort(RNG.uniform(0.0, 5.0, size=8))
     live = []
-    expm = scipy.linalg.expm
+    propagator = semigroup._propagator
 
-    def tracked(a):
+    def tracked(op, t):
         # No step is needed twice, so at most the step just used may still be held.
         assert sum(ref() is not None for ref in live) <= 1
-        out = expm(a)
+        out = propagator(op, t)
         live.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(scipy.linalg, "expm", tracked)
+    monkeypatch.setattr(semigroup, "_propagator", tracked)
     trace = dl.evolve_trace(op, v0, times)
     assert len(live) == 8
     assert_matches_per_time(op, v0, trace)
