@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, GraphError
+from .graph import DirectedGraph, GraphError, _indices
 
 __all__ = ["LadderSpec", "TreeSpec", "make_ladder", "make_tree", "make_random_balanced"]
 
@@ -70,8 +70,8 @@ def make_ladder(spec: LadderSpec) -> DirectedGraph:
     k = 0) are absent edges.
     """
     n_max, k = spec.depth, float(spec.k)
-    labels = ["x0", *(f"{rail}{n}" for n in range(1, n_max + 1) for rail in "xy")]
-    n = np.arange(1, n_max + 1)
+    n = _indices(n_max, "the ladder's rail") + 1
+    labels = ["x0", *(f"{rail}{i}" for i in n.tolist() for rail in "xy")]
     m = np.sqrt(n.astype(float)) if spec.measure_mode == "sqrt_n" else np.ones(n_max)
     measures = np.concatenate([[1.0], np.repeat(m, 2)])
     x, y = 2 * n - 1, 2 * n  # ids of x_n and y_n; x_0 is 0
@@ -161,7 +161,7 @@ def make_random_balanced(n: int, seed: int, density: float = 0.5) -> DirectedGra
         raise GraphError(f"density * n must be finite, got density {density!r} at n = {n}")
     rng = np.random.default_rng(seed)
     # Each cycle draws its vertices, then its weight; the measures come last.
-    cycles = [rng.permutation(n)]
+    cycles = [rng.permutation(_indices(n, "the random graph"))]
     weights = [int(rng.integers(4, 33)) / 16.0]
     for _ in range(int(round(density * n))):
         cycles.append(rng.choice(n, size=int(rng.integers(2, min(6, n) + 1)), replace=False))

@@ -9,11 +9,12 @@ vertices polluted by the truncation boundary are simply left out by the
 caller.
 
 The graph is stored once, as a read-only undirected adjacency in CSR form:
-row ``x`` owns the slots ``ptr[x]:ptr[x+1]``, slot ``k`` names the neighbor
-``nbr[k]`` (ascending within each row) and carries the weight pair
-``b(x, nbr[k])`` and ``b(nbr[k], x)``, with 0.0 for an absent direction.
-Every accessor and checker reads these arrays; per-vertex sums add the slots
-of a row in ascending-neighbor order.
+row ``x`` owns the slots ``ptr[x]:ptr[x+1]``, slot ``k`` lies in row
+``rows[k]``, names the neighbor ``nbr[k]`` (ascending within each row) and
+carries the weight pair ``b(x, nbr[k])`` and ``b(nbr[k], x)``, with 0.0 for
+an absent direction.  Every accessor and checker reads these arrays;
+per-vertex sums add the slots of a row in ascending-neighbor order, with one
+``np.bincount`` over ``rows``.
 
 Every graph is built by one array core from vertex ids: a measure array and
 the edges as source, target and weight arrays, validated with whole-array
@@ -160,7 +161,7 @@ class DirectedGraph:
     check, so it never hides inside an interior set.
     """
 
-    __slots__ = ("_labels", "_index", "_m", "_ptr", "_nbr", "_b_out", "_b_in", "_dist0")
+    __slots__ = ("_labels", "_index", "_m", "_ptr", "_rows", "_nbr", "_b_out", "_b_in", "_dist0")
 
     def __init__(self, vertices: Iterable[tuple[str, float]], edges: Iterable[tuple[str, str, float]]):
         vertices = [(str(label), m) for label, m in vertices]
@@ -212,9 +213,10 @@ class DirectedGraph:
         # Every weight is > 0, so two edges share a slot exactly when fewer slots are filled.
         if np.count_nonzero(b_out) < len(u):
             raise GraphError(_edge_fault(labels, u, v, w, given))
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=ptr[1:])
         nbr = keys % n
+        rows = np.floor_divide(keys, n, out=keys)  # the spent keys' buffer holds the rows
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
 
         isolated = np.flatnonzero(np.diff(ptr) == 0)
         if isolated.size:
@@ -224,12 +226,13 @@ class DirectedGraph:
             missing = labels[int(np.argmin(dist))]
             raise GraphError(f"graph is not weakly connected: vertex {missing!r} unreachable from {labels[0]!r}")
 
-        for arr in (m_arr, ptr, nbr, b_out, b_in, dist):
+        for arr in (m_arr, ptr, rows, nbr, b_out, b_in, dist):
             arr.setflags(write=False)
         self._labels = labels
         self._index = index
         self._m = m_arr
         self._ptr = ptr
+        self._rows = rows
         self._nbr = nbr
         self._b_out = b_out
         self._b_in = b_in
@@ -294,14 +297,10 @@ class DirectedGraph:
         self.require_vertex(x)
         return tuple(self._nbr[self._ptr[x] : self._ptr[x + 1]].tolist())
 
-    def _slot_rows(self) -> np.ndarray:
-        """The vertex whose row holds each slot."""
-        return np.repeat(np.arange(len(self)), np.diff(self._ptr))
-
     def iter_edges(self) -> Iterable[tuple[int, int, float]]:
         """All directed edges as (source id, target id, weight), by ascending (source, target)."""
         s = np.flatnonzero(self._b_out)
-        return zip(self._slot_rows()[s].tolist(), self._nbr[s].tolist(), self._b_out[s].tolist())
+        return zip(self._rows[s].tolist(), self._nbr[s].tolist(), self._b_out[s].tolist())
 
 
 # -- whole-array helpers ------------------------------------------------------
@@ -371,14 +370,17 @@ def _distances(ptr: np.ndarray, nbr: np.ndarray, x0: int) -> np.ndarray:
 def _vertex_array(g: DirectedGraph, xs: Iterable[VertexId]) -> np.ndarray:
     """Validated vertex ids as an index array, in iteration order.
 
-    Integer ids are checked in one pass; anything else is checked one id at
-    a time, so the first bad id raises as :meth:`DirectedGraph.require_vertex` does.
+    Integer ids are checked in one pass, and a 1-D integer array is passed
+    through uncopied; anything else is checked one id at a time, so the first bad id
+    raises as :meth:`DirectedGraph.require_vertex` does.
     """
-    xs = list(xs)
-    try:
-        ids = np.array(xs, dtype=None if xs else np.intp)
-    except (ValueError, OverflowError):  # ragged or out-of-range input: checked below
-        ids = None
+    ids = xs if isinstance(xs, np.ndarray) and xs.ndim == 1 else None
+    if ids is None:
+        xs = list(xs)
+        try:
+            ids = np.array(xs, dtype=None if xs else np.intp)
+        except (ValueError, OverflowError):  # ragged or out-of-range input: checked below
+            ids = None
     if ids is not None and ids.dtype.kind in "iu" and ids.ndim == 1 and np.all((0 <= ids) & (ids < len(g))):
         return ids.astype(np.intp, copy=False)
     for x in xs:
@@ -389,21 +391,13 @@ def _vertex_array(g: DirectedGraph, xs: Iterable[VertexId]) -> np.ndarray:
 def _row_sums(
     g: DirectedGraph, rows: np.ndarray, values: np.ndarray, per_measure: bool = False
 ) -> np.ndarray:
-    """Sum of the per-slot ``values`` over each row in ``rows``.
+    """Sum of the per-slot ``values`` over each row in ``rows``, in ascending-neighbor order.
 
-    Step k adds the k-th slot of every row that has one, so each row is
-    accumulated left to right in ascending-neighbor order, bit for bit like
-    a scalar loop over its neighbors (``np.add.reduceat`` is not).  With
-    ``per_measure`` each sum is divided by the measure of its row.  Finite
-    weights and measures can still overflow, so a non-finite result (checked
-    after the division) raises :class:`NumericError`.
+    With ``per_measure`` each sum is divided by the measure of its row.
+    Finite weights and measures can still overflow, so a non-finite result
+    (checked after the division) raises :class:`NumericError`.
     """
-    start = g._ptr[rows]
-    degree = g._ptr[rows + 1] - start
-    total = np.zeros(len(rows))
-    for k in range(int(degree.max(initial=0))):
-        has = degree > k
-        total[has] += values[start[has] + k]
+    total = np.bincount(g._rows, values, len(g))[rows]
     if per_measure:
         total = total / g._m[rows]
     return _finite(total, "the vector of per-vertex weight sums")
@@ -460,7 +454,7 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
     The output is symmetric; idempotent on already-symmetric graphs.
     """
-    return DirectedGraph._from_arrays(g.labels, g._m, g._slot_rows(), g._nbr, _b_sym(g))
+    return DirectedGraph._from_arrays(g.labels, g._m, g._rows, g._nbr, _b_sym(g))
 
 
 # -- asymmetry constants -----------------------------------------------------
@@ -468,15 +462,14 @@ def symmetrize(g: DirectedGraph) -> DirectedGraph:
 
 def _asymmetry(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
     """Divides only over the slots of ``rows``; a slot there whose b' underflows to 0 is a NumericError."""
-    slot_rows = g._slot_rows()
-    slots = np.flatnonzero(np.isin(slot_rows, rows))
+    slots = np.flatnonzero(np.isin(g._rows, rows))
     b_sym = _b_sym(g)[slots]
     if not b_sym.all():
         k = slots[np.argmin(b_sym)]
-        x, y = g.labels[slot_rows[k]], g.labels[g._nbr[k]]
+        x, y = g.labels[g._rows[k]], g.labels[g._nbr[k]]
         raise NumericError(f"the symmetrized weight b' of {x!r} and {y!r} underflows to 0")
     d = g._b_out[slots] - g._b_in[slots]
-    values = np.zeros(len(slot_rows))
+    values = np.zeros(len(g._rows))
     values[slots] = d * d / b_sym
     return _row_sums(g, rows, values, per_measure=True)
 
@@ -521,12 +514,15 @@ def combinatorial_distance(g: DirectedGraph, x0: VertexId) -> np.ndarray:
 
 
 class Ball(NamedTuple):
-    """A distance ball, with the read-only distances from ``root`` it was cut with."""
+    """A distance ball, with the read-only distances from ``root`` it was cut with.
+
+    ``vertices`` and ``interior`` are read-only ascending id arrays cut from ``dist``.
+    """
 
     root: int
     radius: int
-    vertices: tuple[int, ...]
-    interior: frozenset[int]
+    vertices: np.ndarray
+    interior: np.ndarray
     dist: np.ndarray
 
 
@@ -544,8 +540,8 @@ def ball(g: DirectedGraph, x0: VertexId, radius: int) -> Ball:
 
 def _ball(x0: VertexId, radius: int, dist: np.ndarray) -> Ball:
     """:func:`ball` from the read-only distances ``dist`` to ``x0``."""
-    vertices = tuple(np.flatnonzero((0 <= dist) & (dist <= radius)).tolist())
-    interior = frozenset(np.flatnonzero((0 <= dist) & (dist <= radius - 1)).tolist())
+    vertices = _read_only(np.flatnonzero((0 <= dist) & (dist <= radius)))
+    interior = _read_only(np.flatnonzero((0 <= dist) & (dist < radius)))
     return Ball(int(x0), int(radius), vertices, interior, dist)
 
 
@@ -586,7 +582,6 @@ def build_cutoffs(g: DirectedGraph, x0: VertexId, radii: Sequence[int]) -> Cutof
 def _cutoffs(g: DirectedGraph, dist: np.ndarray, radii: list[int]) -> CutoffSequence:
     """:func:`build_cutoffs` from the distances ``dist`` to its root and valid ``radii``."""
     dist = dist.astype(float)
-    rows = g._slot_rows()
     every = np.arange(len(g))
     b_sym = _b_sym(g)
     functions = []
@@ -594,7 +589,7 @@ def _cutoffs(g: DirectedGraph, dist: np.ndarray, radii: list[int]) -> CutoffSequ
     for r in radii:
         chi = np.clip(2.0 - dist / r, 0.0, 1.0)
         chi.setflags(write=False)
-        diff = chi[rows] - chi[g._nbr]
+        diff = chi[g._rows] - chi[g._nbr]
         energy = _row_sums(g, every, b_sym * diff * diff, per_measure=True)
         functions.append(chi)
         per_radius.append(float(np.max(energy, initial=0.0)))
@@ -631,7 +626,7 @@ def divergence_criterion(g: DirectedGraph, x0: VertexId, n_max: int) -> Divergen
             f"sphere {int(dist.max()) + 1} is empty; use a host graph of radius >= {n_max}"
         )
     every = np.arange(len(g))
-    step = dist[g._nbr] - dist[g._slot_rows()]
+    step = dist[g._nbr] - dist[g._rows]
     b_sym = _b_sym(g)
     up = _row_sums(g, every, np.where(step == 1, b_sym, 0.0), per_measure=True)
     down = _row_sums(g, every, np.where(step == -1, b_sym, 0.0), per_measure=True)
@@ -651,7 +646,7 @@ def assumption_report(g: DirectedGraph, interior: Iterable[VertexId], tol: float
     vertices named by their labels; ``tol`` is the Kirchhoff tolerance of
     :func:`check_kirchhoff`.
     """
-    probed = sorted(int(x) for x in interior)
+    probed = np.sort(_vertex_array(g, interior))
     balance = check_kirchhoff(g, probed, tol)
     return {
         "kirchhoff_ok": balance.ok,
@@ -661,7 +656,7 @@ def assumption_report(g: DirectedGraph, interior: Iterable[VertexId], tol: float
         "asymmetry_constant": check_asymmetry(g, probed),
         "max_degree": g.max_degree,
         "probed_size": len(probed),
-        "probed_vertices": [g.labels[v] for v in probed],
+        "probed_vertices": [g.labels[v] for v in probed.tolist()],
     }
 
 

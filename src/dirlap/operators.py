@@ -106,9 +106,9 @@ class TruncatedOperator:
         return len(self.measure_vector)
 
     @property
-    def vertices(self) -> tuple[int, ...] | range:
-        """The host vertex of each row: the ball's vertices, else ``range(n)``."""
-        return range(self.n) if self.ball is None else self.ball.vertices
+    def vertices(self) -> np.ndarray:
+        """The host vertex of each row: the ball's vertices, else ``arange(n)``."""
+        return np.arange(self.n) if self.ball is None else self.ball.vertices
 
     def _entry_rows(self) -> np.ndarray:
         """The row of each stored entry."""
@@ -123,15 +123,14 @@ class TruncatedOperator:
     @property
     def interior_rows(self) -> np.ndarray:
         """Row indices whose host vertex is interior to the ball."""
-        if self.ball is None:
-            return np.arange(self.n)
-        return np.array([i for i, v in enumerate(self.vertices) if v in self.ball.interior], dtype=int)
+        return np.arange(self.n) if self.ball is None else np.searchsorted(self.vertices, self.ball.interior)
 
     def row_of(self, vertex: int) -> int:
-        try:
-            return self.vertices.index(vertex)
-        except ValueError:
-            raise GraphError(f"vertex {vertex} is not in the truncation") from None
+        vertices = self.vertices
+        row = int(np.searchsorted(vertices, vertex))
+        if row == self.n or vertices[row] != vertex:
+            raise GraphError(f"vertex {vertex} is not in the truncation")
+        return row
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The matrix times a vector, or times each column of a 2-D array."""
@@ -156,9 +155,8 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
     pos = np.full(len(g), -1)
     pos[rows] = np.arange(n)
     # Slots joining two ball vertices; the diagonal keeps every host slot.
-    slot_rows = g._slot_rows()
-    inside = np.flatnonzero((pos[slot_rows] >= 0) & (pos[g._nbr] >= 0))
-    slot_measures = g.measures[slot_rows[inside]]
+    inside = np.flatnonzero((pos[g._rows] >= 0) & (pos[g._nbr] >= 0))
+    slot_measures = g.measures[g._rows[inside]]
 
     def entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Each off-diagonal -b/m is bounded by its row's diagonal, which _row_sums checks is finite.
@@ -176,7 +174,7 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
         else:
             diag, off = lap_diag / 2.0 - adj_diag / 2.0, lap_off / 2.0 - adj_off / 2.0
     every = np.arange(n)
-    row = np.concatenate([pos[slot_rows[inside]], every])
+    row = np.concatenate([pos[g._rows[inside]], every])
     col = np.concatenate([pos[g._nbr[inside]], every])
     order = np.lexsort((col, row))
     csr = (np.concatenate([off, diag])[order], col[order], np.searchsorted(row[order], np.arange(n + 1)))
@@ -250,9 +248,8 @@ def green_residual_batch(
     if F.shape != H.shape:
         raise GraphError("f and h must have matching shapes")
 
-    interior = ball_.interior
-    boundary_rows = [i for i, v in enumerate(ball_.vertices) if v not in interior]
-    if boundary_rows and (np.any(F[boundary_rows] != 0) or np.any(H[boundary_rows] != 0)):
+    boundary_rows = ball_.dist[ball_.vertices] == ball_.radius
+    if np.any(F[boundary_rows] != 0) or np.any(H[boundary_rows] != 0):
         raise GraphError("the Green identity needs f and h supported in the ball interior")
 
     op = assemble(g, ball_, "laplacian")
@@ -266,11 +263,10 @@ def green_residual_batch(
     # Edge sum over all host directed edges, with f, h extended by zero.
     fh = np.zeros((len(g), F.shape[1]), dtype=complex)
     hh = np.zeros((len(g), F.shape[1]), dtype=complex)
-    rows = list(ball_.vertices)
-    fh[rows] = F
-    hh[rows] = H
+    fh[ball_.vertices] = F
+    hh[ball_.vertices] = H
     edges = np.flatnonzero(g._b_out)
-    src, dst, w = g._slot_rows()[edges], g._nbr[edges], g._b_out[edges]
+    src, dst, w = g._rows[edges], g._nbr[edges], g._b_out[edges]
     df = fh[src] - fh[dst]
     dh = hh[src] - hh[dst]
     rhs = np.sum(w[:, None] * df * np.conj(dh), axis=0)

@@ -655,8 +655,7 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     the report then states the hypotheses as not met, which is useful when
     exploring counterexamples.
     """
-    interior = sorted(ball_.interior)
-    balance = check_kirchhoff(g, interior)
+    balance = check_kirchhoff(g, ball_.interior)
     sector_constant = check_asymmetry(g, ball_.vertices)
 
     # The ball's distance array serves every probe ball and the cutoffs.
@@ -690,13 +689,13 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     accretive = min_real >= -tol
     return {
         "radius": ball_.radius,
-        "interior_size": len(interior),
+        "interior_size": len(ball_.interior),
         "kirchhoff": {
             "ok": balance.ok,
             "max_imbalance": balance.max_imbalance,
             "worst_vertex": None if balance.worst_vertex is None else g.label(balance.worst_vertex),
         },
-        "asymmetry_constant": check_asymmetry(g, interior),
+        "asymmetry_constant": check_asymmetry(g, ball_.interior),
         "sector_constant": sector_constant,
         "cutoff_constant": cutoffs.constant,
         "total_asymmetry": {"values": gamma_values, "trend": trend},

@@ -117,6 +117,25 @@ def test_random_generator_inputs_that_numpy_rejects_are_input_errors(capsys, opt
     assert err == f"dirlap: input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--gen", "random", "--n", str(10**19)),
+        ("check", "--gen", "random", "--n", str(10**18)),
+        ("certify", "--gen", "ladder", "--N", str(10**19)),
+        ("certify", "--gen", "ladder", "--N", str(10**18)),
+    ],
+    ids=["random-1e19", "random-1e18", "ladder-1e19", "ladder-1e18"],
+)
+def test_generator_sizes_too_large_to_allocate_are_input_errors(argv):
+    # numpy refuses both sizes before touching memory; the ids are sized before any per-vertex
+    # Python work, so the run ends at once rather than looping over labels.
+    env = {**os.environ, "PYTHONPATH": str(Path(dl.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "dirlap", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "too many to allocate" in done.stderr
+
+
 def test_an_empty_root_label_is_that_vertex_not_the_first(tmp_path, capsys):
     path = tmp_path / "g.json"
     vertices = [{"id": label, "m": 1} for label in ("a", "", "c")]
@@ -504,6 +523,9 @@ def test_evolve_grid_validation(capsys):
         ("check", "--gen", "random", "--density", "nan"),
         ("check", "--gen", "ladder", "--tol-kirchhoff", "nan"),
         ("spectrum", "--gen", "ladder", "--constant", "inf"),
+        # Text that is no number at all.
+        ("check", "--gen", "ladder", "--k", "abc"),
+        ("evolve", "--gen", "ladder", "--t", "0:x:1"),
         # Finite parts whose point count overflows.
         ("evolve", "--gen", "ladder", "--t", "0:1e300:1e-300"),
     ],

@@ -208,7 +208,7 @@ def symmetrized_by_labels(g):
     labels = g.labels
     edges = [
         (labels[x], labels[y], w)
-        for x, y, w in zip(g._slot_rows().tolist(), g._nbr.tolist(), _b_sym(g).tolist())
+        for x, y, w in zip(g._rows.tolist(), g._nbr.tolist(), _b_sym(g).tolist())
     ]
     return dl.DirectedGraph(zip(labels, g._m.tolist()), edges)
 

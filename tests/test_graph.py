@@ -144,7 +144,9 @@ def test_accessors(single_edge):
 @pytest.mark.parametrize(
     "ids",
     [[], [3, 0, 3], np.array([4, 1]), frozenset({2, 4}), (np.int32(1), 2), [True, 2],
-     [0, 99, -1], [0, -1, 99], [1, "x"], [1, 2.0], [[0], [1, 2]], [[0, 1]], [2**70], [None]],
+     [0, 99, -1], [0, -1, 99], [1, "x"], [1, 2.0], [[0], [1, 2]], [[0, 1]], [2**70], [None],
+     np.array([0, 99]), np.array([1.0, 2.0]), np.array([], dtype=float), np.array([[0, 1]]),
+     np.array([2, 1], dtype=np.uint8)],
 )
 def test_vertex_arrays_match_the_per_id_check(ids):
     from dirlap.graph import _vertex_array
@@ -159,6 +161,13 @@ def test_vertex_arrays_match_the_per_id_check(ids):
     else:
         got = _vertex_array(g, ids)
         assert got.dtype == np.intp and got.tolist() == [int(x) for x in ids]
+
+
+def test_ball_arrays_pass_the_vertex_check_uncopied(ladder_sqrt):
+    from dirlap.graph import _vertex_array
+
+    b = dl.ball(ladder_sqrt, 0, 4)
+    assert _vertex_array(ladder_sqrt, b.vertices) is b.vertices
 
 
 # -- strengths and Kirchhoff balance ------------------------------------------
@@ -365,11 +374,13 @@ def test_distance_path():
 def test_ball_structure(ladder_sqrt):
     g = ladder_sqrt
     b = dl.ball(g, g.index("x0"), 3)
-    expected = {g.index(s) for s in ("x0", "x1", "y1", "x2", "y2", "x3", "y3")}
-    assert set(b.vertices) == expected
-    assert b.interior == {g.index(s) for s in ("x0", "x1", "y1", "x2", "y2")}
+    expected = sorted(g.index(s) for s in ("x0", "x1", "y1", "x2", "y2", "x3", "y3"))
+    assert b.vertices.tolist() == expected
+    assert b.interior.tolist() == sorted(g.index(s) for s in ("x0", "x1", "y1", "x2", "y2"))
     b0 = dl.ball(g, g.index("x0"), 0)
-    assert b0.vertices == (g.index("x0"),) and b0.interior == frozenset()
+    assert b0.vertices.tolist() == [g.index("x0")] and b0.interior.tolist() == []
+    for ids in (b.vertices, b.interior, b0.interior):
+        assert ids.dtype == np.intp and not ids.flags.writeable
     with pytest.raises(GraphError):
         dl.ball(g, 0, -1)
 
@@ -499,6 +510,22 @@ def test_assumption_report_fields(ladder_sqrt):
     assert rep["probed_vertices"] == [g.label(v) for v in interior]
     assert rep["probed_size"] == len(interior)
     assert "x0" in rep["probed_vertices"]
+
+
+@pytest.mark.parametrize("ids", [[1.7, 2], ["x1"], [2, 99], np.array([0.0, 1.0])])
+def test_assumption_report_rejects_what_the_checkers_reject(ladder_sqrt, ids):
+    # Each id is checked as check_kirchhoff checks it: a float or a label is not truncated or parsed.
+    with pytest.raises(UnknownVertexError):
+        dl.check_kirchhoff(ladder_sqrt, ids)
+    with pytest.raises(UnknownVertexError):
+        dl.assumption_report(ladder_sqrt, ids)
+
+
+def test_assumption_report_sorts_and_counts_repeated_ids(ladder_sqrt):
+    g = ladder_sqrt
+    rep = dl.assumption_report(g, np.array([3, 0, 3]))
+    assert rep["probed_size"] == 3
+    assert rep["probed_vertices"] == [g.label(0), g.label(3), g.label(3)]
 
 
 # -- JSON round trip ---------------------------------------------------------------------

@@ -150,6 +150,19 @@ def test_row_of_a_vertex_outside_the_ball(ladder_sqrt):
         op.row_of(outside)
 
 
+def test_rows_of_a_ball_and_of_a_synthetic_operator(ladder_sqrt):
+    b = dl.ball(ladder_sqrt, 0, 4)
+    op = dl.assemble(ladder_sqrt, b, "laplacian")
+    assert [op.row_of(v) for v in b.vertices] == list(range(op.n))
+    assert op.interior_rows.tolist() == [i for i, v in enumerate(op.vertices) if v in b.interior]
+    # Without a ball, row i is vertex i and every row is interior.
+    synthetic = dl.TruncatedOperator(np.eye(3), np.ones(3), "laplacian")
+    assert synthetic.vertices.tolist() == synthetic.interior_rows.tolist() == [0, 1, 2]
+    assert synthetic.row_of(2) == 2
+    with pytest.raises(GraphError, match="vertex 3 is not in the truncation"):
+        synthetic.row_of(3)
+
+
 # -- weighted geometry -------------------------------------------------------------
 
 
@@ -268,6 +281,15 @@ def test_green_residual_rejects_boundary_support(ladder_sqrt):
     bad[boundary_row] = 1.0
     with pytest.raises(GraphError, match="interior"):
         dl.green_residual_batch(g, b, bad, bad)
+
+
+def test_green_residual_rejects_misshapen_vectors(ladder_sqrt):
+    b = dl.ball(ladder_sqrt, 0, 3)
+    n = len(b.vertices)
+    with pytest.raises(GraphError, match=f"expected vectors of length {n}, got shape \\({n + 1}, 1\\)"):
+        dl.green_residual_batch(ladder_sqrt, b, np.zeros(n + 1), np.zeros(n + 1))
+    with pytest.raises(GraphError, match="f and h must have matching shapes"):
+        dl.green_residual_batch(ladder_sqrt, b, np.zeros((n, 2)), np.zeros(n))
 
 
 # -- the two operator inequalities ------------------------------------------------------

@@ -541,7 +541,11 @@ def test_range_basis_drops_at_most_n_eps_sigma_1(seed, n, radius, kind, h, lowes
     # ~r eps sigma_1 for forming (I - W W^T) Q, and ~eps sigma_1 for the dense SVD.
     g = spread_measures(dl.make_random_balanced(n, seed), seed, lowest)
     op = dl.assemble(g, dl.ball(g, 0, radius), kind)
-    step = _propagator(op, h)
+    assert_range_certificate(op, _propagator(op, h), h)
+
+
+def assert_range_certificate(op, step, h):
+    """``_range_basis`` of ``step`` drops at most n eps sigma_1, up to the rounding of checking it."""
     q = _similar(step, op.measure_vector)
     w, sigma = _range_basis(op, step, h)
     r = len(sigma)
@@ -552,6 +556,28 @@ def test_range_basis_drops_at_most_n_eps_sigma_1(seed, n, radius, kind, h, lowes
     leak = np.linalg.svd(q - w @ (w.T @ q), compute_uv=False)[0]
     assert leak <= ((op.n + r + 1) * _EPS + departure) * reference[0]
     assert np.all(np.abs(sigma - reference[:r]) <= _tolerance(op.n, reference[0]))
+    return sigma
+
+
+def test_range_basis_doubles_a_sketch_whose_tail_is_already_below_the_cut(monkeypatch):
+    # One singular value 1, a tail from n eps / 4 down to n eps / 8, and 20 zeros. The first sketch
+    # keeps 31 of the tail's 179 values, so its residual is above n eps / 2 while its last singular
+    # value is below it: no extrapolation applies, and k doubles to 64 for a second sketch, then
+    # to 128, where 2k >= n takes the full SVD.
+    n = 200
+    tail = np.linspace(n * _EPS / 4, n * _EPS / 8, n - 21)
+    op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
+    shapes = []
+
+    def svd(matrix, t):
+        shapes.append(matrix.shape)
+        return scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
+
+    monkeypatch.setattr(semigroup, "_svd", svd)
+    sigma = assert_range_certificate(op, np.diag(np.concatenate([[1.0], tail, np.zeros(20)])), 1.0)
+    assert sigma.tolist() == [1.0]
+    sketches = [rows for rows, cols in shapes if cols == n and rows < n]
+    assert sketches == [_SKETCH] * 3 + [_SKETCH] * 2 + [2 * _SKETCH] and shapes[-1] == (n, n)
 
 
 @settings(deadline=None, max_examples=20)
