@@ -172,6 +172,17 @@ def _svd(matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise NumericError(f"singular values of exp(-{t} A) failed: {exc}") from exc
 
 
+def _normal(sigma: float, t: float) -> float:
+    """``sigma``, the largest singular value of a block of exp(-tA), unless it is subnormal.
+
+    Then the cut n eps sigma underflows, so no tolerance covers the rounding
+    of the basis, as for a subnormal operator entry: a :class:`NumericError`.
+    """
+    if 0.0 < sigma < np.finfo(float).tiny:
+        raise NumericError(f"exp(-{t} A) has a subnormal largest singular value, whose rounding no tolerance covers")
+    return sigma
+
+
 def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """W (n-by-r, orthonormal) and sigma_1..sigma_r with Q V = W Sigma_r + F V, ||F||_2 <= n eps sigma_1.
 
@@ -201,7 +212,8 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     sigma_j > n eps sigma_1 (Golub & Van Loan, *Matrix Computations*,
     section 2.4), and then F V = 0.  A full-rank step (the skew part, or
     ||A|| h far below 1) pays one sketch of ``_SKETCH`` columns before that
-    SVD.
+    SVD.  An all-zero step has r = 0; a subnormal sigma_1 is a
+    :class:`NumericError` (:func:`_normal`).
     """
     q = _finite(_similar(step, op.measure_vector), f"exp(-{t} A)")
     n = op.n
@@ -214,7 +226,8 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
             y = _svd((y - u @ (u.T @ y)).T, t)[2].T
         u, b = np.hstack([u, y]), np.vstack([b, y.T @ q])
         u_b, s, _ = _svd(b, t)
-        rho, tol = _residual(q, u, b, s[0]), n * _EPS * s[0]
+        sigma = _normal(s[0], t)
+        rho, tol = _residual(q, u, b, sigma), n * _EPS * sigma
         if rho <= tol / 2:
             r = int(np.count_nonzero(s > tol - rho))
             return u @ u_b[:, :r], s[:r]
@@ -227,7 +240,7 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
         else:
             k = max(2 * k, k + math.ceil(half * math.log(tol / 2 / tail) / math.log(tail / mid)))
     u, s, _ = _svd(q, t)
-    r = int(np.count_nonzero(s > n * _EPS * s[0]))
+    r = int(np.count_nonzero(s > n * _EPS * _normal(s[0], t)))
     return u[:, :r], s[:r]
 
 

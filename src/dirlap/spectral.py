@@ -298,6 +298,36 @@ def _positive(w: np.ndarray) -> bool:
     return bool(np.all((w > 0.0) & (w < math.inf)))
 
 
+def _pcg(a, b: np.ndarray, lu, maxiter: int) -> tuple[np.ndarray, int]:
+    """(x, info) of conjugate gradients on a x = b, preconditioned by the factors ``lu`` and started from their solve.
+
+    This is the arithmetic of scipy's ``cg(a, b, x0=lu.solve(b), rtol=_CG_RTOL,
+    maxiter=maxiter, M=LinearOperator(a.shape, lu.solve))`` (scipy >= 1.12),
+    operation for operation, without its per-call setup: the iterates are
+    the same to the bit.  info is 0 once ||r|| < _CG_RTOL ||b||, tested
+    before each step, and ``maxiter`` when the steps run out.
+    """
+    x = lu.solve(b)
+    r = b - a @ x
+    atol = _CG_RTOL * float(np.linalg.norm(b))
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = lu.solve(r)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = a @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
 def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
     """[lower, upper], upper - lower <= ``delta``, containing lambda_min(s) of a symmetric Z-matrix.
 
@@ -321,7 +351,8 @@ def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
     is entrywise nonnegative, nonsingular even when the quotients of u are
     already exact (a diagonal S).  The first step factors its shift with
     SuperLU.  Each later step runs conjugate gradients preconditioned by the
-    last factors, started from their solve of u: the factored shift lies
+    last factors, started from their solve of u (:func:`_pcg`, scipy's
+    ``cg`` arithmetic without its per-call setup): the factored shift lies
     below the current one, so the preconditioned matrix is I less a
     positive semidefinite term that is small except near lambda_min.  A step
     factors its own shift, which then preconditions, when CG stops short or
@@ -331,8 +362,6 @@ def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
     singular factorization or a spent budget of ``_NODA_SOLVES`` solves is
     a :class:`NumericError` naming min Re W.
     """
-    from scipy.sparse.linalg import LinearOperator, cg
-
     n, unit = s.shape[0], _EPS / 2.0
     terms = int(np.diff(s.indptr).max()) + 2
     gamma = terms * unit / (1.0 - terms * unit)
@@ -351,8 +380,7 @@ def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
         shifted = _shifted(s, sigma, diagonal)
         w, info = None, 1
         if lu is not None and halved:
-            preconditioner = LinearOperator(s.shape, lu.solve, dtype=s.dtype)
-            w, info = cg(shifted, u, x0=lu.solve(u), rtol=_CG_RTOL, maxiter=n, M=preconditioner)
+            w, info = _pcg(shifted, u, lu, n)
         if info != 0 or not _positive(w):
             try:
                 lu, gap = _factor(shifted), math.inf  # a factored step is exact: no stall to watch
@@ -457,8 +485,8 @@ def _sector(frame: Frame, c: float) -> tuple[Sector, bool]:
     if not 0.0 <= c < math.inf:
         raise GraphError(f"asymmetry constant must be finite and >= 0, got {c!r}")
     slope = c / 8.0
-    h = frame.sym.astype(complex)
-    h.data[:] = -slope * frame.sym.data - 1j * frame.skew.data
+    sym = frame.sym
+    h = type(sym)((-slope * sym.data - 1j * frame.skew.data, sym.indices, sym.indptr), shape=sym.shape)
     line = math.ldexp(0.5, -frame.e) + frame.tol * (1.0 + slope)
     ok = _negative_definite(h, line, _diagonal_positions(h)) is not None
     if c == 0.0:

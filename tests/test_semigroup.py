@@ -580,6 +580,20 @@ def test_range_basis_doubles_a_sketch_whose_tail_is_already_below_the_cut(monkey
     assert sketches == [_SKETCH] * 3 + [_SKETCH] * 2 + [2 * _SKETCH] and shapes[-1] == (n, n)
 
 
+@pytest.mark.parametrize("n", [100, 10], ids=["sketch", "full-svd"])
+def test_a_subnormal_first_step_is_a_numeric_error_and_an_underflowed_one_is_zero(n):
+    # exp(-t I) = e^-t I: at t = 720 and 730 sigma_1 is subnormal, so the cut n eps sigma_1
+    # underflows; at 700 it is 9.9e-305, and at 800 the step is exactly zero (r = 0).
+    op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
+    for t in (720.0, 730.0):
+        with pytest.raises(NumericError, match=rf"exp\(-{t} A\) has a subnormal largest singular value"):
+            dl.evolve_trace(op, np.ones(n), [0.0, t])
+    norms = dl.evolve_trace(op, np.ones(n), [0.0, 700.0])["operator_norms"]
+    assert norms[0] == 1.0 and norms[1] == pytest.approx(math.exp(-700.0), rel=_tolerance(n, 1.0))
+    trace = dl.evolve_trace(op, np.ones(n), [0.0, 800.0])
+    assert trace["operator_norms"] == [1.0, 0.0] and trace["ok"]
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     st.integers(0, 10**6),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -920,19 +921,19 @@ def test_noda_factors_once_and_preconditions_every_later_step(monkeypatch):
 
     import dirlap.spectral as spectral
 
-    splu, cg, calls = sla.splu, sla.cg, []
+    splu, pcg, calls = sla.splu, spectral._pcg, []
 
     def counted_splu(*args, **kwargs):
         calls.append(args[0].dtype.kind)
         return splu(*args, **kwargs)
 
-    def counted_cg(*args, **kwargs):
-        w, info = cg(*args, **kwargs)
+    def counted_pcg(*args):
+        w, info = pcg(*args)
         calls.append(info)
         return w, info
 
     monkeypatch.setattr(sla, "splu", counted_splu)
-    monkeypatch.setattr(sla, "cg", counted_cg)
+    monkeypatch.setattr(spectral, "_pcg", counted_pcg)
     # A ladder and a tree factor with little fill, the random graph with much; one path serves all three.
     for s in noda_matrices():
         calls.clear()
@@ -952,36 +953,71 @@ def test_noda_returns_to_factors_when_conjugate_gradients_fail(failure, monkeypa
 
     import dirlap.spectral as spectral
 
-    splu, cg, calls = sla.splu, sla.cg, []
+    splu, pcg, calls = sla.splu, spectral._pcg, []
 
     def counted_splu(*args, **kwargs):
         calls.append("factors")
         return splu(*args, **kwargs)
 
-    def failing_once(a, b, **kwargs):
+    def failing_once(a, b, lu, maxiter):
         if "failed" in calls:
             calls.append("cg")
-            return cg(a, b, **kwargs)
+            return pcg(a, b, lu, maxiter)
         calls.append("failed")
         if failure == "no-convergence":
-            return kwargs["x0"], 1
+            return lu.solve(b), 1
         # A negative iterate, or w = u, which leaves upper - lower where it was.
-        return (-kwargs["x0"] if failure == "negative" else b), 0
+        return (-lu.solve(b) if failure == "negative" else b), 0
 
     for s in noda_matrices():
         delta, diagonal = min_real_slack(s), spectral._diagonal_positions(s)
         with monkeypatch.context() as patch:
-            patch.setattr(sla, "cg", lambda a, b, **kwargs: (kwargs["x0"], 1))  # every step factors
+            patch.setattr(spectral, "_pcg", lambda a, b, lu, maxiter: (lu.solve(b), 1))  # every step factors
             factored = spectral._noda(s, delta, diagonal)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(sla, "splu", counted_splu)
-            patch.setattr(sla, "cg", failing_once)
+            patch.setattr(spectral, "_pcg", failing_once)
             lower, upper = spectral._noda(s, delta, diagonal)
         # The failed step factors its own shift (a stalled one: the next step), and
         # those factors precondition the CG solves that follow.
         assert calls[:3] == ["factors", "failed", "factors"] and set(calls[3:]) <= {"cg"}
         assert upper - lower <= delta and lower <= factored[1] and factored[0] <= upper
+
+
+@pytest.mark.skipif(
+    tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 12),
+    reason="scipy's cg runs this loop in Python, with rtol, from scipy 1.12 on",
+)
+def test_inline_conjugate_gradients_are_scipys_to_the_bit(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    import dirlap.spectral as spectral
+
+    def scipy_cg(a, b, lu, maxiter, callback=None):
+        m = sla.LinearOperator(a.shape, lu.solve, dtype=a.dtype)
+        return sla.cg(a, b, x0=lu.solve(b), rtol=spectral._CG_RTOL, maxiter=maxiter, M=m, callback=callback)
+
+    pcg, systems = spectral._pcg, []
+    monkeypatch.setattr(spectral, "_pcg", lambda *args: systems.append(args) or pcg(*args))
+    for s in noda_matrices():
+        # The shifted systems and factors that Noda iteration solves (info 0)...
+        start = len(systems)
+        spectral._noda(s, min_real_slack(s), spectral._diagonal_positions(s))
+        assert len(systems) - start >= 2
+        a, b, lu, n = systems[start]
+        steps = []
+        assert scipy_cg(a, b, lu, n, steps.append)[1] == 0 and len(steps) >= 2
+        # ...the first of them on budgets that run out, after one step (info 1) and on the
+        # step whose residual would pass the test that is never reached (info = steps)...
+        systems += [(a, b, lu, 1), (a, b, lu, len(steps))]
+        # ...and preconditioned by its own factors, so that it stops before the first step.
+        systems.append((a, b, spectral._factor(a), n))
+        expected = [0] * (len(systems) - start - 3) + [1, len(steps), 0]
+        for (a, b, lu, maxiter), info in zip(systems[start:], expected, strict=True):
+            (x, got), (reference, want) = pcg(a, b, lu, maxiter), scipy_cg(a, b, lu, maxiter)
+            assert np.array_equal(x, reference) and got == want == info
+        assert np.array_equal(x, lu.solve(b))
 
 
 @settings(deadline=None, max_examples=20)
