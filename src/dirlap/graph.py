@@ -267,7 +267,7 @@ class DirectedGraph:
         return range(len(self._labels))
 
     def require_vertex(self, x: VertexId) -> None:
-        if not (isinstance(x, (int, np.integer)) and 0 <= x < len(self._labels)):
+        if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < len(self._labels)):
             raise UnknownVertexError(f"unknown vertex id {x!r}")
 
     def index(self, label: str) -> VertexId:
@@ -380,6 +380,8 @@ def _vertex_array(g: DirectedGraph, xs: Iterable[VertexId]) -> np.ndarray:
         try:
             ids = np.array(xs, dtype=None if xs else np.intp)
         except (ValueError, OverflowError):  # ragged or out-of-range input: checked below
+            ids = None
+        if any(isinstance(x, (bool, np.bool_)) for x in xs):  # numpy coerces [2, True] to integers
             ids = None
     if ids is not None and ids.dtype.kind in "iu" and ids.ndim == 1 and np.all((0 <= ids) & (ids < len(g))):
         return ids.astype(np.intp, copy=False)

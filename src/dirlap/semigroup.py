@@ -149,19 +149,12 @@ def _largest_singular_value(q: np.ndarray, what: str) -> float:
     return math.ldexp(math.sqrt(max(float(top), 0.0)), e)
 
 
-def _residual(q: np.ndarray, u: np.ndarray, b: np.ndarray, scale: float) -> float:
-    """||q - u b||_F, formed in row blocks so that no n-by-n temporary is made.
-
-    Each block is first scaled by 2^-e, with 2^e the power of two of
-    ``scale`` (sigma_1), so that no square that matters underflows or
-    overflows.
-    """
-    e = math.frexp(scale)[1]
+def _residual(q: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
+    """||q - u b||_F, formed in row blocks so that no n-by-n temporary is made."""
     norm = 0.0
     for i in range(0, len(q), _BLOCK_ROWS):
-        block = np.ldexp(q[i : i + _BLOCK_ROWS] - u[i : i + _BLOCK_ROWS] @ b, -e)
-        norm = math.hypot(norm, np.linalg.norm(block))
-    return math.ldexp(norm, e)
+        norm = math.hypot(norm, np.linalg.norm(q[i : i + _BLOCK_ROWS] - u[i : i + _BLOCK_ROWS] @ b))
+    return norm
 
 
 def _svd(matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,17 +163,6 @@ def _svd(matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
         return scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular values of exp(-{t} A) failed: {exc}") from exc
-
-
-def _normal(sigma: float, t: float) -> float:
-    """``sigma``, the largest singular value of a block of exp(-tA), unless it is subnormal.
-
-    Then the cut n eps sigma underflows, so no tolerance covers the rounding
-    of the basis, as for a subnormal operator entry: a :class:`NumericError`.
-    """
-    if 0.0 < sigma < np.finfo(float).tiny:
-        raise NumericError(f"exp(-{t} A) has a subnormal largest singular value, whose rounding no tolerance covers")
-    return sigma
 
 
 def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,10 +194,14 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     sigma_j > n eps sigma_1 (Golub & Van Loan, *Matrix Computations*,
     section 2.4), and then F V = 0.  A full-rank step (the skew part, or
     ||A|| h far below 1) pays one sketch of ``_SKETCH`` columns before that
-    SVD.  An all-zero step has r = 0; a subnormal sigma_1 is a
-    :class:`NumericError` (:func:`_normal`).
+    SVD.  An all-zero step has r = 0.  Q is first scaled in place by the
+    power of two that brings max |Q| into [1/2, 1), and sigma is scaled
+    back: W and sigma are unchanged while values stay in range, and the cut
+    n eps sigma_1 cannot underflow, even when sigma_1 is subnormal.
     """
     q = _finite(_similar(step, op.measure_vector), f"exp(-{t} A)")
+    e = math.frexp(float(max(q.max(initial=0.0), -q.min(initial=0.0))))[1]
+    np.ldexp(q, -e, out=q)
     n = op.n
     rng = np.random.RandomState(0)
     u, b = np.empty((n, 0)), np.empty((0, n))
@@ -226,11 +212,10 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
             y = _svd((y - u @ (u.T @ y)).T, t)[2].T
         u, b = np.hstack([u, y]), np.vstack([b, y.T @ q])
         u_b, s, _ = _svd(b, t)
-        sigma = _normal(s[0], t)
-        rho, tol = _residual(q, u, b, sigma), n * _EPS * sigma
+        rho, tol = _residual(q, u, b), n * _EPS * s[0]
         if rho <= tol / 2:
             r = int(np.count_nonzero(s > tol - rho))
-            return u @ u_b[:, :r], s[:r]
+            return u @ u_b[:, :r], np.ldexp(s[:r], e)
         half = k // 2
         tail, mid = s[-1], s[-1 - half]
         if tail <= tol / 2:
@@ -240,8 +225,8 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
         else:
             k = max(2 * k, k + math.ceil(half * math.log(tol / 2 / tail) / math.log(tail / mid)))
     u, s, _ = _svd(q, t)
-    r = int(np.count_nonzero(s > n * _EPS * _normal(s[0], t)))
-    return u[:, :r], s[:r]
+    r = int(np.count_nonzero(s > n * _EPS * s[0]))
+    return u[:, :r], np.ldexp(s[:r], e)
 
 
 def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:

@@ -623,6 +623,20 @@ def test_evolve_rejects_subnormal_entries_as_every_verdict_does(tmp_path, capsys
     assert subprocess.run(argv, env=env, capture_output=True, timeout=60).returncode == 0
 
 
+def test_evolve_traces_a_first_step_of_subnormal_norm(tmp_path, capsys):
+    # Measures 2^j, j in [-26, 0], give exp(-h A) on the radius-1 ball sigma_1 = 1.6e-308, subnormal,
+    # while every entry of the operator is normal: a verdict, not a numeric failure.
+    g = dl.make_random_balanced(100, 150)
+    exponents = np.random.default_rng(150).integers(-26, 1, size=len(g))
+    vertices = [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), exponents)]
+    edges = [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()]
+    dl.save_graph(dl.DirectedGraph(vertices, edges), tmp_path / "g.json")
+    report = tmp_path / "report.json"
+    argv = ["evolve", "--graph", str(tmp_path / "g.json"), "--radius", "1", "--t", "0:0.05078125:0.05078125"]
+    assert run(capsys, *argv, "--out", str(report)) == (0, "", "")
+    assert json.loads(report.read_text())["ok"] is True
+
+
 @pytest.mark.parametrize(
     "command, edges, measure_a",
     [pytest.param(cmd, PAIR, 1.0, id=cmd) for cmd in ("spectrum", "certify", "cheeger", "evolve")]

@@ -141,6 +141,23 @@ def test_accessors(single_edge):
         g.label(5)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_booleans_are_not_vertex_ids(flag):
+    # bool subclasses int, and numpy coerces [2, True] to integers: neither may stand for vertex 1 or 0.
+    g = dl.make_ladder(dl.LadderSpec(depth=2))
+    calls = [
+        lambda: dl.ball(g, flag, 2),
+        lambda: g.label(flag),
+        lambda: dl.asymmetry_at(g, flag),
+        lambda: dl.check_asymmetry(g, [flag]),
+        lambda: dl.check_asymmetry(g, [np.int64(2), flag]),
+        lambda: dl.check_kirchhoff(g, [2, flag]),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownVertexError, match=f"^unknown vertex id {re.escape(repr(flag))}$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "ids",
     [[], [3, 0, 3], np.array([4, 1]), frozenset({2, 4}), (np.int32(1), 2), [True, 2],

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirlap as dl
@@ -535,6 +535,8 @@ def spread_measures(g, seed, lowest):
     st.one_of(st.just(1e-12), st.floats(0.01, 2.0)),
     st.integers(-30, 0),
 )
+# sigma_1 = 1.6e-308, subnormal: the cut n eps sigma_1 is formed on the step scaled to unit size.
+@example(seed=150, n=100, radius=1, kind="laplacian", h=0.05078125, lowest=-26)
 def test_range_basis_drops_at_most_n_eps_sigma_1(seed, n, radius, kind, h, lowest):
     # Sketched (rank below n / 2) and full-SVD bases, r = n included (steps of 1e-12, the skew
     # part). The slack beyond n eps sigma_1 is rounding: W's departure from orthonormality,
@@ -580,16 +582,34 @@ def test_range_basis_doubles_a_sketch_whose_tail_is_already_below_the_cut(monkey
     assert sketches == [_SKETCH] * 3 + [_SKETCH] * 2 + [2 * _SKETCH] and shapes[-1] == (n, n)
 
 
-@pytest.mark.parametrize("n", [100, 10], ids=["sketch", "full-svd"])
-def test_a_subnormal_first_step_is_a_numeric_error_and_an_underflowed_one_is_zero(n):
-    # exp(-t I) = e^-t I: at t = 720 and 730 sigma_1 is subnormal, so the cut n eps sigma_1
-    # underflows; at 700 it is 9.9e-305, and at 800 the step is exactly zero (r = 0).
+def test_range_basis_takes_the_full_svd_after_a_sketch_without_decay(monkeypatch):
+    # Q = I: every singular value of the first sketch B = U^T is 1, far above the cut, so no rank
+    # can be extrapolated and k goes straight to n. Rounding leaves the sorted tail a few eps below
+    # the middle, so the patched SVD ties the sketch's values at 1, as exact arithmetic would.
+    n = 200
     op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
-    for t in (720.0, 730.0):
-        with pytest.raises(NumericError, match=rf"exp\(-{t} A\) has a subnormal largest singular value"):
-            dl.evolve_trace(op, np.ones(n), [0.0, t])
-    norms = dl.evolve_trace(op, np.ones(n), [0.0, 700.0])["operator_norms"]
-    assert norms[0] == 1.0 and norms[1] == pytest.approx(math.exp(-700.0), rel=_tolerance(n, 1.0))
+    shapes = []
+
+    def svd(matrix, t):
+        shapes.append(matrix.shape)
+        u, s, vt = scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
+        return u, (np.ones_like(s) if len(matrix) < n else s), vt
+
+    monkeypatch.setattr(semigroup, "_svd", svd)
+    sigma = assert_range_certificate(op, np.eye(n), 1.0)
+    assert sigma.tolist() == [1.0] * n
+    assert shapes == [(_SKETCH, n)] * 3 + [(n, n)]
+
+
+@pytest.mark.parametrize("n", [100, 10], ids=["sketch", "full-svd"])
+def test_a_subnormal_first_step_is_traced_and_an_underflowed_one_is_zero(n):
+    # exp(-t I) = e^-t I: at t = 720 and 730 sigma_1 is subnormal, and at 700 it is 9.9e-305; the
+    # range basis scales the step to unit size, so its cut n eps sigma_1 does not underflow. At 800
+    # the step is exactly zero (r = 0).
+    op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
+    for t in (700.0, 720.0, 730.0):
+        norms = dl.evolve_trace(op, np.ones(n), [0.0, t])["operator_norms"]
+        assert norms[0] == 1.0 and norms[1] == pytest.approx(math.exp(-t), rel=_tolerance(n, 1.0))
     trace = dl.evolve_trace(op, np.ones(n), [0.0, 800.0])
     assert trace["operator_norms"] == [1.0, 0.0] and trace["ok"]
 
