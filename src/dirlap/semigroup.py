@@ -55,6 +55,8 @@ _BLOCK_ROWS = 64
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
            10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+# Before a squaring, entries below 2^-_FLUSH max|P| are zeroed, so that kept entries multiply to at least 2^-1022 max|P|^2.
+_FLUSH = 511
 
 
 def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
@@ -112,10 +114,26 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
     u = _band_product(x, u + np.tensordot(b[1:8:2], powers, 1), w, 12 * w)
     v = _band_product(powers[3], np.tensordot(b[8:13:2], powers[1:], 1), 6 * w, 6 * w)
     v += np.tensordot(b[0:7:2], powers, 1)
-    p, spare = np.linalg.solve(v - u, v + u), np.empty((n, n))
+    p, spare, flush = np.linalg.solve(v - u, v + u), np.empty((n, n)), True
     for _ in range(s):
-        p, spare = np.matmul(p, p, out=spare), p
+        flush = flush and _flush(p, spare)
+        p, spare = _square(p, spare), p
     return p
+
+
+def _flush(p: np.ndarray, scratch: np.ndarray) -> bool:
+    """Zero, in place, the entries of p below 2^-511 max |p|; False when none lies below (``scratch`` is overwritten)."""
+    magnitude = np.abs(p, out=scratch)
+    small = magnitude < math.ldexp(float(magnitude.max()), -_FLUSH)
+    if not small.any():
+        return False
+    np.copyto(p, 0.0, where=small)
+    return True
+
+
+def _square(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p @ p, into ``out``: one squaring of the Pade step."""
+    return np.matmul(p, p, out=out)
 
 
 def _vector(op: TruncatedOperator, values) -> np.ndarray:
