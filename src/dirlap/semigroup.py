@@ -49,12 +49,14 @@ __all__ = [
 
 # Columns of the first range sketch of a grid's first nonzero step; a rejected sketch at least doubles them.
 _SKETCH = 32
-# Rows per block of the explicit sketch residual and of the banded Pade products.
+# Rows per block of the explicit sketch residual.
 _BLOCK_ROWS = 64
 # The Pade-13 coefficients b_0..b_13, and theta_13, the largest ||X||_1 it takes unscaled (Higham 2005).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
            10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+# 1/|c_27|, the first coefficient of the Pade-13 backward-error series, which the ell term reads (Al-Mohy & Higham 2009).
+_C27 = 113250775606021113483283660800000000.0
 # Before a squaring, entries below 2^-_FLUSH max|P| are zeroed, so that kept entries multiply to at least 2^-1022 max|P|^2.
 _FLUSH = 511
 
@@ -80,41 +82,130 @@ def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
     return _finite(scipy.linalg.expm(-t * op.dense()), f"exp(-{t} A)")
 
 
-def _band_product(x: np.ndarray, y: np.ndarray, wx: int, wy: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x @ y for n-by-n x and y zero beyond |i - j| > wx and wy, in row blocks that touch only the band.
+def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for band matrices stored by diagonals, whose widths are below n.
 
-    The product goes into ``out`` (zero off the band) or, without it, into a new array.
+    A band of width k is a (2k + 1)-by-n array whose row k + d holds the
+    diagonal d, entry (i, i + d) in column i, with zeros where i + d falls
+    outside the matrix.  The product of widths a and b has width a + b and
+    costs 2a + 1 passes over a (2b + 1)-by-n array, one per diagonal of x.
     """
-    out = np.zeros_like(x) if out is None else out
-    for i in range(0, len(x), _BLOCK_ROWS):
-        inner = slice(max(0, i - wx), i + _BLOCK_ROWS + wx)
-        cols = slice(max(0, i - wx - wy), i + _BLOCK_ROWS + wx + wy)
-        out[i : i + _BLOCK_ROWS, cols] = x[i : i + _BLOCK_ROWS, inner] @ y[inner, cols]
+    a, b, n = len(x) // 2, len(y) // 2, x.shape[1]
+    out = np.zeros((2 * (a + b) + 1, n))
+    for d in range(-a, a + 1):
+        lo, hi = max(0, -d), min(n, n - d)
+        out[a + d : a + d + 2 * b + 1, lo:hi] += x[a + d, lo:hi] * y[:, lo + d : hi + d]
     return out
+
+
+def _band_sum(identity: float, *terms: tuple[float, np.ndarray]) -> np.ndarray:
+    """identity * I plus the sum of c M over the (c, M) terms, stored by diagonals at the width of the widest M."""
+    width = max(len(m) for _, m in terms)
+    out = np.zeros((width, terms[0][1].shape[1]))
+    out[width // 2] = identity
+    for c, m in terms:
+        k = (width - len(m)) // 2
+        out[k : width - k] += c * m
+    return out
+
+
+def _column_sums(band: np.ndarray) -> np.ndarray:
+    """The column sums of a band stored by diagonals."""
+    width, n = band.shape
+    return np.bincount((np.arange(width)[:, None] + np.arange(n)).ravel(), band.ravel())[width // 2 :][:n]
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The n-by-n matrix of a band stored by diagonals."""
+    k, n = len(band) // 2, band.shape[1]
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for d in range(-min(k, n - 1), min(k, n - 1) + 1):
+        lo, hi = max(0, -d), min(n, n - d)
+        flat[lo * (n + 1) + d : hi * (n + 1) + d : n + 1] = band[k + d, lo:hi]
+    return out
+
+
+def _squarings(x: np.ndarray, x6: np.ndarray, x8: np.ndarray, x10: np.ndarray, s: int) -> int:
+    """The number of squarings that Al-Mohy & Higham's rule picks for X = 2^-s (-tA), from the bands of X^k.
+
+    eta = min(max(d6, d8), max(d8, d10)), with d_k = ||X^k||_1^(1/k) read
+    exactly from the bands, bounds the backward error of the Pade-13 step
+    as ||X||_1 does, and is smaller for a non-normal X.  The count is the
+    least s' >= 0 with 2^(s - s') eta <= theta_13, plus the ell term, the
+    squarings that keep alpha = || |X'|^27 ||_1 / (||X'||_1 |c_27|^-1) at
+    X' = 2^(s - s') X below the unit roundoff u = 2^-53 (*SIAM J. Matrix
+    Anal. Appl.* 31, 2009, Algorithm 5.1).  || |X|^27 ||_1 comes from 9
+    products of a row vector with the band |X|^3.
+    """
+    d6, d8, d10 = (_column_sums(np.abs(p)).max() ** (1 / k) for p, k in ((x6, 6), (x8, 8), (x10, 10)))
+    eta = min(max(d6, d8), max(d8, d10))
+    fewer = max(s + math.ceil(math.log2(eta / _THETA13)), 0) if eta > 0.0 else 0
+    magnitude, power = np.abs(x), np.ones(x.shape[1])
+    cube = _band_product(magnitude, _band_product(magnitude, magnitude))
+    for _ in range(9):
+        power = _column_sums(cube * power)
+    if not power.max() > 0.0:
+        return fewer
+    # log2(alpha / u) at X' = 2^(s - fewer) X, in logarithms, so that no power of X' can overflow.
+    excess = 26 * (s - fewer) + math.log2(power.max() / _column_sums(magnitude).max() / _C27) + 53
+    return fewer + max(math.ceil(excess / 26), 0)
 
 
 def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.ndarray:
     """exp(-tA) for band width w, by scaling and squaring of the Pade-13 approximant.
 
-    X = 2^-s (-tA), with s = ceil(log2(||tA||_1 / theta_13)), has ||X||_1 <= theta_13 (Higham,
-    *SIAM J. Matrix Anal. Appl.* 26, 2005).  X^2, X^4, X^6 and the Pade numerator V + U and
-    denominator V - U have band width at most 13 w, so their products touch only the band.  One
-    dense solve gives P = (V - U)^-1 (V + U), and s dense squarings give exp(-tA) = P^(2^s).
+    X = 2^-s (-tA), with s = ceil(log2(||tA||_1 / theta_13)), has ||X||_1 <=
+    theta_13 (Higham, *SIAM J. Matrix Anal. Appl.* 26, 2005).  X and its even
+    powers up to X^10 are formed on the band, stored by diagonals (X^k has
+    width kw), each X^(2j+2) as X^2 X^(2j).  :func:`_squarings` reads the
+    rule's count from them, and the powers are rescaled to it by powers of
+    two, exactly.  The Pade numerator V + U and denominator V - U, of width
+    13 w, are formed on the band too: U = X (X^2 (b13 X^10 + b11 X^8 +
+    b9 X^6) + b7 X^6 + b5 X^4 + b3 X^2 + b1 I), and V alike.  So only V + U
+    and the s squarings touch n-by-n arrays.  LAPACK's banded LU (``gbsv``)
+    solves P (V - U) = V + U, the same P as (V - U) P = V + U because U and V
+    commute: the diagonals of V - U, stored as here, are LAPACK's band
+    layout of its transpose, and the solution overwrites V + U.  s dense
+    squarings give exp(-tA) = P^(2^s).
+
+    Before each squaring, :func:`_flush` zeroes the entries of P below
+    2^-511 max|P|, until a pass finds none.  Two kept entries then multiply
+    to at least 2^-1022 max|P|^2, a normal number once max|P| >= 1, so the
+    squarings do no subnormal arithmetic, which slows some CPUs several
+    times.  The flushed part has norm at most n 2^-511 max|P| <= n 2^-511
+    ||P||; the squarings after it amplify it at most 2^s times, relative, as
+    they amplify their own rounding, n eps ||P|| each, which lies hundreds
+    of binades above it.  The cut is relative to max|P|, not absolute, so a
+    step of subnormal norm, such as exp(-720 I), keeps its entries.
     """
-    n, b = op.n, _PADE13
+    b = _PADE13
     s = math.ceil(math.log2(norm / _THETA13))
-    x = np.zeros((n, n))
-    x[op._entry_rows(), op.indices] = np.ldexp(-t * op.data, -s)
-    powers = np.zeros((4, n, n))  # I, X^2, X^4, X^6; tensordot(c, powers, 1) sums c_k times the k-th
-    powers[0].flat[:: n + 1] = 1.0
-    _band_product(x, x, w, w, powers[1])
-    _band_product(powers[1], powers[1], 2 * w, 2 * w, powers[2])
-    _band_product(powers[2], powers[1], 4 * w, 2 * w, powers[3])
-    u = _band_product(powers[3], np.tensordot(b[9:14:2], powers[1:], 1), 6 * w, 6 * w)
-    u = _band_product(x, u + np.tensordot(b[1:8:2], powers, 1), w, 12 * w)
-    v = _band_product(powers[3], np.tensordot(b[8:13:2], powers[1:], 1), 6 * w, 6 * w)
-    v += np.tensordot(b[0:7:2], powers, 1)
-    p, spare, flush = np.linalg.solve(v - u, v + u), np.empty((n, n)), True
+    rows = op._entry_rows()
+    x = np.zeros((2 * w + 1, op.n))
+    x[op.indices - rows + w, rows] = np.ldexp(-t * op.data, -s)
+    x2 = _band_product(x, x)
+    x4 = _band_product(x2, x2)
+    x6 = _band_product(x2, x4)
+    x8 = _band_product(x2, x6)
+    x10 = _band_product(x2, x8)
+    fewer = _squarings(x, x6, x8, x10, s)
+    for k, power in ((1, x), (2, x2), (4, x4), (6, x6), (8, x8), (10, x10)):
+        np.ldexp(power, k * (s - fewer), out=power)
+    s = fewer
+    u = _band_product(x2, _band_sum(0.0, (b[13], x10), (b[11], x8), (b[9], x6)))
+    u = _band_product(x, _band_sum(b[1], (1.0, u), (b[7], x6), (b[5], x4), (b[3], x2)))
+    v = _band_product(x2, _band_sum(0.0, (b[12], x10), (b[10], x8), (b[8], x6)))
+    v = _band_sum(b[0], (1.0, v), (b[6], x6), (b[4], x4), (b[2], x2))
+    k = len(u) // 2
+    try:
+        p = scipy.linalg.solve_banded(
+            (k, k), _band_sum(0.0, (1.0, v), (-1.0, u)), _dense(_band_sum(0.0, (1.0, v), (1.0, u))).T,
+            overwrite_b=True, check_finite=False,
+        ).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"the Pade step of exp(-{t} A) failed: {exc}") from exc
+    spare, flush = np.empty_like(p), True
     for _ in range(s):
         flush = flush and _flush(p, spare)
         p, spare = _square(p, spare), p

@@ -9,10 +9,20 @@ from hypothesis import strategies as st
 
 import dirlap as dl
 from dirlap import GraphError, NumericError, semigroup
-from dirlap.cli import _parse_time_grid
+from dirlap.cli import _parse_time_grid, main
 from dirlap.graph import _EPS, _tolerance
 from dirlap.operators import KINDS, _similar
-from dirlap.semigroup import _SKETCH, _THETA13, _band_product, _largest_singular_value, _propagator, _range_basis
+from dirlap.semigroup import (
+    _SKETCH,
+    _THETA13,
+    _band_product,
+    _band_sum,
+    _column_sums,
+    _dense,
+    _largest_singular_value,
+    _propagator,
+    _range_basis,
+)
 
 RNG = np.random.default_rng(4321)
 
@@ -252,18 +262,29 @@ def one_norm(op):
     return float(np.bincount(op.indices, np.abs(op.data), op.n).max())
 
 
+def diagonals(m, w):
+    """The band of width w of m, stored by diagonals: row w + d holds m[i, i + d] in column i."""
+    n = len(m)
+    band = np.zeros((2 * w + 1, n))
+    for d in range(-w, w + 1):
+        band[w + d, max(0, -d) : n - max(0, d)] = np.diagonal(m, d)
+    return band
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("w", [0, 1, 2, "n - 1"])
 def test_band_product_matches_the_dense_product(n, w):
-    # Small integers keep every product and sum exact, so any entry the row blocks miss shows.
+    # Small integers keep every product and sum exact, so any entry the diagonals miss shows.
     w = n - 1 if w == "n - 1" else min(w, n - 1)
     rng = np.random.default_rng(n + w)
     band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w
     x, y = (np.where(band, rng.integers(-3, 4, (n, n)), 0).astype(float) for _ in range(2))
-    assert np.array_equal(_band_product(x, y, w, w), x @ y)
-    out = np.zeros((n, n))
-    assert _band_product(x, y, w, w, out) is out
-    assert np.array_equal(out, x @ y)
+    product = _band_product(diagonals(x, w), diagonals(y, w))
+    assert product.shape == (4 * w + 1, n)
+    assert np.array_equal(_dense(product), x @ y)
+    assert np.array_equal(_column_sums(product), (x @ y).sum(axis=0))
+    combination = _band_sum(3.0, (2.0, diagonals(x, w)), (-1.0, product))
+    assert np.array_equal(_dense(combination), 3 * np.eye(n) + 2 * x - x @ y)
 
 
 def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
@@ -293,6 +314,9 @@ def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
     st.floats(_THETA13 * (1 + 1e-9), 1e5),
     st.integers(0, 10**6),
 )
+# Just above 2^k theta_13, where ||tA||_1 asks for k + 1 squarings and the scaling rule takes k: 4, and none.
+@example(depth=20, measure="unit", kind="laplacian", lowest=None, norm_t=16 * _THETA13 * (1 + 1e-9), seed=0)
+@example(depth=20, measure="sqrt_n", kind="skew_part", lowest=None, norm_t=_THETA13 * (1 + 1e-9), seed=0)
 def test_banded_propagator_matches_scipy(depth, measure, kind, lowest, norm_t, seed):
     # Ladders are pentadiagonal, so n >= 29 rows take the band once ||tA||_1 > theta_13. None
     # keeps the ladder's own measures; else they are 2^j, j in [lowest, 0].
@@ -320,6 +344,62 @@ def test_banded_propagator_non_finite_is_a_numeric_failure(diagonal, t):
     assert band_width(op) == 0
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         _propagator(op, t)
+
+
+def counted_squarings(monkeypatch):
+    """The input of every squaring of the banded Pade step, copied, while the test runs."""
+    inputs = []
+    square = semigroup._square
+    monkeypatch.setattr(semigroup, "_square", lambda p, out: inputs.append(p.copy()) or square(p, out))
+    return inputs
+
+
+def benchmark_ladder(measure="unit"):
+    """The 299-row ladder of the ``evolve`` benchmark, pentadiagonal, on the banded path at t = 0.25."""
+    return laplacian_on_ball(dl.make_ladder(dl.LadderSpec(depth=150, measure_mode=measure)), 149)
+
+
+@pytest.mark.parametrize("measure, parent_count, count", [("unit", 13, 12), ("sqrt_n", 9, 9)])
+def test_scaling_rule_squares_as_the_powers_of_the_step_require(monkeypatch, measure, parent_count, count):
+    # ||tA||_1 = 22126.5 asks the unit ladder for 13 squarings, but min(max(d6, d8), max(d8, d10)) =
+    # 2.611 * 2^13 needs 12; on the sqrt ladder both give 9. The ell term adds none to either.
+    op = benchmark_ladder(measure)
+    assert math.ceil(math.log2(0.25 * one_norm(op) / _THETA13)) == parent_count
+    inputs = counted_squarings(monkeypatch)
+    _propagator(op, 0.25)
+    assert len(inputs) == count
+
+
+def test_squarings_take_no_entry_below_the_flush_cut_and_round_as_without_it(monkeypatch):
+    # The Pade step of the benchmark ladder holds entries whose products underflow. Before each
+    # squaring the flush zeroes what lies below 2^-511 max|P|, and the result is bit for bit that of
+    # squaring the unflushed step: the flushed entries lie hundreds of binades below the rounding.
+    op = benchmark_ladder()
+    inputs = counted_squarings(monkeypatch)
+    steps = []
+    flush = semigroup._flush
+    monkeypatch.setattr(semigroup, "_flush", lambda p, scratch: steps.append(p.copy()) or flush(p, scratch))
+    result = _propagator(op, 0.25)
+    assert len(inputs) == 12 and 1 < len(steps) < len(inputs)
+    for p in inputs:
+        magnitude = np.abs(p)
+        assert not np.any((magnitude > 0.0) & (magnitude < math.ldexp(magnitude.max(), -511)))
+    p = steps[0]
+    assert np.any((p != 0.0) & (np.abs(p) < math.ldexp(np.abs(p).max(), -511)))
+    for _ in inputs:
+        p = p @ p
+    assert np.array_equal(result, p)
+
+
+def test_a_failed_banded_lu_is_a_numeric_failure(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    with pytest.raises(NumericError, match="Pade step"):
+        _propagator(benchmark_ladder(), 0.25)
+    assert main(["evolve", "--gen", "ladder", "--N", "150", "--measure", "unit", "--t", "0:1:0.25"]) == 3
+    assert capsys.readouterr().err.startswith("dirlap: numeric failure: ")
 
 
 # -- resolvent ----------------------------------------------------------------------
