@@ -281,10 +281,10 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     columns, and F is what the basis drops.  A randomized range finder (Halko,
     Martinsson & Tropp, *SIAM Review* 53, 2011) sketches Y = Q Omega, with a
     Gaussian Omega of fixed seed from numpy's legacy ``RandomState``, whose
-    stream numpy keeps frozen.  It orthonormalizes Y to U (n-by-k), the
-    right singular vectors of Y^T.  So the SVD serves every factorization
-    here, and no SVD input has n rows unless it is the full one.  The small
-    k-by-n block B = U^T Q has the SVD U_B Sigma V_B^T.  The residual
+    stream numpy keeps frozen.  An economic Householder QR orthonormalizes Y
+    to U (n-by-k), to working accuracy whatever Y's conditioning.  The small
+    k-by-n block B = U^T Q has the SVD U_B Sigma V_B^T, and no SVD input has
+    n rows unless it is the full one.  The residual
     rho = ||Q - U B||_F is computed explicitly, and the sketch is accepted
     only when rho <= n eps sigma_1 / 2, with sigma_1 = sigma_1(B) <=
     sigma_1(Q).  It keeps the r singular values above n eps sigma_1 - rho:
@@ -318,7 +318,7 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     while 2 * k < n:
         y = q @ rng.standard_normal((n, k - u.shape[1]))
         for _ in range(2):
-            y = _svd((y - u @ (u.T @ y)).T, t)[2].T
+            y = scipy.linalg.qr(y - u @ (u.T @ y), mode="economic", check_finite=False)[0]
         u, b = np.hstack([u, y]), np.vstack([b, y.T @ q])
         u_b, s, _ = _svd(b, t)
         rho, tol = _residual(q, u, b), n * _EPS * s[0]

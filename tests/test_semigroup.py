@@ -203,9 +203,9 @@ def test_norm_of_a_propagator_near_the_identity(monkeypatch):
 def test_svd_calls_per_verdict(ladder_sqrt, monkeypatch):
     # Single times read a Gram matrix; sigma_min of the resolvent needs the SVD. A grid runs
     # SVDs on its first nonzero step only: below 2 _SKETCH rows the full SVD. Above, a sketch
-    # of _SKETCH columns runs three with _SKETCH rows (two orthonormalize Y^T, one splits
-    # B = U^T Q). A heat step stops there, with no SVD of n rows; a full-rank step then
-    # runs the full SVD.
+    # of _SKETCH columns runs one with _SKETCH rows, which splits B = U^T Q (QR orthonormalizes
+    # the sketch). A heat step stops there, with no SVD of n rows; a full-rank step then runs
+    # the full SVD.
     shapes = []
     for module in (np.linalg, scipy.linalg):
         svd = module.svd
@@ -230,8 +230,8 @@ def test_svd_calls_per_verdict(ladder_sqrt, monkeypatch):
     assert heat.n == 99
     v0 = np.ones(heat.n)
     for times in (np.arange(13) * 0.25, [0.0, 0.5, 1.0]):
-        assert svd_shapes(lambda: dl.evolve_trace(heat, v0, times)) == [(_SKETCH, heat.n)] * 3
-    sketch_then_full = [(_SKETCH, skew.n)] * 3 + [(skew.n, skew.n)]
+        assert svd_shapes(lambda: dl.evolve_trace(heat, v0, times)) == [(_SKETCH, heat.n)]
+    sketch_then_full = [(_SKETCH, skew.n), (skew.n, skew.n)]
     assert svd_shapes(lambda: dl.evolve_trace(skew, v0, np.arange(13) * 0.25)) == sketch_then_full
 
 
@@ -659,7 +659,7 @@ def test_range_basis_doubles_a_sketch_whose_tail_is_already_below_the_cut(monkey
     sigma = assert_range_certificate(op, np.diag(np.concatenate([[1.0], tail, np.zeros(20)])), 1.0)
     assert sigma.tolist() == [1.0]
     sketches = [rows for rows, cols in shapes if cols == n and rows < n]
-    assert sketches == [_SKETCH] * 3 + [_SKETCH] * 2 + [2 * _SKETCH] and shapes[-1] == (n, n)
+    assert sketches == [_SKETCH, 2 * _SKETCH] and shapes[-1] == (n, n)
 
 
 def test_range_basis_takes_the_full_svd_after_a_sketch_without_decay(monkeypatch):
@@ -678,7 +678,7 @@ def test_range_basis_takes_the_full_svd_after_a_sketch_without_decay(monkeypatch
     monkeypatch.setattr(semigroup, "_svd", svd)
     sigma = assert_range_certificate(op, np.eye(n), 1.0)
     assert sigma.tolist() == [1.0] * n
-    assert shapes == [(_SKETCH, n)] * 3 + [(n, n)]
+    assert shapes == [(_SKETCH, n), (n, n)]
 
 
 @pytest.mark.parametrize("n", [100, 10], ids=["sketch", "full-svd"])
