@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dirlap as dl
+
+# Every run draws the same Hypothesis examples and replays none from a local example database, so
+# whether tier-1 passes does not depend on the checkout's history; the pinned @examples still run.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
