@@ -24,9 +24,16 @@ below n / 2, and the n-by-r block of the SVD otherwise.  The norm is read
 from the r-by-r Gram matrix.  The state vector is stepped on its own.
 :func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
 
-Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) forms
-the Pade-13 step on the band and squares it densely when ||tA||_1 >
-theta_13; every other input takes ``scipy.linalg.expm``.
+Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) takes
+the banded step when ||tA||_1 > theta_13; every other input takes
+``scipy.linalg.expm``.  The banded step keeps the powers of X = 2^-s (-tA)
+and the Pade-13 numerator and denominator as their diagonals, picks s by
+Al-Mohy & Higham's rule from the exact band norms of X^6, X^8 and X^10,
+solves for the Pade factor P with LAPACK's banded LU, and squares P s times
+densely.  Before each squaring it zeroes the entries of P below
+2^-511 max|P|, so that no product of kept entries is subnormal while
+max|P| >= 1; the cut is relative, and it perturbs P hundreds of binades
+below the squarings' own rounding.
 """
 
 from __future__ import annotations
@@ -51,14 +58,12 @@ __all__ = [
 _SKETCH = 32
 # Rows per block of the explicit sketch residual.
 _BLOCK_ROWS = 64
-# The Pade-13 coefficients b_0..b_13, and theta_13, the largest ||X||_1 it takes unscaled (Higham 2005).
+# The Pade-13 coefficients b_0..b_13, and theta_13, the largest ||X||_1 (or eta of the scaling rule) it takes unscaled.
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
            10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
 # 1/|c_27|, the first coefficient of the Pade-13 backward-error series, which the ell term reads (Al-Mohy & Higham 2009).
 _C27 = 113250775606021113483283660800000000.0
-# Before a squaring, entries below 2^-_FLUSH max|P| are zeroed, so that kept entries multiply to at least 2^-1022 max|P|^2.
-_FLUSH = 511
 
 
 def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
@@ -213,9 +218,12 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
 
 
 def _flush(p: np.ndarray, scratch: np.ndarray) -> bool:
-    """Zero, in place, the entries of p below 2^-511 max |p|; False when none lies below (``scratch`` is overwritten)."""
+    """Zero, in place, the entries of p below 2^-511 max |p|; False when none, zero or not, lies below.
+
+    ``scratch``, an array of p's shape, is overwritten.
+    """
     magnitude = np.abs(p, out=scratch)
-    small = magnitude < math.ldexp(float(magnitude.max()), -_FLUSH)
+    small = magnitude < math.ldexp(float(magnitude.max()), -511)
     if not small.any():
         return False
     np.copyto(p, 0.0, where=small)
