@@ -25,15 +25,11 @@ from the r-by-r Gram matrix.  The state vector is stepped on its own.
 :func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
 
 Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) takes
-the banded step when ||tA||_1 > theta_13; every other input takes
-``scipy.linalg.expm``.  The banded step keeps the powers of X = 2^-s (-tA)
-and the Pade-13 numerator and denominator as their diagonals, picks s by
-Al-Mohy & Higham's rule from the exact band norms of X^6, X^8 and X^10,
-solves for the Pade factor P with LAPACK's banded LU, and squares P s times
-densely.  Before each squaring it zeroes the entries of P below
-2^-511 max|P|, so that no product of kept entries is subnormal while
-max|P| >= 1; the cut is relative, and it perturbs P hundreds of binades
-below the squarings' own rounding.
+:func:`_banded_expm` when ||tA||_1 > theta_13, every other input
+``scipy.linalg.expm``.  The banded step forms the Pade-13 polynomials on the
+band, takes s from Al-Mohy & Higham's scaling rule, solves for the Pade
+factor P by banded LU, and squares P s times, each time after zeroing the
+entries below 2^-511 max|P|, whose products could be subnormal.
 """
 
 from __future__ import annotations
