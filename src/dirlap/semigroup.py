@@ -190,10 +190,9 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
     x6 = _band_product(x2, x4)
     x8 = _band_product(x2, x6)
     x10 = _band_product(x2, x8)
-    fewer = _squarings(x, x6, x8, x10, s)
+    squarings = _squarings(x, x6, x8, x10, s)
     for k, power in ((1, x), (2, x2), (4, x4), (6, x6), (8, x8), (10, x10)):
-        np.ldexp(power, k * (s - fewer), out=power)
-    s = fewer
+        np.ldexp(power, k * (s - squarings), out=power)
     u = _band_product(x2, _band_sum(0.0, (b[13], x10), (b[11], x8), (b[9], x6)))
     u = _band_product(x, _band_sum(b[1], (1.0, u), (b[7], x6), (b[5], x4), (b[3], x2)))
     v = _band_product(x2, _band_sum(0.0, (b[12], x10), (b[10], x8), (b[8], x6)))
@@ -207,7 +206,7 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"the Pade step of exp(-{t} A) failed: {exc}") from exc
     spare, flush = np.empty_like(p), True
-    for _ in range(s):
+    for _ in range(squarings):
         flush = flush and _flush(p, spare)
         p, spare = _square(p, spare), p
     return p

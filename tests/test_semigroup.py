@@ -262,6 +262,11 @@ def one_norm(op):
     return float(np.bincount(op.indices, np.abs(op.data), op.n).max())
 
 
+def benchmark_ladder(measure="unit"):
+    """The 299-row ladder of the ``evolve`` benchmark, pentadiagonal, on the banded path at t = 0.25."""
+    return laplacian_on_ball(dl.make_ladder(dl.LadderSpec(depth=150, measure_mode=measure)), 149)
+
+
 def diagonals(m, w):
     """The band of width w of m, stored by diagonals: row w + d holds m[i, i + d] in column i."""
     n = len(m)
@@ -293,7 +298,7 @@ def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(len(a)) or expm(a))
-    ladder = laplacian_on_ball(dl.make_ladder(dl.LadderSpec(depth=150, measure_mode="unit")), 149)
+    ladder = benchmark_ladder()
     g = dl.make_random_balanced(300, 0, 2.0)
     wide = dl.assemble(g, dl.ball(g, 0, int(dl.combinatorial_distance(g, 0).max()) - 1), "laplacian")
     assert (ladder.n, band_width(ladder)) == (299, 2) and 13 * band_width(wide) >= wide.n - 1
@@ -354,17 +359,12 @@ def counted_squarings(monkeypatch):
     return inputs
 
 
-def benchmark_ladder(measure="unit"):
-    """The 299-row ladder of the ``evolve`` benchmark, pentadiagonal, on the banded path at t = 0.25."""
-    return laplacian_on_ball(dl.make_ladder(dl.LadderSpec(depth=150, measure_mode=measure)), 149)
-
-
-@pytest.mark.parametrize("measure, parent_count, count", [("unit", 13, 12), ("sqrt_n", 9, 9)])
-def test_scaling_rule_squares_as_the_powers_of_the_step_require(monkeypatch, measure, parent_count, count):
+@pytest.mark.parametrize("measure, one_norm_count, count", [("unit", 13, 12), ("sqrt_n", 9, 9)])
+def test_scaling_rule_squares_as_the_powers_of_the_step_require(monkeypatch, measure, one_norm_count, count):
     # ||tA||_1 = 22126.5 asks the unit ladder for 13 squarings, but min(max(d6, d8), max(d8, d10)) =
     # 2.611 * 2^13 needs 12; on the sqrt ladder both give 9. The ell term adds none to either.
     op = benchmark_ladder(measure)
-    assert math.ceil(math.log2(0.25 * one_norm(op) / _THETA13)) == parent_count
+    assert math.ceil(math.log2(0.25 * one_norm(op) / _THETA13)) == one_norm_count
     inputs = counted_squarings(monkeypatch)
     _propagator(op, 0.25)
     assert len(inputs) == count
