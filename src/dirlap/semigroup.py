@@ -28,8 +28,7 @@ Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) takes
 :func:`_banded_expm` when ||tA||_1 > theta_13, every other input
 ``scipy.linalg.expm``.  The banded step forms the Pade-13 polynomials on the
 band, takes s from Al-Mohy & Higham's scaling rule, solves for the Pade
-factor P by banded LU, and squares P s times, each time after zeroing the
-entries below 2^-511 max|P|, whose products could be subnormal.
+factor P by banded LU, and squares P s times.
 """
 
 from __future__ import annotations
@@ -169,16 +168,6 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
     commute: the diagonals of V - U, stored as here, are LAPACK's band
     layout of its transpose, and the solution overwrites V + U.  s dense
     squarings give exp(-tA) = P^(2^s).
-
-    Before each squaring, :func:`_flush` zeroes the entries of P below
-    2^-511 max|P|, until a pass finds none.  Two kept entries then multiply
-    to at least 2^-1022 max|P|^2, a normal number once max|P| >= 1, so the
-    squarings do no subnormal arithmetic, which slows some CPUs several
-    times.  The flushed part has norm at most n 2^-511 max|P| <= n 2^-511
-    ||P||; the squarings after it amplify it at most 2^s times, relative, as
-    they amplify their own rounding, n eps ||P|| each, which lies hundreds
-    of binades above it.  The cut is relative to max|P|, not absolute, so a
-    step of subnormal norm, such as exp(-720 I), keeps its entries.
     """
     b = _PADE13
     s = math.ceil(math.log2(norm / _THETA13))
@@ -205,24 +194,10 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
         ).T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"the Pade step of exp(-{t} A) failed: {exc}") from exc
-    spare, flush = np.empty_like(p), True
+    spare = np.empty_like(p)
     for _ in range(squarings):
-        flush = flush and _flush(p, spare)
         p, spare = _square(p, spare), p
     return p
-
-
-def _flush(p: np.ndarray, scratch: np.ndarray) -> bool:
-    """Zero, in place, the entries of p below 2^-511 max |p|; False when none, zero or not, lies below.
-
-    ``scratch``, an array of p's shape, is overwritten.
-    """
-    magnitude = np.abs(p, out=scratch)
-    small = magnitude < math.ldexp(float(magnitude.max()), -511)
-    if not small.any():
-        return False
-    np.copyto(p, 0.0, where=small)
-    return True
 
 
 def _square(p: np.ndarray, out: np.ndarray) -> np.ndarray:

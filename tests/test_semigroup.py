@@ -370,27 +370,6 @@ def test_scaling_rule_squares_as_the_powers_of_the_step_require(monkeypatch, mea
     assert len(inputs) == count
 
 
-def test_squarings_take_no_entry_below_the_flush_cut_and_round_as_without_it(monkeypatch):
-    # The Pade step of the benchmark ladder holds entries whose products underflow. Before each
-    # squaring the flush zeroes what lies below 2^-511 max|P|, and the result is bit for bit that of
-    # squaring the unflushed step: the flushed entries lie hundreds of binades below the rounding.
-    op = benchmark_ladder()
-    inputs = counted_squarings(monkeypatch)
-    steps = []
-    flush = semigroup._flush
-    monkeypatch.setattr(semigroup, "_flush", lambda p, scratch: steps.append(p.copy()) or flush(p, scratch))
-    result = _propagator(op, 0.25)
-    assert len(inputs) == 12 and 1 < len(steps) < len(inputs)
-    for p in inputs:
-        magnitude = np.abs(p)
-        assert not np.any((magnitude > 0.0) & (magnitude < math.ldexp(magnitude.max(), -511)))
-    p = steps[0]
-    assert np.any((p != 0.0) & (np.abs(p) < math.ldexp(np.abs(p).max(), -511)))
-    for _ in inputs:
-        p = p @ p
-    assert np.array_equal(result, p)
-
-
 def test_a_failed_banded_lu_is_a_numeric_failure(monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
