@@ -6,7 +6,10 @@ import dirlap as dl
 
 # Every run draws the same Hypothesis examples and replays none from a local example database, so
 # whether tier-1 passes does not depend on the checkout's history; the pinned @examples still run.
+# derandomize seeds each test from its own function and overrides --hypothesis-seed; to draw new
+# examples, run `pytest --hypothesis-profile explore --hypothesis-seed N`.
 settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", database=None)
 settings.load_profile("tier1")
 
 
