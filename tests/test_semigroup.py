@@ -322,6 +322,11 @@ def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
 # Just above 2^k theta_13, where ||tA||_1 asks for k + 1 squarings and the scaling rule takes k: 4, and none.
 @example(depth=20, measure="unit", kind="laplacian", lowest=None, norm_t=16 * _THETA13 * (1 + 1e-9), seed=0)
 @example(depth=20, measure="sqrt_n", kind="skew_part", lowest=None, norm_t=_THETA13 * (1 + 1e-9), seed=0)
+# Long enough to square the powers in row windows: 4 of 11 squarings at 159 rows, 6 or 7 of 11 at 299.
+@example(depth=80, measure="unit", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
+@example(depth=80, measure="sqrt_n", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
+@example(depth=150, measure="unit", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
+@example(depth=150, measure="sqrt_n", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
 def test_banded_propagator_matches_scipy(depth, measure, kind, lowest, norm_t, seed):
     # Ladders are pentadiagonal, so n >= 29 rows take the band once ||tA||_1 > theta_13. None
     # keeps the ladder's own measures; else they are 2^j, j in [lowest, 0].
@@ -368,6 +373,64 @@ def test_scaling_rule_squares_as_the_powers_of_the_step_require(monkeypatch, mea
     inputs = counted_squarings(monkeypatch)
     _propagator(op, 0.25)
     assert len(inputs) == count
+
+
+def square_windows(p):
+    """Per block of ``_SQUARE_ROWS`` rows, the columns [c0, c1) where ``_square`` may leave p @ p nonzero."""
+    n, rows = len(p), semigroup._SQUARE_ROWS
+    kept = ~(np.abs(p) < 0.5 * _EPS * np.abs(np.diag(p)).max() / n)
+    blocks = [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+    windows = []
+    for r0, r1 in blocks:
+        columns = np.flatnonzero(kept[r0:r1].any(axis=0))
+        windows.append((min(r0, columns.min(initial=n)), max(r1, columns.max(initial=-1) + 1)))
+    return [
+        (r0, r1, min(lo for (b0, b1), (lo, _) in zip(blocks, windows) if b0 < m1 and m0 < b1),
+         max(hi for (b0, b1), (_, hi) in zip(blocks, windows) if b0 < m1 and m0 < b1))
+        for (r0, r1), (m0, m1) in zip(blocks, windows)
+    ]
+
+
+def test_squaring_drops_only_entries_below_the_cut(monkeypatch):
+    # The benchmark ladder's 12 squarings: the first 7 are windowed, and each lies within
+    # 2 u ||P||_1^2 of the dense product and is exactly zero outside its windows. The last 5,
+    # whose windows cover more than _SQUARE_SHARE of P or whose corners are not below the cut,
+    # are np.matmul's bit for bit.
+    square = semigroup._square
+    inputs = counted_squarings(monkeypatch)
+    _propagator(benchmark_ladder(), 0.25)
+    results = [square(p, np.full_like(p, np.nan)) for p in inputs]
+    assert [np.array_equal(out, p @ p) for p, out in zip(inputs, results)] == [False] * 7 + [True] * 5
+    for p, out in zip(inputs, results):
+        one = np.abs(p).sum(axis=0).max()
+        assert np.abs(out - p @ p).sum(axis=0).max() <= 2 * (_EPS / 2) * one**2
+    for p, out in zip(inputs[:7], results):
+        windows = square_windows(p)
+        assert sum((r1 - r0) * (c0 + len(p) - c1) for r0, r1, c0, c1 in windows) > 0
+        for r0, r1, c0, c1 in windows:
+            assert not out[r0:r1, :c0].any() and not out[r0:r1, c1:].any()
+    corner = inputs[-1]
+    cut = 0.5 * _EPS * np.abs(np.diag(corner)).max() / len(corner)
+    assert max(abs(corner[0, -1]), abs(corner[-1, 0])) >= cut
+    assert np.array_equal(square(corner, np.empty_like(corner)), np.matmul(corner, corner))
+
+
+def test_a_nan_far_off_the_band_is_a_numeric_failure(monkeypatch, capsys):
+    # A NaN 240 diagonals off the band of the benchmark ladder's Pade factor must reach the result,
+    # not be windowed away with the entries below the cut.
+    solve = scipy.linalg.solve_banded
+
+    def poisoned(*args, **kwargs):
+        p = solve(*args, **kwargs)
+        p[10, 250] = np.nan
+        return p
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", poisoned)
+    with pytest.raises(NumericError, match="non-finite"):
+        _propagator(benchmark_ladder(), 0.25)
+    assert main(["evolve", "--gen", "ladder", "--N", "150", "--measure", "unit", "--t", "0:1:0.25"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("dirlap: numeric failure: ")
 
 
 def test_a_failed_banded_lu_is_a_numeric_failure(monkeypatch, capsys):
