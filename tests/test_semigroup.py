@@ -409,10 +409,9 @@ def test_squaring_drops_only_entries_below_the_cut(monkeypatch):
         assert sum((r1 - r0) * (c0 + len(p) - c1) for r0, r1, c0, c1 in windows) > 0
         for r0, r1, c0, c1 in windows:
             assert not out[r0:r1, :c0].any() and not out[r0:r1, c1:].any()
+    # The last input takes the corner gate: its result is among the bit-for-bit ones above.
     corner = inputs[-1]
-    cut = 0.5 * _EPS * np.abs(np.diag(corner)).max() / len(corner)
-    assert max(abs(corner[0, -1]), abs(corner[-1, 0])) >= cut
-    assert np.array_equal(square(corner, np.empty_like(corner)), np.matmul(corner, corner))
+    assert max(abs(corner[0, -1]), abs(corner[-1, 0])) >= 0.5 * _EPS * np.abs(np.diag(corner)).max() / len(corner)
 
 
 def test_a_nan_far_off_the_band_is_a_numeric_failure(monkeypatch, capsys):
