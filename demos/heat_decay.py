@@ -24,7 +24,7 @@ for t in (0.0, 0.5, 1.0, 2.0, 5.0):
 
 v0 = np.zeros(op.n)
 v0[op.row_of(0)] = 1.0
-trace = dl.evolve_trace(op, v0, np.arange(0.0, 5.01, 0.5), lambda0=1 / 6)
+trace = dl.evolve_trace(op, v0, 0.0, 0.5, 11, lambda0=1 / 6)
 print(f"\ntrace over {len(trace['times'])} times: flagged points {trace['flagged']} (none expected)")
 print("state norm of the evolved unit impulse:", np.round(trace["state_norms"][:6], 6))
 

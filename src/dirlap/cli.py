@@ -25,7 +25,6 @@ from .graph import (
     GraphError,
     NumericError,
     _ball,
-    _indices,
     assumption_report,
     ball,  # noqa: F401  (kept importable here; perfbench's tracer test rebinds it)
     check_asymmetry,
@@ -145,15 +144,15 @@ def _dump_matrix(op, prefix: str) -> None:
             fh.write(f"{i} {j} {value!r}\n")
 
 
-def _parse_time_grid(text: str) -> np.ndarray:
+def _parse_time_grid(text: str) -> tuple[float, float, int]:
+    """``start:stop:step`` as :func:`evolve_trace`'s (start, step, count); a stop within 1e-9 steps of a point is one."""
     try:
         start, stop, step = (_finite_float(part) for part in text.split(":"))
     except (ValueError, argparse.ArgumentTypeError):
         raise GraphError(f"time grid {text!r} must be three finite numbers start:stop:step") from None
     if step <= 0 or stop < start or not math.isfinite((stop - start) / step):
         raise GraphError("time grid needs step > 0, stop >= start and a finite number of points")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * _indices(count, f"time grid {text!r}")
+    return start, step, int(np.floor((stop - start) / step + 1e-9)) + 1
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -210,10 +209,10 @@ def cmd_cheeger(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
 
 def cmd_evolve(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     op = assemble(g, ball_, "laplacian")
-    times = _parse_time_grid(args.t)
+    start, step, count = _parse_time_grid(args.t)
     v0 = np.zeros(op.n)
     v0[op.row_of(ball_.root)] = 1.0
-    trace = evolve_trace(op, v0, times, lambda0=args.lambda0)
+    trace = evolve_trace(op, v0, start, step, count, lambda0=args.lambda0)
     if args.dump_matrix:
         _dump_matrix(op, args.dump_matrix)
     if args.out_csv:

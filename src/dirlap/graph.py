@@ -106,11 +106,17 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _indices(count: int, what: str) -> np.ndarray:
-    """``np.arange(count)``; a count numpy refuses to allocate, before touching memory, is a GraphError."""
+    """``np.arange(count)``; a count numpy refuses to allocate, before touching memory, is a GraphError.
+
+    Just above 2^63 - 1 numpy's length overflows and it returns an empty array, so a short one is refused too.
+    """
     try:
-        return np.arange(count)
+        indices = np.arange(count)
     except (MemoryError, ValueError):  # more bytes than the machine has, or than an array may index
-        raise GraphError(f"{what} has {count:.3g} points, too many to allocate") from None
+        indices = None
+    if indices is None or len(indices) < count:
+        raise GraphError(f"{what} has {count:.3g} points, too many to allocate")
+    return indices
 
 
 def _tolerance(terms: int, scale: float) -> float:

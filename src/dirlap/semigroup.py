@@ -12,16 +12,16 @@ thousand rows at most).  Both P v and the weighted operator norm are read
 from that one P.  The norm, the largest singular value of
 Q = D^(1/2) P D^(-1/2), is the square root of the top eigenvalue of Q^T Q
 (one full symmetric eigenvalue solve, no SVD), with Q scaled by a power of
-two so that Q^T Q stays in range.  A time grid forms one scaling-and-squaring
-per distinct step, not one per time.  It does not carry the n-by-n
-propagator.  A randomized range finder with an explicitly computed residual
-finds the r singular directions of its first nonzero step above
-n eps sigma_1, in O(n^2 r) flops, and falls back to the full SVD when r is
-near n (the skew part, tiny steps).  All propagators commute, so each later
-step maps those directions into themselves, up to n eps sigma_1.  The grid
-steps the r-by-r block W^T Q_h W, formed once per distinct step, when r is
-below n / 2, and the n-by-r block of the SVD otherwise.  The norm is read
-from the r-by-r Gram matrix.  The state vector is stepped on its own.
+two so that Q^T Q stays in range.  A time grid start + k step forms at most
+two scaling-and-squarings, exp(-start A) and exp(-step A), not one per time.
+It does not carry the n-by-n propagator.  A randomized range finder with an
+explicitly computed residual finds the r singular directions of its first
+nonzero step above n eps sigma_1, in O(n^2 r) flops, and falls back to the
+full SVD when r is near n (the skew part, tiny steps).  All propagators
+commute, so each later step maps those directions into themselves, up to
+n eps sigma_1.  The grid steps the r-by-r block W^T Q_h W, formed once, when
+r is below n / 2, and the n-by-r block of the SVD otherwise.  The norm is
+read from the r-by-r Gram matrix.  The state vector is stepped on its own.
 :func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
 
 Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) takes
@@ -39,7 +39,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .graph import _EPS, GraphError, NumericError, _finite, _tolerance
+from .graph import _EPS, GraphError, NumericError, _finite, _indices, _tolerance
 from .operators import TruncatedOperator, _similar, _standard_entries, similarity_to_standard, weighted_norm
 
 __all__ = [
@@ -396,10 +396,12 @@ def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
 def evolve_trace(
     op: TruncatedOperator,
     v0: np.ndarray,
-    t_grid,
+    start: float,
+    step: float,
+    count: int,
     lambda0: float | None = None,
 ) -> dict:
-    """Evolve v0 under exp(-tA) over a sorted, finite, nonnegative time grid.
+    """Evolve v0 under exp(-tA) over the time grid t_k = start + k step, k < count.
 
     Returns the JSON object ``evolve`` emits before its envelope, of lists:
     the ``times``, the weighted norms of exp(-tA) (``operator_norms``) and of
@@ -407,15 +409,13 @@ def evolve_trace(
     without ``lambda0``), the ``flagged`` indices whose norm exceeds its bound
     by more than the slack 100 n eps, then ``lambda0`` and ``ok`` (none flagged).
 
-    The grid is stepped by the semigroup law, exp(-t_k A) = exp(-h_k A)
-    exp(-t_(k-1) A) with h_k = t_k - t_(k-1) and t_(-1) = 0, so only each
-    distinct step h forms a matrix exponential: a uniform grid forms one.
-    On a grid of non-dyadic times the differences round to several floats,
-    and each forms its own: 7 for ``0:5:0.1``, where ``0:5:0.125`` forms 1.
-    A step is cached by its float value only until its last use on the
-    grid, so the cache never holds a step no later time needs.  Each h_k is
-    the exact difference when t_(k-1) >= t_k / 2 (Sterbenz), so the steps
-    then sum to t_k exactly.
+    The grid forms at most two matrix exponentials: exp(-start A) for t_0,
+    the identity when start = 0, and, when count > 1, exp(-step A), which
+    steps every later time by the semigroup law exp(-t_k A) =
+    exp(-step A) exp(-t_(k-1) A).  So the trace is exp(-A (start + k step))
+    at the exact nominal times, up to rounding; ``times`` reports them
+    rounded to floats, as ``start + step * arange(count)``.  Write h_k for
+    the step to t_k: start for k = 0, step after it.
 
     Until the first nonzero step E_1 the propagator is the identity (norm
     1).  After it, exp(-t_k A) = R_k E_1, with R_k the product of the later
@@ -427,8 +427,8 @@ def evolve_trace(
 
     With 2r < n, X_k is tracked inside span W by Y_k = W C_k.  Here C_1 =
     Sigma_r and C_k = M_(h_k) C_(k-1) is r-by-r, with M_h = W^T Q_h W =
-    (D^(1/2) W)^T exp(-hA) (D^(-1/2) W).  M_h is formed once per distinct
-    step in 2 n^2 r flops, with no n-by-n temporary.  Each later step then
+    (D^(1/2) W)^T exp(-hA) (D^(-1/2) W).  M_h is formed once, for h = step,
+    in 2 n^2 r flops, with no n-by-n temporary.  Each later step then
     costs r^3 flops, not n^2 r, and sigma_1(Y_k) = sigma_1(C_k).  Let
     P = W W^T, so Y_k = P Q_(h_k) Y_(k-1).  The part of X_k that leaks out of
     span W stays small because every propagator commutes with Q_1:
@@ -454,45 +454,40 @@ def evolve_trace(
     A subnormal entry of D^(1/2) A D^(-1/2) is a :class:`NumericError`, as in
     :func:`dirlap.spectral.numrange_boundary`: no slack covers its rounding.
     """
-    times = np.asarray(list(t_grid), dtype=float)
-    if times.size == 0:
-        raise GraphError("time grid must not be empty")
-    if not np.all(np.isfinite(times)):
-        raise GraphError("time grid must be finite")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise GraphError("time grid must be sorted and nonnegative")
+    start, step = float(start), float(step)
+    if not (0.0 <= start < math.inf and 0.0 < step < math.inf and count >= 1):
+        raise GraphError(f"time grid needs finite start >= 0, finite step > 0 and count >= 1: {start}, {step}, {count}")
     if lambda0 is not None and not math.isfinite(lambda0):
         raise GraphError(f"decay rate lambda0 must be finite, got {lambda0}")
+    indices = _indices(count, "the time grid")
+    if not math.isfinite(last := start + step * (count - 1)):
+        raise GraphError(f"time grid must be finite, got last time {last}")
+    times = start + step * indices
 
     v = _vector(op, v0)
     _standard_entries(op)
 
-    steps = np.diff(times, prepend=0.0).tolist()
-    last_use = {h: k for k, h in enumerate(steps)}
-    # A distinct step h keeps [exp(-hA), M_h or None] until its last use on the grid.
-    cache: dict[float, list] = {}
     root_measure = np.sqrt(op.measure_vector)[:, None]
-    block = left = right = None
+    block = left = right = stepped = None
     frame = 1.0
     op_norms, state_norms = np.ones_like(times), np.empty_like(times)
-    for k, (t, h) in enumerate(zip(times.tolist(), steps)):
-        entry = cache.pop(h) if h in cache else [_propagator(op, h), None]
-        if last_use[h] > k:
-            cache[h] = entry
-        step = entry[0]
-        v = _finite(step @ v, f"exp(-{t} A) v")
+    for k, t in enumerate(times.tolist()):
+        if k < 2:
+            h = start if k == 0 else step
+            propagator = _propagator(op, h)
+        v = _finite(propagator @ v, f"exp(-{t} A) v")
         if h > 0.0 and block is None:
-            w, sigma = _range_basis(op, step, t)
+            w, sigma = _range_basis(op, propagator, t)
             if 2 * len(sigma) < op.n:
                 left, right, block = root_measure * w, w / root_measure, np.diag(sigma)
             else:  # Step D^(-1/2) W Sigma_r by exp(-hA) itself; the docstring says why.
                 frame, block = root_measure, w * (sigma / root_measure)
         elif h > 0.0 and left is None:
-            block = step @ block
+            block = propagator @ block
         elif h > 0.0:
-            if entry[1] is None:
-                entry[1] = _finite(left.T @ (step @ right), f"exp(-{h} A)")
-            block = entry[1] @ block
+            if stepped is None:
+                stepped = _finite(left.T @ (propagator @ right), f"exp(-{h} A)")
+            block = stepped @ block
         if block is not None:
             op_norms[k] = _largest_singular_value(frame * block, f"exp(-{t} A)")
         state_norms[k] = weighted_norm(v, op.measure_vector)

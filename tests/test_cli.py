@@ -136,6 +136,26 @@ def test_generator_sizes_too_large_to_allocate_are_input_errors(argv):
     assert done.stderr.count("\n") == 1 and "too many to allocate" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "ladder", "--N", str(2**63 - 1)),
+        ("gen", "random", "--n", str(2**63 - 1)),
+        ("spectrum", "--gen", "ladder", "--N", "5", "--angles", str(2**63 - 1)),
+        ("evolve", "--gen", "ladder", "--N", "5", "--t", f"0:{2**63 - 1}:1"),
+    ],
+    ids=["ladder", "random", "angles", "times"],
+)
+def test_sizes_numpy_returns_empty_for_are_input_errors(argv):
+    # np.arange(2^63 - 1) overflows its length and returns an empty array instead of refusing. Taken as
+    # empty, the random generator ran for over a minute, spectrum failed with an IndexError, and the
+    # ladder and the time grid were refused with messages about an unknown vertex and an empty grid.
+    env = {**os.environ, "PYTHONPATH": str(Path(dl.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "dirlap", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "too many to allocate" in done.stderr
+
+
 def test_an_empty_root_label_is_that_vertex_not_the_first(tmp_path, capsys):
     path = tmp_path / "g.json"
     vertices = [{"id": label, "m": 1} for label in ("a", "", "c")]
@@ -420,20 +440,22 @@ def test_check_emits_the_library_report(capsys, source, build):
 @pytest.mark.parametrize("source,build", REPORT_INPUTS)
 @pytest.mark.parametrize("lambda0", [None, 5.0])
 def test_evolve_emits_the_library_report(capsys, source, build, lambda0):
+    # Grids whose float differences are one value, several values, and that start after 0.
     from dirlap.cli import _parse_time_grid
 
     g = build()
     rate = [] if lambda0 is None else ["--lambda0", str(lambda0)]
-    code, out, _ = run(capsys, "evolve", *source, "--t", "0:2:0.25", *rate)
     envelope = {"config", "version", "interior_size"}
-    report = {key: value for key, value in json.loads(out).items() if key not in envelope}
     ball_ = default_ball(g)
     op = dl.assemble(g, ball_, "laplacian")
     v0 = np.zeros(op.n)
     v0[op.row_of(ball_.root)] = 1.0
-    trace = dl.evolve_trace(op, v0, _parse_time_grid("0:2:0.25"), lambda0=lambda0)
-    assert code == (0 if trace["ok"] else 1)
-    assert report == json.loads(json.dumps(trace))
+    for grid in ("0:2:0.25", "0:2:0.1", "0.5:2:0.3"):
+        code, out, _ = run(capsys, "evolve", *source, "--t", grid, *rate)
+        report = {key: value for key, value in json.loads(out).items() if key not in envelope}
+        trace = dl.evolve_trace(op, v0, *_parse_time_grid(grid), lambda0=lambda0)
+        assert code == (0 if trace["ok"] else 1)
+        assert report == json.loads(json.dumps(trace))
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -157,9 +156,9 @@ def test_norm_matches_the_dense_svd(seed, n, radius, kind, t):
     op = dl.assemble(g, dl.ball(g, 0, radius), kind)
     sigma = largest_singular_value(op, _propagator(op, t))
     assert abs(dl.operator_norm_expm(op, t) - sigma) <= _tolerance(op.n, sigma)
-    # A grid [0, t] steps I @ exp(-tA), which is exactly the one-shot propagator.
-    trace = dl.evolve_trace(op, np.ones(op.n), [0.0, t])
-    assert abs(trace["operator_norms"][1] - sigma) <= _tolerance(op.n, sigma)
+    # A grid of the one time t forms exactly the one-shot propagator.
+    trace = dl.evolve_trace(op, np.ones(op.n), t, 1.0, 1)
+    assert abs(trace["operator_norms"][0] - sigma) <= _tolerance(op.n, sigma)
 
 
 @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
@@ -191,10 +190,10 @@ def test_norm_of_a_propagator_near_the_identity(monkeypatch):
     monkeypatch.setattr(
         scipy.linalg, "eigvalsh", lambda a, **kw: drivers.append(kw.get("driver")) or eigvalsh(a, **kw)
     )
-    times = [0.0, 1e-20, 2e-20]
-    trace = dl.evolve_trace(op, np.ones(op.n), times)
+    trace = dl.evolve_trace(op, np.ones(op.n), 0.0, 1e-20, 3)
     assert "ev" in drivers
-    for t, norm in zip(times, trace["operator_norms"]):
+    assert trace["times"] == [0.0, 1e-20, 2e-20]
+    for t, norm in zip(trace["times"], trace["operator_norms"]):
         sigma = largest_singular_value(op, _propagator(op, t))
         assert abs(dl.operator_norm_expm(op, t) - sigma) <= _tolerance(op.n, sigma)
         assert abs(norm - sigma) <= _tolerance(op.n, sigma)
@@ -221,18 +220,18 @@ def test_svd_calls_per_verdict(ladder_sqrt, monkeypatch):
     assert svd_shapes(lambda: dl.operator_norm_expm(op, 1.0)) == []
     assert svd_shapes(lambda: dl.positivity_check(op, 1.0)) == []
     assert svd_shapes(lambda: dl.resolvent_norm(op, 1.0)) == [(op.n, op.n)]
-    assert svd_shapes(lambda: dl.evolve_trace(op, v0, np.arange(13) * 0.25)) == [(op.n, op.n)]
-    assert svd_shapes(lambda: dl.evolve_trace(op, v0, [0.0, 0.5, 1.0])) == [(op.n, op.n)]
-    assert svd_shapes(lambda: dl.evolve_trace(op, v0, [0.0])) == []
+    assert svd_shapes(lambda: dl.evolve_trace(op, v0, 0.0, 0.25, 13)) == [(op.n, op.n)]
+    assert svd_shapes(lambda: dl.evolve_trace(op, v0, 0.0, 0.5, 3)) == [(op.n, op.n)]
+    assert svd_shapes(lambda: dl.evolve_trace(op, v0, 0.0, 1.0, 1)) == []
 
     g = dl.make_ladder(dl.LadderSpec(depth=50, measure_mode="unit"))
     heat, skew = (dl.assemble(g, dl.ball(g, 0, 49), kind) for kind in ("laplacian", "skew_part"))
     assert heat.n == 99
     v0 = np.ones(heat.n)
-    for times in (np.arange(13) * 0.25, [0.0, 0.5, 1.0]):
-        assert svd_shapes(lambda: dl.evolve_trace(heat, v0, times)) == [(_SKETCH, heat.n)]
+    for grid in ((0.0, 0.25, 13), (0.0, 0.5, 3)):
+        assert svd_shapes(lambda: dl.evolve_trace(heat, v0, *grid)) == [(_SKETCH, heat.n)]
     sketch_then_full = [(_SKETCH, skew.n), (skew.n, skew.n)]
-    assert svd_shapes(lambda: dl.evolve_trace(skew, v0, np.arange(13) * 0.25)) == sketch_then_full
+    assert svd_shapes(lambda: dl.evolve_trace(skew, v0, 0.0, 0.25, 13)) == sketch_then_full
 
 
 def test_one_shot_rounding_grows_with_the_norm_of_tA():
@@ -246,7 +245,7 @@ def test_one_shot_rounding_grows_with_the_norm_of_tA():
     norm_k = float(np.linalg.norm(dl.similarity_to_standard(op), 2))
     t = 4.4375
     assert abs(dl.operator_norm_expm(op, t) - 1.0) <= _tolerance(op.n, norm_k * t)
-    trace = dl.evolve_trace(op, np.ones(op.n), np.arange(72) * 0.0625)
+    trace = dl.evolve_trace(op, np.ones(op.n), 0.0, 0.0625, 72)
     assert trace["times"][-1] == t
     assert np.all(np.abs(np.asarray(trace["operator_norms"]) - 1.0) <= _tolerance(op.n, 1.0))
 
@@ -497,7 +496,7 @@ def test_trace_contraction_only(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 6)
     v0 = np.zeros(op.n)
     v0[0] = 1.0
-    trace = dl.evolve_trace(op, v0, [0.0, 0.5, 1.0, 2.0])
+    trace = dl.evolve_trace(op, v0, 0.0, 0.5, 5)
     assert trace["ok"] and trace["flagged"] == []
     assert np.all(np.asarray(trace["bounds"]) == 1.0)
     assert all(b <= a + 1e-12 for a, b in zip(trace["state_norms"], trace["state_norms"][1:]))
@@ -507,15 +506,15 @@ def test_trace_flags_overclaimed_rate(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 6)
     v0 = np.zeros(op.n)
     v0[0] = 1.0
-    trace = dl.evolve_trace(op, v0, [0.0, 0.5, 1.0, 2.0], lambda0=10.0)
+    trace = dl.evolve_trace(op, v0, 0.0, 0.5, 5, lambda0=10.0)
     assert not trace["ok"] and len(trace["flagged"]) >= 1
-    honest = dl.evolve_trace(op, v0, [0.0, 0.5, 1.0, 2.0], lambda0=1.0 / 6.0)
+    honest = dl.evolve_trace(op, v0, 0.0, 0.5, 5, lambda0=1.0 / 6.0)
     assert honest["ok"]
 
 
 def test_trace_single_time_zero(ladder_unit):
     op = laplacian_on_ball(ladder_unit, 4)
-    trace = dl.evolve_trace(op, np.ones(op.n), [0.0], lambda0=5.0)
+    trace = dl.evolve_trace(op, np.ones(op.n), 0.0, 1.0, 1, lambda0=5.0)
     assert trace["ok"] and trace["operator_norms"][0] == 1.0
 
 
@@ -553,65 +552,39 @@ def expm_calls(monkeypatch):
 def test_trace_forms_one_propagator_per_step(ladder_sqrt, ladder_unit, random_graphs, expm_calls):
     ops = [laplacian_on_ball(ladder_sqrt, 6), laplacian_on_ball(ladder_unit, 6)]
     ops += [dl.assemble(g, dl.full_ball(g, 0), "laplacian") for g in random_graphs]
-    for times, expected_calls in (([0.0, 0.25, 1.0, 3.0], 3), (np.arange(13) * 0.25, 1)):
+    for grid in ((0.0, 0.75, 5), (0.0, 0.25, 13)):
         for op in ops:
             v0 = RNG.standard_normal(op.n)
             expm_calls.clear()
-            trace = dl.evolve_trace(op, v0, times)
-            assert len(expm_calls) == expected_calls
+            trace = dl.evolve_trace(op, v0, *grid)
+            assert len(expm_calls) == 1
             assert trace["operator_norms"][0] == 1.0
             assert trace["state_norms"][0] == dl.weighted_norm(v0, op.measure_vector)
             assert_matches_per_time(op, v0, trace)
 
 
-def test_trace_repeated_times_form_no_extra_propagator(ladder_unit, expm_calls):
-    op = laplacian_on_ball(ladder_unit, 6)
-    v0 = RNG.standard_normal(op.n)
-    once = dl.evolve_trace(op, v0, [0.0, 0.5, 1.0])
-    expm_calls.clear()
-    repeated = dl.evolve_trace(op, v0, [0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
-    assert len(expm_calls) == 1
-    for values in ("operator_norms", "state_norms"):
-        assert np.array_equal(repeated[values], np.asarray(once[values])[[0, 1, 1, 2, 2, 2]])
-
-
 def test_trace_starting_after_time_zero(ladder_sqrt, expm_calls):
-    # The first time is the first step: 0.5, then 0.25 twice and 1.0.
+    # The first time is the first step, 0.5; six steps of 0.25 follow.
     op = laplacian_on_ball(ladder_sqrt, 6)
     v0 = RNG.standard_normal(op.n)
-    trace = dl.evolve_trace(op, v0, [0.5, 0.75, 1.0, 2.0])
-    assert len(expm_calls) == 3
-    assert_matches_per_time(op, v0, trace)
-
-
-def test_trace_on_a_non_uniform_grid_frees_each_step(ladder_sqrt, monkeypatch):
-    op = laplacian_on_ball(ladder_sqrt, 6)
-    v0 = RNG.standard_normal(op.n)
-    times = np.sort(RNG.uniform(0.0, 5.0, size=8))
-    live = []
-    propagator = semigroup._propagator
-
-    def tracked(op, t):
-        # No step is needed twice, so at most the step just used may still be held.
-        assert sum(ref() is not None for ref in live) <= 1
-        out = propagator(op, t)
-        live.append(weakref.ref(out))
-        return out
-
-    monkeypatch.setattr(semigroup, "_propagator", tracked)
-    trace = dl.evolve_trace(op, v0, times)
-    assert len(live) == 8
+    trace = dl.evolve_trace(op, v0, 0.5, 0.25, 7)
+    assert expm_calls == [0.5, 0.25]
+    assert trace["times"] == [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
     assert_matches_per_time(op, v0, trace)
 
 
 def test_trace_on_a_cli_grid_forms_one_propagator_per_distinct_step(ladder_unit, expm_calls):
-    times = _parse_time_grid("0:5:0.1")
-    assert len(set(np.diff(times).tolist())) == 7
+    # The 51 float times of 0:5:0.1 differ by 7 distinct floats; the trace steps them all by
+    # exp(-0.1 A), and reports the times the CLI grid names.
     op = laplacian_on_ball(ladder_unit, 6)
     v0 = RNG.standard_normal(op.n)
-    trace = dl.evolve_trace(op, v0, times)
-    assert len(expm_calls) == 7
-    assert_matches_per_time(op, v0, trace)
+    for grid, calls in (("0:5:0.1", [0.1]), ("1:5:0.3", [1.0, 0.3])):
+        start, step, count = _parse_time_grid(grid)
+        expm_calls.clear()
+        trace = dl.evolve_trace(op, v0, start, step, count)
+        assert expm_calls == calls
+        assert trace["times"] == (start + step * np.arange(count)).tolist()
+        assert_matches_per_time(op, v0, trace)
 
 
 def test_long_trace_does_not_drift_past_an_exact_bound(ladder_sqrt):
@@ -619,7 +592,7 @@ def test_long_trace_does_not_drift_past_an_exact_bound(ladder_sqrt):
     # every norm sits on its bound and only rounding, growing with the steps, could flag it.
     op = dl.assemble(dl.symmetrize(ladder_sqrt), dl.ball(ladder_sqrt, 0, 10), "laplacian")
     lambda0 = float(np.linalg.eigvalsh(dl.similarity_to_standard(op))[0])
-    trace = dl.evolve_trace(op, np.eye(op.n)[0], 0.01 * np.arange(2001), lambda0=lambda0)
+    trace = dl.evolve_trace(op, np.eye(op.n)[0], 0.0, 0.01, 2001, lambda0=lambda0)
     assert trace["flagged"] == []
 
 
@@ -630,7 +603,7 @@ def test_long_rotation_does_not_drift_past_one(seed):
     # on 5 of these 6 grids of 1000 steps; stepping exp(-hA) itself stays below a fifth of it.
     g = dl.make_random_balanced(12, seed)
     op = dl.assemble(g, dl.ball(g, 0, 2), "skew_part")
-    trace = dl.evolve_trace(op, np.ones(op.n), np.arange(1001) * 0.0625)
+    trace = dl.evolve_trace(op, np.ones(op.n), 0.0, 0.0625, 1001)
     assert trace["ok"]
     assert np.all(np.abs(np.asarray(trace["operator_norms"]) - 1.0) <= _tolerance(op.n, 1.0) / 5)
 
@@ -729,9 +702,9 @@ def test_a_subnormal_first_step_is_traced_and_an_underflowed_one_is_zero(n):
     # the step is exactly zero (r = 0).
     op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
     for t in (700.0, 720.0, 730.0):
-        norms = dl.evolve_trace(op, np.ones(n), [0.0, t])["operator_norms"]
+        norms = dl.evolve_trace(op, np.ones(n), 0.0, t, 2)["operator_norms"]
         assert norms[0] == 1.0 and norms[1] == pytest.approx(math.exp(-t), rel=_tolerance(n, 1.0))
-    trace = dl.evolve_trace(op, np.ones(n), [0.0, 800.0])
+    trace = dl.evolve_trace(op, np.ones(n), 0.0, 800.0, 2)
     assert trace["operator_norms"] == [1.0, 0.0] and trace["ok"]
 
 
@@ -743,61 +716,77 @@ def test_a_subnormal_first_step_is_traced_and_an_underflowed_one_is_zero(n):
     st.sampled_from(KINDS),
     st.integers(-12, 0),
     st.floats(0.25, 2.0),
-    st.lists(st.sampled_from([0.0, 0.1, 0.25, None]), min_size=1, max_size=12),
+    st.booleans(),
+    st.sampled_from([0.1, 0.25, None]),
+    st.integers(3, 13),
 )
-def test_trace_in_the_range_of_the_first_step_matches_the_dense_reference(seed, n, radius, kind, lowest, first, increments):
+# r = 17 of 87 rows at t = 2 and 23 at t = 1, and the norm decays: W^T Q_h W steps 12 and 11 times, from each start.
+@example(seed=0, n=100, radius=3, kind="laplacian", lowest=-12, first=2.0, from_zero=False, step=0.25, count=13)
+@example(seed=0, n=100, radius=3, kind="laplacian", lowest=-12, first=1.0, from_zero=True, step=None, count=13)
+def test_trace_in_the_range_of_the_first_step_matches_the_dense_reference(
+    seed, n, radius, kind, lowest, first, from_zero, step, count
+):
     # Spread measures lower the rank r of the first step, so that many of these grids step
-    # the r-by-r block W^T Q_h W (2r < n); None repeats the first step.
+    # the r-by-r block W^T Q_h W (2r < n). The grid steps by `first` from 0, or starts at
+    # `first` and steps by `step`; None repeats the first step.
     g = spread_measures(dl.make_random_balanced(n, seed), seed, lowest)
     op = dl.assemble(g, dl.ball(g, 0, radius), kind)
-    times = np.cumsum([first, *(first if h is None else h for h in increments)])
+    start, step = (0.0, first) if from_zero else (first, first if step is None else step)
     v0 = np.random.default_rng(seed).standard_normal(op.n)
-    trace = dl.evolve_trace(op, v0, times)
+    trace = dl.evolve_trace(op, v0, start, step, count)
     # The reference multiplies the weighted steps in the grid's order, exp(-h_k A) exp(-t_(k-1) A):
     # the unweighted product would round relative to entries up to 2^12 times those of its result.
     weighted = np.eye(op.n)
-    for h, norm in zip(np.diff(times, prepend=0.0).tolist(), trace["operator_norms"]):
+    for h, norm in zip(grid_steps(start, step, count), trace["operator_norms"]):
         weighted = _similar(_propagator(op, h), op.measure_vector) @ weighted
         sigma = np.linalg.svd(weighted, compute_uv=False)[0]
         assert abs(norm - sigma) <= _tolerance(op.n, sigma)
 
 
+def grid_steps(start, step, count):
+    """The steps of the grid start + k step, k < count: start, then step."""
+    return [start] + [step] * (count - 1)
+
+
 def test_trace_in_the_range_of_the_first_step_on_the_ladders():
-    # Unit ladder: r = 24 of 99 rows at step 0.25; sqrt ladder: r = 45. Repeated, distinct and
-    # zero steps.
-    times = [0.0, 0.25, 0.5, 0.5, 0.75, 1.75, 1.85, 3.0, 5.0]
+    # Unit ladder: r = 24 of 99 rows at step 0.25; sqrt ladder: r = 45. Grids from 0, and from
+    # 0.5, whose first step forms the basis and is not the step.
     for measure in ("unit", "sqrt_n"):
         g = dl.make_ladder(dl.LadderSpec(depth=50, measure_mode=measure))
         op = laplacian_on_ball(g, 49)
         v0 = np.eye(op.n)[0]
-        trace = dl.evolve_trace(op, v0, times)
-        propagator = np.eye(op.n)
-        for h, norm in zip(np.diff(times, prepend=0.0).tolist(), trace["operator_norms"]):
-            propagator = propagator @ _propagator(op, h)
-            sigma = largest_singular_value(op, propagator)
-            assert abs(norm - sigma) <= _tolerance(op.n, sigma)
-        assert_matches_per_time(op, v0, trace)
+        for grid in ((0.0, 0.25, 9), (0.5, 0.25, 9)):
+            trace = dl.evolve_trace(op, v0, *grid)
+            propagator = np.eye(op.n)
+            for h, norm in zip(grid_steps(*grid), trace["operator_norms"]):
+                propagator = propagator @ _propagator(op, h)
+                sigma = largest_singular_value(op, propagator)
+                assert abs(norm - sigma) <= _tolerance(op.n, sigma)
+            assert_matches_per_time(op, v0, trace)
 
 
 def random_trace_case(seed, n):
-    """A random balanced graph, measure exponents in [-3, 3], a start vector, a grid of uniform and random times, and a rate."""
+    """A random balanced graph, measure exponents in [-3, 3], a start vector, a grid (start, step, count), and a rate.
+
+    The grid starts at 0 or at a random first time.
+    """
     rng = np.random.default_rng(seed)
     g = dl.make_random_balanced(n, seed)
     exponents = rng.integers(-3, 4, size=n)
-    uniform = rng.uniform(0.0, 1.0) + rng.uniform(0.01, 0.5) * np.arange(rng.integers(1, 12))
-    times = np.sort(np.concatenate([uniform, rng.uniform(0.0, 5.0, size=rng.integers(0, 8))]))
-    return g, exponents, rng.standard_normal(n), times, rng.uniform(0.0, 1.0)
+    first, step, count = rng.uniform(0.0, 1.0), rng.uniform(0.01, 0.5), int(rng.integers(1, 19))
+    grid = (first if rng.integers(2) else 0.0, step, count)
+    return g, exponents, rng.standard_normal(n), grid, rng.uniform(0.0, 1.0)
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 3))
 def test_stepped_trace_matches_the_dense_propagators(seed, n, radius):
-    g, exponents, v, times, _ = random_trace_case(seed, n)
+    g, exponents, v, grid, _ = random_trace_case(seed, n)
     g = dyadic_measures(g, exponents)
     ball_ = dl.ball(g, 0, radius)
     op = dl.assemble(g, ball_, "laplacian")
     v0 = v[list(ball_.vertices)]
-    assert_matches_per_time(op, v0, dl.evolve_trace(op, v0, times))
+    assert_matches_per_time(op, v0, dl.evolve_trace(op, v0, *grid))
 
 
 @settings(deadline=None, max_examples=40)
@@ -808,22 +797,21 @@ def test_stepped_trace_matches_the_dense_propagators(seed, n, radius):
     st.sampled_from(KINDS),
     st.booleans(),
     st.one_of(st.just(1e-12), st.floats(0.01, 2.0)),
-    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), max_size=8),
+    st.floats(0.01, 1.0),
+    st.integers(1, 10),
 )
-def test_trace_matches_the_dense_reference(seed, n, radius, kind, from_zero, first, increments):
-    # The grid starts at 0 or at t0 > 0, repeats times where an increment is 0, and a
-    # first step of 1e-12 keeps every singular value of the step in the stepped basis.
+def test_trace_matches_the_dense_reference(seed, n, radius, kind, from_zero, first, step, count):
+    # The grid steps by `first` from 0, or starts at `first` and steps by `step`; a first
+    # step of 1e-12 keeps every singular value of the step in the stepped basis.
     # Against the one-shot exp(-tA) the slack must also cover its rounding of tA.
     g = dl.make_random_balanced(n, seed)
     op = dl.assemble(g, dl.ball(g, 0, radius), kind)
-    times = np.cumsum([first, *increments])
-    if from_zero:
-        times = np.concatenate([[0.0], times])
+    start, step = (0.0, first) if from_zero else (first, step)
     v0 = np.random.default_rng(seed).standard_normal(op.n)
-    trace = dl.evolve_trace(op, v0, times)
+    trace = dl.evolve_trace(op, v0, start, step, count)
     # The dense reference: the full n-by-n product of the grid's steps, and its SVD.
     propagator = np.eye(op.n)
-    for h, norm in zip(np.diff(times, prepend=0.0).tolist(), trace["operator_norms"]):
+    for h, norm in zip(grid_steps(start, step, count), trace["operator_norms"]):
         propagator = propagator @ _propagator(op, h)
         sigma = largest_singular_value(op, propagator)
         assert abs(norm - sigma) <= _tolerance(op.n, sigma)
@@ -838,7 +826,7 @@ def test_trace_steps_a_basis_far_smaller_than_the_truncation(monkeypatch):
     calls = []
     eigvalsh = scipy.linalg.eigvalsh
     monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda a, **kw: calls.append((len(a), kw)) or eigvalsh(a, **kw))
-    trace = dl.evolve_trace(op, np.eye(op.n)[0], _parse_time_grid("0:5:0.25"), lambda0=0.1666)
+    trace = dl.evolve_trace(op, np.eye(op.n)[0], *_parse_time_grid("0:5:0.25"), lambda0=0.1666)
     assert trace["ok"]
     rows = [n for n, _ in calls]
     assert len(rows) == 20 and max(rows) < op.n / 4
@@ -849,7 +837,7 @@ def test_trace_steps_a_basis_far_smaller_than_the_truncation(monkeypatch):
 def test_trace_rejects_a_vector_of_the_wrong_length(ladder_unit, expm_calls):
     op = laplacian_on_ball(ladder_unit, 4)
     with pytest.raises(GraphError, match=f"expected a vector of length {op.n}"):
-        dl.evolve_trace(op, np.ones(op.n + 1), [0.5, 1.0])
+        dl.evolve_trace(op, np.ones(op.n + 1), 0.5, 0.5, 2)
     assert expm_calls == []
 
 
@@ -858,13 +846,14 @@ def test_trace_rejects_a_vector_of_the_wrong_length(ladder_unit, expm_calls):
 def test_trace_scales_exactly_with_the_measures(seed, n, radius, k):
     # L = B / m: measures x4^k scale A by 4^-k, so tA, and every propagator, is unchanged at
     # times x4^k; the weighted state norms scale by 2^k and the bounds exp(-lambda0 t) stay.
-    g, exponents, v, times, lambda0 = random_trace_case(seed, n)
+    g, exponents, v, (start, step, count), lambda0 = random_trace_case(seed, n)
     traces = []
     for s in (0, k):
         scaled = dyadic_measures(g, exponents + 2 * s)
         ball_ = dl.ball(scaled, 0, radius)
         op = dl.assemble(scaled, ball_, "laplacian")
-        traces.append(dl.evolve_trace(op, v[list(ball_.vertices)], times * 4.0**s, lambda0 * 4.0**-s))
+        grid = (start * 4.0**s, step * 4.0**s, count)
+        traces.append(dl.evolve_trace(op, v[list(ball_.vertices)], *grid, lambda0 * 4.0**-s))
     base, scaled = traces
     assert np.array_equal(scaled["operator_norms"], base["operator_norms"])
     assert np.array_equal(scaled["state_norms"], np.asarray(base["state_norms"]) * 2.0**k)
@@ -878,9 +867,10 @@ def test_trace_scales_exactly_with_the_measures(seed, n, radius, k):
         lambda op, t: dl.expm_apply(op, t, np.ones(op.n)),
         lambda op, t: dl.operator_norm_expm(op, t),
         lambda op, t: dl.positivity_check(op, t),
-        lambda op, t: dl.evolve_trace(op, np.ones(op.n), [0.0, t]),
+        lambda op, t: dl.evolve_trace(op, np.ones(op.n), 0.0, t, 2),
+        lambda op, t: dl.evolve_trace(op, np.ones(op.n), t, 1.0, 1),
     ],
-    ids=["expm_apply", "operator_norm_expm", "positivity_check", "evolve_trace"],
+    ids=["expm_apply", "operator_norm_expm", "positivity_check", "evolve_trace", "evolve_trace_start"],
 )
 def test_non_finite_times_are_input_errors(ladder_unit, verdict, t):
     with pytest.raises(GraphError, match="finite"):
@@ -891,17 +881,33 @@ def test_non_finite_times_are_input_errors(ladder_unit, verdict, t):
 def test_non_finite_decay_rate_is_an_input_error(ladder_unit, lambda0):
     op = laplacian_on_ball(ladder_unit, 4)
     with pytest.raises(GraphError, match="finite"):
-        dl.evolve_trace(op, np.ones(op.n), [0.0, 0.5, 1.0], lambda0=lambda0)
+        dl.evolve_trace(op, np.ones(op.n), 0.0, 0.5, 3, lambda0=lambda0)
 
 
-def test_trace_grid_validation(ladder_unit):
+def test_trace_grid_validation(ladder_unit, expm_calls):
     op = laplacian_on_ball(ladder_unit, 4)
-    with pytest.raises(GraphError):
-        dl.evolve_trace(op, np.ones(op.n), [])
-    with pytest.raises(GraphError):
-        dl.evolve_trace(op, np.ones(op.n), [1.0, 0.5])
-    with pytest.raises(GraphError):
-        dl.evolve_trace(op, np.ones(op.n), [-1.0, 0.5])
+    parts = "finite start >= 0, finite step > 0 and count >= 1"
+    for grid, message in (
+        ((-1.0, 0.5, 2), parts),
+        ((0.0, 0.0, 2), parts),
+        ((0.0, -0.5, 2), parts),
+        ((0.0, 0.5, 0), parts),
+        ((0.0, 0.5, -3), parts),
+        # Every part is finite, but the last time 2e308 is not.
+        ((0.0, 1e308, 3), "time grid must be finite"),
+    ):
+        with pytest.raises(GraphError, match=message):
+            dl.evolve_trace(op, np.ones(op.n), *grid)
+    assert expm_calls == []
+
+
+def test_trace_grids_too_large_to_allocate_are_input_errors(ladder_unit, expm_calls):
+    # numpy refuses 10^300 points, and returns an empty array for 2^63 - 1.
+    op = laplacian_on_ball(ladder_unit, 4)
+    for count in (10**300, 2**63 - 1):
+        with pytest.raises(GraphError, match="too many to allocate"):
+            dl.evolve_trace(op, np.ones(op.n), 0.0, 1e-300, count)
+    assert expm_calls == []
 
 
 # -- positivity -------------------------------------------------------------------------

@@ -1054,10 +1054,9 @@ def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, 
         cert = dl.accretivity_certificate(graph, ball_)
         verdicts = {key: value for key, value in cert["verdicts"].items() if key != "m_sectorial_supported"}
         bound = dl.cheeger_bound_check(graph, ball_, h * 2.0 ** (s // 2))
-        times = np.array([0.0, 0.5, 1.0, 2.0]) * 2.0**-s
         op = dl.assemble(graph, ball_, "laplacian")
-        # bound.lambda0 = h^2 / 2M scales by 2^k with h^2.
-        trace = dl.evolve_trace(op, np.eye(op.n)[0], times, lambda0=bound.lambda0)
+        # bound.lambda0 = h^2 / 2M scales by 2^k with h^2; the times 0, 0.5, ..., 2 scale by 2^-k.
+        trace = dl.evolve_trace(op, np.eye(op.n)[0], 0.0, 0.5 * 2.0**-s, 5, lambda0=bound.lambda0)
         outcomes.append((verdicts, cert["total_asymmetry"]["trend"], bound.ok, trace["flagged"]))
     assert outcomes[0] == outcomes[1]
 
