@@ -36,10 +36,10 @@ from .graph import (
 from .operators import assemble
 from .semigroup import evolve_trace
 from .spectral import (
+    _cheeger,
     _require_unit_measure,
     accretivity_certificate,
     check_sector,
-    cheeger_bound_check,
     cheeger_bruteforce,
     numrange_boundary,
 )
@@ -191,20 +191,20 @@ def cmd_spectrum(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
 def cmd_cheeger(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
     _require_unit_measure(g, "Cheeger analysis requires unit vertex measure (ladder: --measure unit)")
     result = cheeger_bruteforce(g, max_subset_size=args.max_subset_size)
-    bound = cheeger_bound_check(g, ball_, result.value)
+    record = _cheeger(g, ball_, result.value)
     # An uncertified h is only an upper bound, so a failed comparison proves
     # nothing; the exit code still reports the bound as unverified.
-    verdict = "pass" if bound.ok else ("fail" if result.certified else "inconclusive")
+    verdict = "pass" if record.ok else ("fail" if result.certified else "inconclusive")
     report = {
         "h": result.value,
         "witness": [g.label(v) for v in result.witness],
         "certified": result.certified,
         "max_degree": g.max_degree,
-        "lambda0": bound.lambda0,
-        "min_real": bound.min_real,
+        "lambda0": record.bound,
+        "min_real": record.value[1],
         "verdict": verdict,
     }
-    return report, 0 if bound.ok else 1
+    return report, 0 if record.ok else 1
 
 
 def cmd_evolve(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:

@@ -60,9 +60,8 @@ class TruncatedOperator:
 
     ``measure_vector[i]`` is the measure of row i, defining the weighted
     inner product.  ``ball`` is the ball the rows come from: row i is its
-    i-th vertex (see :attr:`vertices`) and ``interior_rows`` reads its
-    interior.  It is None for synthetic operators built in tests or edge
-    cases, whose row i is vertex i and whose rows are all interior.
+    i-th vertex (see :attr:`vertices`).  It is None for synthetic operators
+    built in tests or edge cases, whose row i is vertex i.
     Instances are immutable and safe to share.
     """
 
@@ -119,11 +118,6 @@ class TruncatedOperator:
         matrix = np.zeros((self.n, self.n))
         matrix[self._entry_rows(), self.indices] = self.data
         return matrix
-
-    @property
-    def interior_rows(self) -> np.ndarray:
-        """Row indices whose host vertex is interior to the ball."""
-        return np.arange(self.n) if self.ball is None else np.searchsorted(self.vertices, self.ball.interior)
 
     def row_of(self, vertex: int) -> int:
         vertices = self.vertices

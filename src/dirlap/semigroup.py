@@ -8,8 +8,8 @@ taken in the measure-weighted geometry via the similarity transform.
 
 A single time t forms one propagator P = exp(-tA) by
 scaling-and-squaring (exact to rounding at the intended sizes, a few
-thousand rows at most).  Both P v and the weighted operator norm are read
-from that one P.  The norm, the largest singular value of
+thousand rows at most).  The weighted operator norm is read from that one
+P.  The norm, the largest singular value of
 Q = D^(1/2) P D^(-1/2), is the square root of the top eigenvalue of Q^T Q
 (one full symmetric eigenvalue solve, no SVD), with Q scaled by a power of
 two so that Q^T Q stays in range.  A time grid start + k step forms at most
@@ -43,7 +43,6 @@ from .graph import _EPS, GraphError, NumericError, _finite, _indices, _tolerance
 from .operators import TruncatedOperator, _similar, _standard_entries, similarity_to_standard, weighted_norm
 
 __all__ = [
-    "expm_apply",
     "operator_norm_expm",
     "resolvent_norm",
     "evolve_trace",
@@ -356,12 +355,6 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     return u[:, :r], np.ldexp(s[:r], e)
 
 
-def expm_apply(op: TruncatedOperator, t: float, values: np.ndarray) -> np.ndarray:
-    """Apply exp(-tA) to a vector; t must be nonnegative (one-sided semigroup)."""
-    values = _vector(op, values)
-    return _finite(_propagator(op, t) @ values, f"exp(-{t} A) v")
-
-
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
     """Weighted operator norm of exp(-tA): sigma_1(Q), Q = D^(1/2) exp(-tA) D^(-1/2), from its Gram matrix.
 
@@ -508,12 +501,20 @@ def evolve_trace(
 
 
 def positivity_check(op: TruncatedOperator, t: float) -> bool:
-    """True when exp(-tA) is entrywise nonnegative, up to the rounding slack 100 n eps max |exp(-tA)|.
+    """True when exp(-sA) is entrywise nonnegative for every s in [0, t].
 
-    Defined for the Laplacian-like kinds whose negated matrix has nonnegative
-    off-diagonal entries; the skew part generates rotations, not heat flow.
+    For t > 0 that holds exactly when no off-diagonal entry of A is positive
+    (Varga, Matrix Iterative Analysis, 2nd ed., 2000), so the signs of the
+    stored entries decide it in O(nnz) with no exponential; at t = 0,
+    exp(0) = I.  Defined for the Laplacian-like kinds; the skew part
+    generates rotations, not heat flow.  t must be finite and >= 0 (a
+    :class:`GraphError`), and a non-finite entry is a :class:`NumericError`.
     """
     if op.kind == "skew_part":
         raise GraphError("positivity is not defined for the skew part")
-    propagator = _propagator(op, t)
-    return bool(np.all(propagator >= -_tolerance(op.n, np.abs(propagator).max())))
+    if not math.isfinite(t):
+        raise GraphError(f"time must be finite, got {t}")
+    if t < 0:
+        raise GraphError("the semigroup is one-sided: t must be >= 0")
+    data = _finite(op.data, "the operator")
+    return t == 0.0 or bool(np.all(data[op.indices != op._entry_rows()] <= 0.0))

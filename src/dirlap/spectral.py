@@ -1,48 +1,29 @@
-"""Numerical range boundaries, sector checks, Cheeger constants.
+"""Numerical range boundaries, sector checks, Cheeger constants and the certificate.
 
 The boundary of the numerical range of a truncation is computed by the
 rotated-Hermitian-part sweep (Johnson, SIAM J. Numer. Anal. 15, 1978): for
 each angle phi, the top eigenvector v of the Hermitian part of e^{i phi} A
 gives the boundary point <Av, v>.  A is real, so only the angles in [0, pi]
-are solved and the rest are their conjugates.  All weighted quantities are
-reduced to standard ones once, in the :class:`Frame` that every verdict
-reads; it is built in O(nnz) on the operator's own symmetric CSR pattern and
-holds no n-by-n array.
+are solved and the rest are their conjugates.  Every verdict reads one
+:class:`Frame`, A in the standard frame, formed in O(nnz).
 
-Certified eigenvalues come from two routines.  min Re W = lambda_min(S), S
-the Hermitian part, which decides accretivity and the Cheeger bound, comes
-from Noda iteration (:func:`_noda`; Noda, Numer. Math. 17, 1971) whenever S
-is a Z-matrix, as it is for the three Laplacian kinds.  For any positive
-vector u, min_i (S u)_i / u_i <= lambda_min(S) (Collatz-Wielandt), so its
-lower end is rigorous once lowered by the rounding of S u, and the Rayleigh
-quotient is its upper end; the iteration stops when the two lie within the
-data slack delta = 100 (d + 2) eps ||S||_inf (d the most off-diagonal
-entries of a row).  It factors its first shift with SuperLU, on every graph,
-and those factors precondition the conjugate-gradient solves of the later
-steps.  Everything else, the sweep angles, the sector and the
-S of ``skew_part`` (rounding noise of both signs), reads
-:func:`_top_eigenpair`: inverse iteration on sparse LDL^H factorizations
-whose negative pivots certify, by inertia, that each shift lies above the
-spectrum (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  It keeps a
-bracket of the top eigenvalue that every solve at least halves, and returns
-once the residual of the Rayleigh quotient rho is within a slack and a shift
-at most rho plus that slack certifies.  Each sweep angle is the top
-eigenvalue of cos(phi) S + i sin(phi) K to tau, warm-started from the
-previous angle.  An enclosure that does not certify is a
-:class:`NumericError`, never a verdict.
+Certified eigenvalues come from two routines: min Re W = lambda_min(S), S the
+Hermitian part, from Noda iteration (:func:`_noda`) on the Z-matrix S of each
+Laplacian kind, and everything else from :func:`_top_eigenpair`, inverse
+iteration on sparse LDL^H factors whose inertia certifies each shift.  An
+enclosure that does not certify is a :class:`NumericError`, never a verdict.
 
 A value derived from a matrix A of n rows may carry rounding up to
-tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`): the accretivity,
-Cheeger and sector verdicts allow tau below 0, tau below lambda0 and
-tau (1 + C/8).  The sweep runs on A scaled by a power of two to unit size,
-so its points, ``min_real`` and tau scale exactly with the weights.
+tau = 100 n eps ||A||_F (:func:`dirlap.graph._tolerance`).  The sweep runs on
+A scaled by a power of two to unit size, so its points, ``min_real`` and tau
+scale exactly with the weights.  Each check of
+:func:`accretivity_certificate` returns one :class:`_Record` with its bound,
+value, margin, slack and method: the accretivity, Cheeger and sector checks
+allow tau below 0, tau below lambda0 and tau (1 + C/8).
 
-Sector containment uses the affine bound |Im z| <= 1/2 + (C/8) Re z with C
-the quadratic asymmetry constant of the probed vertices; the implied sector
-has vertex -4/C and semi-angle atan(C/8).  The bound is decided on all of W,
-not on sampled points: W is symmetric about the real axis, the largest
-Im z - (C/8) Re z over W is lambda_max(-(C/8) S - i K), and one LDL^H
-factorization decides lambda_max(-(C/8) S - i K) < 1/2 + tau (1 + C/8).
+Sector containment, |Im z| <= 1/2 + (C/8) Re z with C the quadratic asymmetry
+constant of the probed vertices, is decided on all of W by one LDL^H
+factorization (:func:`check_sector`).
 
 Cheeger constants follow the sqrt-of-weight convention
     h = inf over finite proper U of  sum_{x in U, y outside} sqrt(b'(x,y)) / #U
@@ -100,16 +81,17 @@ class Frame(NamedTuple):
 
     ``a``, S = ``sym`` and K = ``skew`` are CSC matrices on the operator's own
     CSR pattern, filled in O(nnz) by one transposition with no sort, hash or
-    n-by-n array; ``min_real`` = lambda_min(S) = min Re W(a), from
-    :func:`_lowest_eigenvalue`, and ``tol`` is the tolerance of a.  The
-    scaling is exact and every later step is homogeneous, so results of a
-    scaled back by 2^e are those of A.
+    n-by-n array; ``min_real`` = m and ``delta`` from
+    :func:`_lowest_eigenvalue`, lambda_min(S) = min Re W(a) in [m - delta, m],
+    and ``tol`` is the tolerance of a.  The scaling is exact and every later
+    step is homogeneous, so results of a scaled back by 2^e are those of A.
     """
 
     a: "scipy.sparse.csc_matrix"
     sym: "scipy.sparse.csc_matrix"
     skew: "scipy.sparse.csc_matrix"
     min_real: float
+    delta: float
     tol: float
     e: int
 
@@ -117,6 +99,32 @@ class Frame(NamedTuple):
     def unscaled(self) -> tuple[float, float]:
         """``min_real`` and ``tol`` of A, scaled back by 2^e."""
         return math.ldexp(self.min_real, self.e), math.ldexp(self.tol, self.e)
+
+
+class _Record(NamedTuple):
+    """One check's certificate; every ``certify`` verdict is read from these.
+
+    ``ok`` tests ``bound`` as a lower bound, value >= bound - ``slack``, or
+    for the Kirchhoff balance as an upper bound on the imbalance.  ``value``
+    is a number, a certified enclosure [lower, upper], or None where LDL^H
+    inertia decides only a sign; ``margin`` is value - bound, end by end.
+    ``reads`` names the records whose value this one shares.
+    """
+
+    ok: bool
+    bound: float
+    value: float | list[float] | None
+    margin: float | list[float] | None
+    slack: float | None
+    method: str
+    reads: list[str]
+
+
+def _above(frame: Frame, bound: float, method: str, reads: list[str]) -> _Record:
+    """The record of min Re W >= ``bound``: the upper end m of [m - delta, m], to tau."""
+    m, tol = frame.unscaled
+    lower = math.ldexp(frame.min_real - frame.delta, frame.e)
+    return _Record(m >= bound - tol, bound, [lower, m], [lower - bound, m - bound], tol, method, reads)
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
         return sparse.csc_matrix((data, op.indices, op.indptr), shape=(n, n))
 
     sym = csc((a_ij + a_ji) / 2.0)
-    return Frame(csc(a_ij), sym, csc(a_ij / 2.0 - a_ji / 2.0), _lowest_eigenvalue(sym), _tolerance(n, norm), e)
+    return Frame(csc(a_ij), sym, csc(a_ij / 2.0 - a_ji / 2.0), *_lowest_eigenvalue(sym), _tolerance(n, norm), e)
 
 
 # Raising a rejected shift ten-fold from a margin >= slack reaches the
@@ -230,8 +238,9 @@ def _top_eigenpair(h, slack: float, v: np.ndarray, base: float, margin: float, w
     ``h`` is Hermitian canonical CSC with its diagonal in its pattern, and
     ``slack`` > 0.  The first shift sigma is base + margin 10^k, capped at the
     Gershgorin bound of h plus ``slack``, for the least k that
-    :func:`_negative_definite` certifies.  Inverse iteration from ``v`` keeps
-    a bracket [low, sigma] of lambda_max.  After each solve it tries
+    :func:`_negative_definite` certifies.  Inverse iteration from ``v``
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998) keeps a bracket
+    [low, sigma] of lambda_max.  After each solve it tries
     rho + ||h v - rho v|| when that lies in the lower half of the bracket,
     and else its midpoint, so every solve at least halves the bracket.  Once
     the residual of the Rayleigh quotient rho = <h v, v> is within ``slack``,
@@ -392,27 +401,26 @@ def _noda(s, delta: float, diagonal: np.ndarray) -> tuple[float, float]:
         u = w / np.max(w)
 
 
-def _lowest_eigenvalue(s) -> float:
-    """lambda_min(s) for a real symmetric CSC ``s`` with its diagonal in its pattern, certified.
+def _lowest_eigenvalue(s) -> tuple[float, float]:
+    """(m, delta), lambda_min(s) in [m - delta, m] certified, for a real symmetric CSC ``s`` with its diagonal.
 
     The data slack is delta = 100 (d + 2) eps ||s||_inf, d the largest number
     of off-diagonal entries in a row: the rounding of the entries of s moves
-    no eigenvalue further (Weyl).  The returned m satisfies lambda_min(s) in
-    [m - delta, m].  When no off-diagonal entry of s is positive (every
-    Laplacian kind), m is the upper end of :func:`_noda`, whose lower end is
-    a Collatz-Wielandt bound.  Otherwise (the rounding noise of the
-    ``skew_part``) :func:`_top_eigenpair` runs on h = -s from the Gershgorin
-    cap and a fixed vector, and m = -rho.
+    no eigenvalue further (Weyl).  When no off-diagonal entry of s is
+    positive (every Laplacian kind), m is the upper end of :func:`_noda`,
+    whose lower end is a Collatz-Wielandt bound.  Otherwise (the rounding
+    noise of the ``skew_part``) :func:`_top_eigenpair` runs on h = -s from
+    the Gershgorin cap and a fixed vector, and m = -rho.
     """
     n = s.shape[0]
     delta = _tolerance(int(np.diff(s.indptr).max()) + 1, float(np.bincount(s.indices, np.abs(s.data), n).max()))
     if delta == 0.0:
-        return 0.0
+        return 0.0, 0.0
     diagonal = _diagonal_positions(s)
     if np.all(np.delete(s.data, diagonal) <= 0.0):
-        return _noda(s, delta, diagonal)[1]
+        return _noda(s, delta, diagonal)[1], delta
     v = np.random.default_rng(0).standard_normal(n)
-    return -_top_eigenpair(-s, delta, v, math.inf, delta, "for min Re W")[0]
+    return -_top_eigenpair(-s, delta, v, math.inf, delta, "for min Re W")[0], delta
 
 
 def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
@@ -480,18 +488,19 @@ class Sector:
             raise GraphError("sector half-angle must lie in [0, pi/2)")
 
 
-def _sector(frame: Frame, c: float) -> tuple[Sector, bool]:
-    """:func:`check_sector` on a scaled frame of :func:`_standard_frame`."""
+def _sector(frame: Frame, c: float) -> tuple[Sector, _Record]:
+    """:func:`check_sector` on a scaled frame of :func:`_standard_frame`, with its record."""
     if not 0.0 <= c < math.inf:
         raise GraphError(f"asymmetry constant must be finite and >= 0, got {c!r}")
-    slope = c / 8.0
-    sym = frame.sym
+    slope, sym = c / 8.0, frame.sym
     h = type(sym)((-slope * sym.data - 1j * frame.skew.data, sym.indices, sym.indptr), shape=sym.shape)
-    line = math.ldexp(0.5, -frame.e) + frame.tol * (1.0 + slope)
-    ok = _negative_definite(h, line, _diagonal_positions(h)) is not None
+    slack = frame.tol * (1.0 + slope)
+    ok = _negative_definite(h, math.ldexp(0.5, -frame.e) + slack, _diagonal_positions(h)) is not None
+    method = "one LDL^H of -(C/8) S - i K - (1/2 + slack) I, negative definite by inertia"
+    record = _Record(ok, 0.5, None, None, math.ldexp(slack, frame.e), method, [])
     if c == 0.0:
-        return Sector(vertex=frame.unscaled[0], half_angle=0.0), ok
-    return Sector(vertex=-4.0 / c, half_angle=min(math.atan(slope), math.nextafter(math.pi / 2.0, 0.0))), ok
+        return Sector(vertex=frame.unscaled[0], half_angle=0.0), record
+    return Sector(vertex=-4.0 / c, half_angle=min(math.atan(slope), math.nextafter(math.pi / 2.0, 0.0))), record
 
 
 def check_sector(sample: NumericalRangeSample, asymmetry_constant: float):
@@ -503,7 +512,8 @@ def check_sector(sample: NumericalRangeSample, asymmetry_constant: float):
     which lies below pi/2 even where it rounds to it; degenerate half-line at
     the leftmost point when C = 0) and the pass flag.
     """
-    return _sector(sample.frame, float(asymmetry_constant))
+    sector, record = _sector(sample.frame, float(asymmetry_constant))
+    return sector, record.ok
 
 
 def fit_sector(sample: NumericalRangeSample, vertex: float) -> Sector:
@@ -596,25 +606,14 @@ def cheeger_bruteforce(g: DirectedGraph, max_subset_size: int | None = None) -> 
     k_max = min(int(max_subset_size), n - 1)
     if k_max < 1:
         raise GraphError("max_subset_size must be >= 1")
-    best = math.inf
-    witness: frozenset[int] = frozenset()
-    exhausted = False
-    count = 0
-    edges = _out_edges(g)
-    for subset in _connected_subsets(g, k_max):
-        count += 1
+    best, witness, count, edges = math.inf, frozenset(), 0, _out_edges(g)
+    for count, subset in enumerate(_connected_subsets(g, k_max), 1):
         if count > _BUDGET:
-            exhausted = True
             break
         q = _boundary_quotient(edges, subset)
         if q < best:
-            best = q
-            witness = subset
-    return CheegerResult(
-        value=best,
-        witness=tuple(sorted(witness)),
-        certified=k_max >= n - 1 and not exhausted,
-    )
+            best, witness = q, subset
+    return CheegerResult(best, tuple(sorted(witness)), certified=k_max >= n - 1 and count <= _BUDGET)
 
 
 def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> CheegerResult:
@@ -634,12 +633,7 @@ def cheeger_nested(g: DirectedGraph, family: Sequence[Iterable[int]]) -> Cheeger
     edges = _out_edges(g)
     quotients = [_boundary_quotient(edges, s) for s in sets]
     idx = int(np.argmin(quotients))
-    return CheegerResult(
-        value=quotients[idx],
-        witness=tuple(sorted(sets[idx])),
-        certified=False,
-        witness_index=idx,
-    )
+    return CheegerResult(quotients[idx], tuple(sorted(sets[idx])), certified=False, witness_index=idx)
 
 
 class CheegerBound(NamedTuple):
@@ -650,10 +644,11 @@ class CheegerBound(NamedTuple):
     ok: bool
 
 
-def _cheeger_bound(h: float, g: DirectedGraph, min_real: float, tol: float) -> CheegerBound:
-    """Compare ``min_real``, computed to ``tol``, with lambda0 = h^2 / (2 M), M the max degree of ``g``."""
-    lambda0 = h**2 / (2.0 * g.max_degree)
-    return CheegerBound(lambda0, min_real, min_real >= lambda0 - tol)
+def _cheeger(g: DirectedGraph, ball_: Ball, h: float, frame: Frame | None = None) -> _Record:
+    """The record of min Re W >= lambda0 = h^2 / (2 M), M the host max degree, on ``frame`` or a new one."""
+    frame = _standard_frame(assemble(g, ball_, "laplacian")) if frame is None else frame
+    method = "lambda0 = h^2 / (2 max degree), h by enumeration of connected subsets"
+    return _above(frame, h**2 / (2.0 * g.max_degree), method, ["accretivity"])
 
 
 def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound:
@@ -661,27 +656,33 @@ def cheeger_bound_check(g: DirectedGraph, ball_: Ball, h: float) -> CheegerBound
     if not 0.0 <= h < math.inf:
         raise GraphError(f"Cheeger constant must be finite and >= 0, got {h!r}")
     _require_unit_measure(g, "the Cheeger lower bound requires unit vertex measure")
-    return _cheeger_bound(h, g, *_standard_frame(assemble(g, ball_, "laplacian")).unscaled)
+    record = _cheeger(g, ball_, h)
+    return CheegerBound(record.bound, record.value[1], record.ok)
 
 
 # -- aggregated certificate --------------------------------------------------------
 
 
+# Each verdict is the `and` of the `ok` of the records it names; None when one is absent (Cheeger above 20 vertices).
+_VERDICTS = {
+    "kirchhoff_balance": ("kirchhoff",),
+    "accretive_truncation": ("accretivity",),
+    "m_accretive_supported": ("kirchhoff", "accretivity"),
+    "m_sectorial_supported": ("kirchhoff", "accretivity", "sector"),
+    "cheeger_bound_supported": ("cheeger",),
+}
+
+
 def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
-    """Run every checker on one truncation and return the aggregated report.
+    """Run every check on one truncation and return the report ``certify`` emits.
 
-    The report is the JSON object ``certify`` emits.  Its ``verdicts`` state
-    which operator conclusions are numerically supported on the probed
-    truncation: m-accretivity reads the Kirchhoff balance on the interior and
-    the accretivity of the truncation (``min_real`` >= -tol), m-sectoriality
-    reads both and the sector check, and (for unit measure, up to 20
-    vertices) the Cheeger verdict reads whether the Cheeger constant bounds
-    the real part of the numerical range from below.  The asymmetry, total
-    asymmetry and cutoff constants are reported; no verdict reads them.
-
-    Graphs failing the Kirchhoff balance still get their truncation analyzed;
-    the report then states the hypotheses as not met, which is useful when
-    exploring counterexamples.
+    Each check returns one :class:`_Record`: the Kirchhoff balance on the
+    interior, accretivity (``min_real`` >= -tol), the sector and, for unit
+    measure up to 20 vertices, the Cheeger bound.  Each verdict reads the
+    records ``_VERDICTS`` names, and the ``why`` block holds both.  The
+    asymmetry, total asymmetry and cutoff constants are reported; no verdict
+    reads them.  A graph failing the Kirchhoff balance still gets its
+    truncation analyzed, which is useful when exploring counterexamples.
     """
     balance = check_kirchhoff(g, ball_.interior)
     sector_constant = check_asymmetry(g, ball_.vertices)
@@ -698,43 +699,49 @@ def accretivity_certificate(g: DirectedGraph, ball_: Ball) -> dict:
     cutoffs = _cutoffs(g, dist, sorted({max(1, ball_.radius // 4), max(1, ball_.radius // 2)}))
 
     frame = _standard_frame(assemble(g, ball_, "laplacian"))
-    sector, sector_ok = _sector(frame, sector_constant)
-    min_real, tol = frame.unscaled
+    sector, sector_record = _sector(frame, sector_constant)
+    imbalance = balance.max_imbalance
+    kirchhoff_method = "max |out - in| over the interior, each vertex within 1e-12 max(out, in)"
+    records = {
+        "kirchhoff": _Record(balance.ok, 0.0, imbalance, imbalance, None, kirchhoff_method, []),
+        "accretivity": _above(frame, 0.0, "Noda iteration on S, its Collatz-Wielandt and Rayleigh ends", []),
+        "sector": sector_record,
+    }
 
     cheeger_info = None
     # The default enumeration is complete only there, so the h reported is the constant itself.
     if np.all(g.measures == 1.0) and len(g) <= _COMPLETE_ENUMERATION:
         result = cheeger_bruteforce(g)
-        bound = _cheeger_bound(result.value, g, min_real, tol)
+        records["cheeger"] = cheeger = _cheeger(g, ball_, result.value, frame)
         cheeger_info = {
             "h": result.value,
             "witness": [g.label(v) for v in result.witness],
             "certified": result.certified,
-            "lambda0": bound.lambda0,
-            "ok": bound.ok,
+            "lambda0": cheeger.bound,
+            "ok": cheeger.ok,
         }
 
-    accretive = min_real >= -tol
     return {
         "radius": ball_.radius,
         "interior_size": len(ball_.interior),
         "kirchhoff": {
             "ok": balance.ok,
-            "max_imbalance": balance.max_imbalance,
+            "max_imbalance": imbalance,
             "worst_vertex": None if balance.worst_vertex is None else g.label(balance.worst_vertex),
         },
         "asymmetry_constant": check_asymmetry(g, ball_.interior),
         "sector_constant": sector_constant,
         "cutoff_constant": cutoffs.constant,
         "total_asymmetry": {"values": gamma_values, "trend": trend},
-        "min_real": min_real,
-        "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle, "ok": sector_ok},
+        "min_real": records["accretivity"].value[1],
+        "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle, "ok": sector_record.ok},
         "cheeger": cheeger_info,
         "verdicts": {
-            "kirchhoff_balance": balance.ok,
-            "accretive_truncation": accretive,
-            "m_accretive_supported": bool(balance.ok and accretive),
-            "m_sectorial_supported": bool(balance.ok and accretive and sector_ok),
-            "cheeger_bound_supported": None if cheeger_info is None else cheeger_info["ok"],
+            verdict: all(records[name].ok for name in names) if records.keys() >= set(names) else None
+            for verdict, names in _VERDICTS.items()
+        },
+        "why": {
+            "records": {name: record._asdict() for name, record in records.items()},
+            "verdicts": {verdict: list(names) for verdict, names in _VERDICTS.items()},
         },
     }

@@ -50,6 +50,12 @@ def unit_measure_copy(g):
     return dl.DirectedGraph(vertices, edges)
 
 
+def directed_unit_cycle(n):
+    """The directed cycle v0 -> v1 -> ... -> v(n-1) -> v0 with unit weights and measures."""
+    labels = [f"v{i}" for i in range(n)]
+    return dl.DirectedGraph([(v, 1.0) for v in labels], [(labels[i], labels[(i + 1) % n], 1.0) for i in range(n)])
+
+
 def naive_adjacency(g):
     """Edge weights {(x, y): b(x, y)} and ascending neighbor lists, from the edge list alone."""
     weights = {(x, y): w for x, y, w in g.iter_edges()}
@@ -61,8 +67,8 @@ def naive_adjacency(g):
 
 
 def interior_random_vectors(op, count, rng, complex_values=True):
-    """Random vectors supported on the interior rows of a truncation."""
-    rows = op.interior_rows
+    """Random vectors supported on the interior rows of a truncation (every row of a synthetic operator)."""
+    rows = np.arange(op.n) if op.ball is None else np.searchsorted(op.vertices, op.ball.interior)
     out = np.zeros((op.n, count), dtype=complex if complex_values else float)
     block = rng.standard_normal((len(rows), count))
     if complex_values:

@@ -11,7 +11,7 @@ import pytest
 import dirlap as dl
 from dirlap.cli import main
 
-from conftest import unit_measure_copy
+from conftest import directed_unit_cycle, unit_measure_copy
 
 
 def run(capsys, *argv):
@@ -360,11 +360,6 @@ def test_certify_emits_the_library_report(capsys, source, build):
             assert isinstance(report["cheeger"], dict)
         else:
             assert report["cheeger"] is None
-
-
-def directed_unit_cycle(n):
-    labels = [f"v{i}" for i in range(n)]
-    return dl.DirectedGraph([(v, 1.0) for v in labels], [(labels[i], labels[(i + 1) % n], 1.0) for i in range(n)])
 
 
 # Unit-measure graphs of at most 20 vertices, each with the radius to probe (None: the default).

@@ -154,10 +154,9 @@ def test_rows_of_a_ball_and_of_a_synthetic_operator(ladder_sqrt):
     b = dl.ball(ladder_sqrt, 0, 4)
     op = dl.assemble(ladder_sqrt, b, "laplacian")
     assert [op.row_of(v) for v in b.vertices] == list(range(op.n))
-    assert op.interior_rows.tolist() == [i for i, v in enumerate(op.vertices) if v in b.interior]
-    # Without a ball, row i is vertex i and every row is interior.
+    # Without a ball, row i is vertex i.
     synthetic = dl.TruncatedOperator(np.eye(3), np.ones(3), "laplacian")
-    assert synthetic.vertices.tolist() == synthetic.interior_rows.tolist() == [0, 1, 2]
+    assert synthetic.vertices.tolist() == [0, 1, 2]
     assert synthetic.row_of(2) == 2
     with pytest.raises(GraphError, match="vertex 3 is not in the truncation"):
         synthetic.row_of(3)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import dirlap as dl
 from dirlap import GraphError
 
-from conftest import unit_measure_copy
+from conftest import directed_unit_cycle, unit_measure_copy
 
 RNG = np.random.default_rng(991)
 
@@ -857,7 +857,7 @@ def test_noda_encloses_the_exact_lowest_eigenvalue(seed, n, radius, kind, measur
     assert np.all(off_diagonal <= 0.0)
     delta = min_real_slack(s)
     lower, upper = spectral._noda(s, delta, spectral._diagonal_positions(s))
-    assert upper - lower <= delta and spectral._lowest_eigenvalue(s) == upper
+    assert upper - lower <= delta and spectral._lowest_eigenvalue(s)[0] == upper
     # The lower end is rigorous for the stored S.  The upper end is a computed
     # Rayleigh quotient, whose exact value lies above lambda_min.
     dense = s.toarray()
@@ -1020,6 +1020,57 @@ def test_inline_conjugate_gradients_are_scipys_to_the_bit(monkeypatch):
         assert np.array_equal(x, lu.solve(b))
 
 
+def why_outcomes(cert, leave_out=()):
+    """The ``ok``, ``method`` and ``reads`` of each record of the report's ``why`` block, and its verdict table."""
+    why = cert["why"]
+    records = {name: (r["ok"], r["method"], r["reads"]) for name, r in why["records"].items() if name not in leave_out}
+    return records, why["verdicts"]
+
+
+def dyadic_measures(g, seed, lowest):
+    """``g`` with measures 2^j, j drawn from [lowest, 0]; lowest = 0 gives unit measure."""
+    js = np.random.default_rng(seed).integers(lowest, 1, len(g))
+    return dl.DirectedGraph(
+        [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), js)],
+        [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()],
+    )
+
+
+SINGLE_EDGE = dl.DirectedGraph([("u", 1.0), ("v", 1.0)], [("u", "v", 3.0)])
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.builds(
+        lambda seed, n, lowest: dyadic_measures(dl.make_random_balanced(n, seed), seed, lowest),
+        st.integers(0, 10**6),
+        st.integers(3, 14),
+        st.integers(-20, 0),
+    ),
+    st.integers(1, 3),
+)
+@example(SINGLE_EDGE, 1)
+@example(directed_unit_cycle(5), 1)
+@example(directed_unit_cycle(5), 5)
+def test_every_verdict_reads_its_records(g, radius):
+    cert = dl.accretivity_certificate(g, dl.ball(g, 0, radius))
+    records, table = cert["why"]["records"], cert["why"]["verdicts"]
+    assert table.keys() == cert["verdicts"].keys()
+    for verdict, names in table.items():
+        if all(name in records for name in names):
+            assert cert["verdicts"][verdict] is all(records[name]["ok"] for name in names)
+        else:
+            assert cert["verdicts"][verdict] is None
+    for record in records.values():
+        value, bound = record["value"], record["bound"]
+        if value is None:
+            assert record["margin"] is None
+        elif isinstance(value, list):
+            assert record["margin"] == [end - bound for end in value]
+        else:
+            assert record["margin"] == value - bound
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(1, 3), st.booleans())
 def test_relabeling_keeps_the_certificate(seed, n, radius, unit):
@@ -1028,6 +1079,7 @@ def test_relabeling_keeps_the_certificate(seed, n, radius, unit):
     shuffled = rebuilt(g, np.random.default_rng(seed).permutation(len(g)))
     certs = [dl.accretivity_certificate(h, dl.ball(h, h.index("v0"), radius)) for h in (g, shuffled)]
     assert certs[0]["verdicts"] == certs[1]["verdicts"]
+    assert why_outcomes(certs[0]) == why_outcomes(certs[1])
     assert certs[0]["sector"]["ok"] == certs[1]["sector"]["ok"]
     assert certs[0]["total_asymmetry"]["trend"] == certs[1]["total_asymmetry"]["trend"]
     a = dl.similarity_to_standard(dl.assemble(g, dl.ball(g, g.index("v0"), radius), "laplacian"))
@@ -1045,7 +1097,7 @@ def test_relabeling_keeps_the_certificate(seed, n, radius, unit):
 )
 def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, h):
     # Even k, so that sqrt(b), and with it the Cheeger constant, scales exactly by 2^(k/2).
-    # The sector line 1/2 + (C/8) Re z is not homogeneous, so its verdicts are left out.
+    # The sector line 1/2 + (C/8) Re z is not homogeneous, so its verdicts and record are left out.
     k = 2 * half_k
     g = unit_measure_copy(dl.make_random_balanced(n, seed))
     outcomes = []
@@ -1057,7 +1109,8 @@ def test_verdicts_do_not_change_when_the_weights_scale(seed, n, radius, half_k, 
         op = dl.assemble(graph, ball_, "laplacian")
         # bound.lambda0 = h^2 / 2M scales by 2^k with h^2; the times 0, 0.5, ..., 2 scale by 2^-k.
         trace = dl.evolve_trace(op, np.eye(op.n)[0], 0.0, 0.5 * 2.0**-s, 5, lambda0=bound.lambda0)
-        outcomes.append((verdicts, cert["total_asymmetry"]["trend"], bound.ok, trace["flagged"]))
+        why = why_outcomes(cert, leave_out=("sector",))
+        outcomes.append((verdicts, cert["total_asymmetry"]["trend"], bound.ok, trace["flagged"], why))
     assert outcomes[0] == outcomes[1]
 
 
