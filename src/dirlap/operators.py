@@ -17,12 +17,13 @@ Kinds:
 
 A truncation is stored sparse, as the CSR arrays ``data``, ``indices`` and
 ``indptr`` that :func:`assemble` builds straight from the graph's CSR slots;
-:meth:`TruncatedOperator.dense` forms the n-by-n matrix only where a dense
-algorithm needs it (the matrix exponential, the resolvent, matrix dumps).
+:meth:`TruncatedOperator.dense` forms the n-by-n matrix of A for dumps.
 
 The inner product is the measure-weighted one, <u, v> = sum m(x) u(x)
-conj(v(x)).  :func:`similarity_to_standard` maps a truncation to the dense
-matrix whose standard numerical range and norms equal the weighted ones.
+conj(v(x)).  ``_standard_entries`` alone forms a = D^(1/2) A D^(-1/2), whose
+standard numerical range and norms equal the weighted ones of A; the
+spectral frame reads its entries, and :func:`similarity_to_standard` places
+them in the dense array that the matrix exponential and the resolvent read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "KINDS",
     "TruncatedOperator",
     "assemble",
-    "weighted_norm",
     "similarity_to_standard",
     "green_residual_batch",
 ]
@@ -178,23 +178,15 @@ def assemble(g: DirectedGraph, ball_: Ball, kind: str) -> TruncatedOperator:
 # -- weighted geometry ---------------------------------------------------------
 
 
-def weighted_norm(u: np.ndarray, measure: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(measure * np.abs(np.asarray(u)) ** 2)))
-
-
 def similarity_to_standard(op: TruncatedOperator) -> np.ndarray:
-    """D^(1/2) A D^(-1/2) with D = diag(m).
+    """D^(1/2) A D^(-1/2) with D = diag(m), as a dense array: the entries of ``_standard_entries`` in place.
 
     The standard numerical range and operator norm of the result equal the
-    measure-weighted ones of ``op``.
+    measure-weighted ones of ``op``.  A subnormal entry is a :class:`NumericError`.
     """
-    return _similar(op.dense(), op.measure_vector)
-
-
-def _similar(matrix: np.ndarray, measure: np.ndarray) -> np.ndarray:
-    """D^(1/2) M D^(-1/2) with D = diag(measure), for any matrix M acting on the ball."""
-    d = np.sqrt(measure)
-    return matrix * d[:, None] / d[None, :]
+    matrix = np.zeros((op.n, op.n))
+    matrix[op._entry_rows(), op.indices] = _standard_entries(op)
+    return matrix
 
 
 def _standard_entries(op: TruncatedOperator) -> np.ndarray:
@@ -202,7 +194,7 @@ def _standard_entries(op: TruncatedOperator) -> np.ndarray:
 
     A subnormal entry is a :class:`NumericError`: its rounding is absolute,
     not relative to ||A||, so no tolerance covers it.  Every verdict on an
-    operator, ``evolve`` included, calls this.
+    operator, the heat semigroup's included, calls this.
     """
     d = np.sqrt(op.measure_vector)
     values = op.data * d[op._entry_rows()] / d[op.indices]

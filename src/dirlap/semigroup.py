@@ -4,16 +4,18 @@ On accretive truncations the semigroup is a contraction in the weighted
 norm, the resolvent satisfies ||(A + lambda)^{-1}|| <= 1 / Re(lambda) on the
 right half-plane, and a positive lower bound on the real part of the
 numerical range turns contraction into exponential decay.  All norms are
-taken in the measure-weighted geometry via the similarity transform.
+plain 2-norms in the frame of a = D^(1/2) A D^(-1/2), D = diag(m), which
+``operators._standard_entries`` alone forms: f -> D^(1/2) f maps ell^2(m)
+isometrically onto ell^2, so exp(-tA) in the weighted norm is exp(-ta) in
+the plain one, and scaling-and-squaring of a is backward stable relative to
+||a||_2, the weighted norm of A (Higham, *SIAM J. Matrix Anal. Appl.* 26, 2005).
 
-A single time t forms one propagator P = exp(-tA) by
-scaling-and-squaring (exact to rounding at the intended sizes, a few
-thousand rows at most).  The weighted operator norm is read from that one
-P.  The norm, the largest singular value of
-Q = D^(1/2) P D^(-1/2), is the square root of the top eigenvalue of Q^T Q
-(one full symmetric eigenvalue solve, no SVD), with Q scaled by a power of
-two so that Q^T Q stays in range.  A time grid start + k step forms at most
-two scaling-and-squarings, exp(-start A) and exp(-step A), not one per time.
+A single time t forms one propagator P = exp(-ta) by scaling-and-squaring
+(exact to rounding at the intended sizes, a few thousand rows at most).  Its
+norm sigma_1(P) is the square root of the top eigenvalue of P^T P (one full
+symmetric eigenvalue solve, no SVD), with P scaled by a power of two so that
+P^T P stays in range.  A time grid start + k step forms at most two
+scaling-and-squarings, exp(-start a) and exp(-step a), not one per time.
 It does not carry the n-by-n propagator.  A randomized range finder with an
 explicitly computed residual finds the r singular directions of its first
 nonzero step above n eps sigma_1, in O(n^2 r) flops, and falls back to the
@@ -21,11 +23,11 @@ full SVD when r is near n (the skew part, tiny steps).  All propagators
 commute, so each later step maps those directions into themselves, up to
 n eps sigma_1.  The grid steps the r-by-r block W^T Q_h W, formed once, when
 r is below n / 2, and the n-by-r block of the SVD otherwise.  The norm is
-read from the r-by-r Gram matrix.  The state vector is stepped on its own.
+read from the r-by-r Gram matrix.  The state D^(1/2) v0 is stepped on its own.
 :func:`evolve_trace` returns the trace as the JSON object ``evolve`` emits.
 
 Two paths: a truncation of band width w with 13 w < n - 1 (a ladder) takes
-:func:`_banded_expm` when ||tA||_1 > theta_13, every other input
+:func:`_banded_expm` when ||ta||_1 > theta_13, every other input
 ``scipy.linalg.expm``.  The banded step forms the Pade-13 polynomials on the
 band, takes s from Al-Mohy & Higham's scaling rule, solves for the Pade
 factor P by banded LU, and squares P s times, in row windows while its
@@ -40,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .graph import _EPS, GraphError, NumericError, _finite, _indices, _tolerance
-from .operators import TruncatedOperator, _similar, _standard_entries, similarity_to_standard, weighted_norm
+from .operators import TruncatedOperator, _standard_entries, similarity_to_standard
 
 __all__ = [
     "operator_norm_expm",
@@ -66,25 +68,32 @@ _THETA13 = 5.371920351148152
 _C27 = 113250775606021113483283660800000000.0
 
 
-def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
-    """exp(-tA) as a dense matrix; t must be finite and nonnegative (one-sided semigroup).
-
-    :func:`_banded_expm` forms it when the stored band width w has 13 w < n - 1 and
-    ||tA||_1 > theta_13; else, for wide bands and steps too short to square, ``scipy.linalg.expm``.
-    """
+def _check_time(t: float) -> None:
+    """A :class:`GraphError` unless t is finite and nonnegative (the semigroup is one-sided)."""
     if not math.isfinite(t):
         raise GraphError(f"time must be finite, got {t}")
     if t < 0:
         raise GraphError("the semigroup is one-sided: t must be >= 0")
+
+
+def _propagator(op: TruncatedOperator, t: float) -> np.ndarray:
+    """exp(-ta), a = D^(1/2) A D^(-1/2), as a dense matrix; t must be finite and nonnegative.
+
+    :func:`_banded_expm` forms it when the stored band width w has 13 w < n - 1 and
+    ||ta||_1 > theta_13; else, for wide bands and steps too short to square, ``scipy.linalg.expm``.
+    A subnormal entry of a is a :class:`NumericError`, at t = 0 too.
+    """
+    _check_time(t)
+    entries = _standard_entries(op)
     if t == 0.0:
         return np.eye(op.n)
     width = int(np.abs(op._entry_rows() - op.indices).max(initial=0))
     if 13 * width < op.n - 1:
-        if not math.isfinite(norm := t * float(np.bincount(op.indices, np.abs(op.data), op.n).max())):
+        if not math.isfinite(norm := t * float(np.bincount(op.indices, np.abs(entries), op.n).max())):
             raise NumericError(f"||{t} A||_1 is not finite")
         if norm > _THETA13:
-            return _finite(_banded_expm(op, t, norm, width), f"exp(-{t} A)")
-    return _finite(scipy.linalg.expm(-t * op.dense()), f"exp(-{t} A)")
+            return _finite(_banded_expm(op, entries, t, norm, width), f"exp(-{t} A)")
+    return _finite(scipy.linalg.expm(-t * similarity_to_standard(op)), f"exp(-{t} A)")
 
 
 def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,7 +141,7 @@ def _dense(band: np.ndarray) -> np.ndarray:
 
 
 def _squarings(x: np.ndarray, x6: np.ndarray, x8: np.ndarray, x10: np.ndarray, s: int) -> int:
-    """The number of squarings that Al-Mohy & Higham's rule picks for X = 2^-s (-tA), from the bands of X^k.
+    """The number of squarings that Al-Mohy & Higham's rule picks for X = 2^-s (-ta), from the bands of X^k.
 
     eta = min(max(d6, d8), max(d8, d10)), with d_k = ||X^k||_1^(1/k) read
     exactly from the bands, bounds the backward error of the Pade-13 step
@@ -157,10 +166,10 @@ def _squarings(x: np.ndarray, x6: np.ndarray, x8: np.ndarray, x10: np.ndarray, s
     return fewer + max(math.ceil(excess / 26), 0)
 
 
-def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.ndarray:
-    """exp(-tA) for band width w, by scaling and squaring of the Pade-13 approximant.
+def _banded_expm(op: TruncatedOperator, entries: np.ndarray, t: float, norm: float, w: int) -> np.ndarray:
+    """exp(-ta) for band width w, from the stored ``entries`` of a, by scaling and squaring of the Pade-13 approximant.
 
-    X = 2^-s (-tA), with s = ceil(log2(||tA||_1 / theta_13)), has ||X||_1 <=
+    X = 2^-s (-ta), with s = ceil(log2(||ta||_1 / theta_13)), has ||X||_1 <=
     theta_13 (Higham, *SIAM J. Matrix Anal. Appl.* 26, 2005).  X and its even
     powers up to X^10 are formed on the band, stored by diagonals (X^k has
     width kw), each X^(2j+2) as X^2 X^(2j).  :func:`_squarings` reads the
@@ -172,13 +181,13 @@ def _banded_expm(op: TruncatedOperator, t: float, norm: float, w: int) -> np.nda
     solves P (V - U) = V + U, the same P as (V - U) P = V + U because U and V
     commute: the diagonals of V - U, stored as here, are LAPACK's band
     layout of its transpose, and the solution overwrites V + U.  s squarings
-    by :func:`_square`, each dense or in row windows, give exp(-tA) = P^(2^s).
+    by :func:`_square`, each dense or in row windows, give exp(-ta) = P^(2^s).
     """
     b = _PADE13
     s = math.ceil(math.log2(norm / _THETA13))
     rows = op._entry_rows()
     x = np.zeros((2 * w + 1, op.n))
-    x[op.indices - rows + w, rows] = np.ldexp(-t * op.data, -s)
+    x[op.indices - rows + w, rows] = np.ldexp(-t * entries, -s)
     x2 = _band_product(x, x)
     x4 = _band_product(x2, x2)
     x6 = _band_product(x2, x4)
@@ -244,30 +253,25 @@ def _square(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vector(op: TruncatedOperator, values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.shape[:1] != (op.n,):
-        raise GraphError(f"expected a vector of length {op.n}")
-    return values
+def _unit_scaled(q: np.ndarray) -> tuple[np.ndarray, int]:
+    """2^-e q and e, for the power of two 2^-e that brings max |q| into [1/2, 1); e = 0 when q is all zero or empty."""
+    e = math.frexp(float(np.abs(q).max(initial=0.0)))[1]
+    return np.ldexp(q, -e), e
 
 
 def _largest_singular_value(q: np.ndarray, what: str) -> float:
     """sigma_1(q) = sqrt(lambda_max(q^T q)) for a real n-by-r block q.
 
-    q is first scaled by the power of two 2^-e that brings max |q| into
-    [1/2, 1), so q^T q neither underflows nor overflows and the value scales
-    exactly with q.  One full symmetric eigenvalue solve of the r-by-r Gram
-    matrix (LAPACK's QR iteration, ``driver="ev"``) replaces an SVD.  Unlike
-    bisection for the top eigenvalue alone, it also converges when every
-    eigenvalue lies within rounding of the others, as for exp(-tA) within
-    ~1e-21 of the identity.
+    q is first scaled to unit size (:func:`_unit_scaled`), so q^T q neither
+    underflows nor overflows and the value scales exactly with q; 0 if q is.
+    One full symmetric eigenvalue solve of the r-by-r Gram matrix (LAPACK's
+    QR iteration, ``driver="ev"``) replaces an SVD.  Unlike bisection for
+    the top eigenvalue alone, it also converges when every eigenvalue lies
+    within rounding of the others, as for exp(-ta) within ~1e-21 of I.
     """
-    _finite(q, what)
-    peak = float(np.abs(q).max(initial=0.0))
-    if peak == 0.0:
+    q, e = _unit_scaled(_finite(q, what))
+    if not q.any():
         return 0.0
-    e = math.frexp(peak)[1]
-    q = np.ldexp(q, -e)
     try:
         top = scipy.linalg.eigvalsh(q.T @ q, driver="ev")[-1]
     except np.linalg.LinAlgError as exc:
@@ -284,17 +288,17 @@ def _residual(q: np.ndarray, u: np.ndarray, b: np.ndarray) -> float:
 
 
 def _svd(matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The thin SVD U, sigma, V^T of ``matrix``, a block formed from exp(-tA)."""
+    """The thin SVD U, sigma, V^T of ``matrix``, a block formed from exp(-ta)."""
     try:
         return scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular values of exp(-{t} A) failed: {exc}") from exc
 
 
-def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _range_basis(step: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """W (n-by-r, orthonormal) and sigma_1..sigma_r with Q V = W Sigma_r + F V, ||F||_2 <= n eps sigma_1.
 
-    Q = D^(1/2) E D^(-1/2) is the weighted step.  V has r orthonormal
+    Q = exp(-ta) is the step, in the frame of a.  V has r orthonormal
     columns, and F is what the basis drops.  A randomized range finder (Halko,
     Martinsson & Tropp, *SIAM Review* 53, 2011) sketches Y = Q Omega, with a
     Gaussian Omega of fixed seed from numpy's legacy ``RandomState``, whose
@@ -319,16 +323,14 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
     longer pays: U = I, and Q gets the full SVD, with r the count of
     sigma_j > n eps sigma_1 (Golub & Van Loan, *Matrix Computations*,
     section 2.4), and then F V = 0.  A full-rank step (the skew part, or
-    ||A|| h far below 1) pays one sketch of ``_SKETCH`` columns before that
-    SVD.  An all-zero step has r = 0.  Q is first scaled in place by the
-    power of two that brings max |Q| into [1/2, 1), and sigma is scaled
-    back: W and sigma are unchanged while values stay in range, and the cut
-    n eps sigma_1 cannot underflow, even when sigma_1 is subnormal.
+    ||a|| h far below 1) pays one sketch of ``_SKETCH`` columns before that
+    SVD.  An all-zero step has r = 0.  A copy of Q is first scaled to unit
+    size by :func:`_unit_scaled`, and sigma is scaled back: W and sigma are
+    unchanged while values stay in range, and the cut n eps sigma_1 cannot
+    underflow, even when sigma_1 is subnormal.
     """
-    q = _finite(_similar(step, op.measure_vector), f"exp(-{t} A)")
-    e = math.frexp(float(max(q.max(initial=0.0), -q.min(initial=0.0))))[1]
-    np.ldexp(q, -e, out=q)
-    n = op.n
+    q, e = _unit_scaled(_finite(step, f"exp(-{t} A)"))
+    n = len(q)
     rng = np.random.RandomState(0)
     u, b = np.empty((n, 0)), np.empty((0, n))
     k = _SKETCH
@@ -356,15 +358,15 @@ def _range_basis(op: TruncatedOperator, step: np.ndarray, t: float) -> tuple[np.
 
 
 def operator_norm_expm(op: TruncatedOperator, t: float) -> float:
-    """Weighted operator norm of exp(-tA): sigma_1(Q), Q = D^(1/2) exp(-tA) D^(-1/2), from its Gram matrix.
+    """Weighted operator norm of exp(-tA): sigma_1 of the propagator exp(-ta), from its Gram matrix.
 
-    Its rounding grows with ||A|| t: scaling-and-squaring forms exp(-tA)
-    from 2^s squarings of a Pade approximant, with 2^s ~ ||A|| t.  On a
-    rotation (the skew part) with ||A|| t ~ 16 the norm came out 1.5e-13
+    Its rounding grows with ||a|| t: scaling-and-squaring forms exp(-ta)
+    from 2^s squarings of a Pade approximant, with 2^s ~ ||a|| t.  On a
+    rotation (the skew part) with ||a|| t ~ 16 the norm came out 1.5e-13
     above 1, over the slack 100 n eps of ``evolve``; stepping a grid of
     short steps, as :func:`evolve_trace` does, rounds far less.
     """
-    return _largest_singular_value(_similar(_propagator(op, t), op.measure_vector), f"exp(-{t} A)")
+    return _largest_singular_value(_propagator(op, t), f"exp(-{t} A)")
 
 
 def resolvent_norm(op: TruncatedOperator, lam: complex) -> float:
@@ -410,21 +412,21 @@ def evolve_trace(
     rounded to floats, as ``start + step * arange(count)``.  Write h_k for
     the step to t_k: start for k = 0, step after it.
 
-    Until the first nonzero step E_1 the propagator is the identity (norm
-    1).  After it, exp(-t_k A) = R_k E_1, with R_k the product of the later
-    steps.  In the weighted frame, where Q_h = D^(1/2) exp(-hA) D^(-1/2),
+    In the frame of a, each step is Q_h = exp(-ha) (:func:`_propagator`).
+    Until the first nonzero step Q_1 the propagator is the identity (norm 1).
+    After it, exp(-t_k a) = R_k Q_1, with R_k the product of the later steps.
     ``_range_basis`` gives Q_1 V = W Sigma_r + F V, with W and V orthonormal
     and ||F|| <= n eps sigma_1.  The trace reads sigma_1 of X_k = R_k Q_1 V.
     As Q_1 (I - V V^T) = F (I - V V^T), this is within ||R_k|| n eps sigma_1
     of ||R_k Q_1||, the rounding of the dense product itself.
 
     With 2r < n, X_k is tracked inside span W by Y_k = W C_k.  Here C_1 =
-    Sigma_r and C_k = M_(h_k) C_(k-1) is r-by-r, with M_h = W^T Q_h W =
-    (D^(1/2) W)^T exp(-hA) (D^(-1/2) W).  M_h is formed once, for h = step,
-    in 2 n^2 r flops, with no n-by-n temporary.  Each later step then
-    costs r^3 flops, not n^2 r, and sigma_1(Y_k) = sigma_1(C_k).  Let
-    P = W W^T, so Y_k = P Q_(h_k) Y_(k-1).  The part of X_k that leaks out of
-    span W stays small because every propagator commutes with Q_1:
+    Sigma_r and C_k = M_(h_k) C_(k-1) is r-by-r, with M_h = W^T Q_h W.
+    M_h is formed once, for h = step, in 2 n^2 r flops, with no n-by-n
+    temporary.  Each later step then costs r^3 flops, not n^2 r, and
+    sigma_1(Y_k) = sigma_1(C_k).  Let P = W W^T, so Y_k = P Q_(h_k) Y_(k-1).
+    The part of X_k that leaks out of span W stays small because every
+    propagator commutes with Q_1:
     Q_(h_k) X_(k-1) = Q_1 R_k V, and (I - P) Q_1 = (I - P) F.  So
     X_k - Y_k = P Q_(h_k) (X_(k-1) - Y_(k-1)) + (I - P) F R_k V, and
     ||X_k - Y_k|| <= ||Q_(h_k)|| ||X_(k-1) - Y_(k-1)|| + ||R_k|| n eps sigma_1,
@@ -437,14 +439,14 @@ def evolve_trace(
     than it saves, and it would round worse: W is orthonormal only to
     rounding, so ||M_h|| can exceed ||Q_h|| by a few eps, and a repeated
     step compounds that excess.  On 1000 steps of a rotation it crossed the
-    slack 100 n eps.  So the n-by-r block D^(-1/2) W Sigma_r is stepped by
-    exp(-hA) itself, n^2 r flops per step, and sigma_1 is read from D^(1/2)
-    times it; then Y_k = X_k - R_k F V.
+    slack 100 n eps.  So the n-by-r block W Sigma_r is stepped by Q_h
+    itself, n^2 r flops per step; then Y_k = X_k - R_k F V.
 
-    v is stepped in full, v_k = exp(-h_k A) v_(k-1).  Each product adds one
-    product's rounding, so the error grows linearly with the number of steps.
+    u = D^(1/2) v0 is stepped in full, u_k = Q_(h_k) u_(k-1); ||u_k|| is the
+    weighted norm of exp(-t_k A) v0.  Each product adds one product's
+    rounding, so the error grows linearly with the number of steps.
 
-    A subnormal entry of D^(1/2) A D^(-1/2) is a :class:`NumericError`, as in
+    A subnormal entry of a is a :class:`NumericError`, as in
     :func:`dirlap.spectral.numrange_boundary`: no slack covers its rounding.
     """
     start, step = float(start), float(step)
@@ -457,33 +459,29 @@ def evolve_trace(
         raise GraphError(f"time grid must be finite, got last time {last}")
     times = start + step * indices
 
-    v = _vector(op, v0)
-    _standard_entries(op)
-
-    root_measure = np.sqrt(op.measure_vector)[:, None]
-    block = left = right = stepped = None
-    frame = 1.0
+    v0 = np.asarray(v0)
+    if v0.shape != (op.n,):
+        raise GraphError(f"expected a vector of length {op.n}")
+    u = np.sqrt(op.measure_vector) * v0
+    block = stepped = None
     op_norms, state_norms = np.ones_like(times), np.empty_like(times)
     for k, t in enumerate(times.tolist()):
         if k < 2:
             h = start if k == 0 else step
             propagator = _propagator(op, h)
-        v = _finite(propagator @ v, f"exp(-{t} A) v")
+        u = _finite(propagator @ u, f"exp(-{t} A) v")
         if h > 0.0 and block is None:
-            w, sigma = _range_basis(op, propagator, t)
-            if 2 * len(sigma) < op.n:
-                left, right, block = root_measure * w, w / root_measure, np.diag(sigma)
-            else:  # Step D^(-1/2) W Sigma_r by exp(-hA) itself; the docstring says why.
-                frame, block = root_measure, w * (sigma / root_measure)
-        elif h > 0.0 and left is None:
-            block = propagator @ block
+            w, sigma = _range_basis(propagator, t)
+            # With 2r >= n, W Sigma_r is stepped by exp(-ha) itself; the docstring says why.
+            small = 2 * len(sigma) < op.n
+            block = np.diag(sigma) if small else w * sigma
         elif h > 0.0:
             if stepped is None:
-                stepped = _finite(left.T @ (propagator @ right), f"exp(-{h} A)")
+                stepped = _finite(w.T @ (propagator @ w), f"exp(-{h} A)") if small else propagator
             block = stepped @ block
         if block is not None:
-            op_norms[k] = _largest_singular_value(frame * block, f"exp(-{t} A)")
-        state_norms[k] = weighted_norm(v, op.measure_vector)
+            op_norms[k] = _largest_singular_value(block, f"exp(-{t} A)")
+        state_norms[k] = math.sqrt(np.sum(np.abs(u) ** 2))
     if lambda0 is None:
         bounds = np.ones_like(times)
     else:
@@ -512,9 +510,6 @@ def positivity_check(op: TruncatedOperator, t: float) -> bool:
     """
     if op.kind == "skew_part":
         raise GraphError("positivity is not defined for the skew part")
-    if not math.isfinite(t):
-        raise GraphError(f"time must be finite, got {t}")
-    if t < 0:
-        raise GraphError("the semigroup is one-sided: t must be >= 0")
+    _check_time(t)
     data = _finite(op.data, "the operator")
     return t == 0.0 or bool(np.all(data[op.indices != op._entry_rows()] <= 0.0))

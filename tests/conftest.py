@@ -56,6 +56,11 @@ def directed_unit_cycle(n):
     return dl.DirectedGraph([(v, 1.0) for v in labels], [(labels[i], labels[(i + 1) % n], 1.0) for i in range(n)])
 
 
+def weighted_norm(u, measure):
+    """The norm of u in ell^2(m), sqrt(sum m(x) |u(x)|^2)."""
+    return float(np.sqrt(np.sum(measure * np.abs(u) ** 2)))
+
+
 def naive_adjacency(g):
     """Edge weights {(x, y): b(x, y)} and ascending neighbor lists, from the edge list alone."""
     weights = {(x, y): w for x, y, w in g.iter_edges()}

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import dirlap as dl
-from dirlap import GraphError
+from dirlap import GraphError, NumericError
 
-from conftest import interior_random_vectors, naive_adjacency
+from conftest import interior_random_vectors, naive_adjacency, weighted_norm
 
 RNG = np.random.default_rng(20240817)
 
@@ -165,16 +165,27 @@ def test_rows_of_a_ball_and_of_a_synthetic_operator(ladder_sqrt):
 # -- weighted geometry -------------------------------------------------------------
 
 
-def test_weighted_norm_example():
-    m = np.array([2.0, 3.0])
-    # 2 |1 + 2i|^2 + 3 |-i|^2 = 13
-    assert dl.weighted_norm(np.array([1 + 2j, -1j]), m) == pytest.approx(np.sqrt(13.0), rel=1e-15)
-    assert dl.weighted_norm(np.zeros(2), m) == 0.0
-
-
 def test_similarity_identity_for_unit_measure(ladder_unit):
     op = dl.assemble(ladder_unit, dl.ball(ladder_unit, 0, 4), "laplacian")
     assert np.array_equal(dl.similarity_to_standard(op), op.dense())
+
+
+def test_similarity_places_the_standard_entries_bit_for_bit(ladder_sqrt):
+    # The dense D^(1/2) A D^(-1/2) is (x d_i) / d_j, d = sqrt(m), on the sqrt ladder and on
+    # measures 2^j; a standard entry below the smallest normal float is a numeric failure.
+    g = dl.make_random_balanced(30, 3)
+    exponents = np.random.default_rng(3).integers(-20, 1, size=len(g))
+    spread = dl.DirectedGraph(
+        [(g.label(x), 2.0 ** int(j)) for x, j in zip(g.vertex_ids(), exponents)],
+        [(g.label(x), g.label(y), w) for x, y, w in g.iter_edges()],
+    )
+    for host, radius in ((ladder_sqrt, 8), (spread, 3)):
+        op = dl.assemble(host, dl.ball(host, 0, radius), "laplacian")
+        d = np.sqrt(op.measure_vector)
+        assert np.array_equal(dl.similarity_to_standard(op), op.dense() * d[:, None] / d[None, :])
+    tiny = dl.TruncatedOperator(np.array([[1.0, -1e-300], [0.0, 1.0]]), np.array([1e-18, 1.0]), "laplacian")
+    with pytest.raises(NumericError, match="subnormal"):
+        dl.similarity_to_standard(tiny)
 
 
 def test_similarity_preserves_quadratic_form(ladder_sqrt):
@@ -192,7 +203,7 @@ def test_quadratic_form_kinds(ladder_sqrt):
     b = dl.ball(ladder_sqrt, 0, 5)
     f = RNG.standard_normal(len(b.vertices)) + 1j * RNG.standard_normal(len(b.vertices))
     m = dl.assemble(ladder_sqrt, b, "laplacian").measure_vector
-    f = f / dl.weighted_norm(f, m)
+    f = f / weighted_norm(f, m)
     form = {kind: np.vdot(f, m * dl.assemble(ladder_sqrt, b, kind).apply(f)) for kind in dl.KINDS}
     assert abs(form["symmetric_part"].imag) < 1e-12
     assert abs(form["skew_part"].real) < 1e-12
@@ -240,8 +251,8 @@ def test_green_residual_small_on_random_pairs(ladder_sqrt, ladder_unit, tree4, r
         res = dl.green_residual_batch(g, b, f, h)
         scale = (
             np.linalg.norm(dl.similarity_to_standard(op), 2)
-            * dl.weighted_norm(f[:, 0], op.measure_vector)
-            * dl.weighted_norm(h[:, 0], op.measure_vector)
+            * weighted_norm(f[:, 0], op.measure_vector)
+            * weighted_norm(h[:, 0], op.measure_vector)
         )
         assert np.max(res) <= 1e-10 * scale
 

@@ -10,7 +10,7 @@ import dirlap as dl
 from dirlap import GraphError, NumericError, semigroup
 from dirlap.cli import _parse_time_grid, main
 from dirlap.graph import _EPS, _tolerance
-from dirlap.operators import KINDS, _similar
+from dirlap.operators import KINDS
 from dirlap.semigroup import (
     _SKETCH,
     _THETA13,
@@ -23,6 +23,8 @@ from dirlap.semigroup import (
     _range_basis,
 )
 
+from conftest import weighted_norm
+
 RNG = np.random.default_rng(4321)
 
 
@@ -30,7 +32,18 @@ def laplacian_on_ball(g, radius=8, root=0):
     return dl.assemble(g, dl.ball(g, root, radius), "laplacian")
 
 
-# -- the propagator exp(-tA) -------------------------------------------------
+def standard(op, matrix):
+    """D^(1/2) M D^(-1/2), D = diag(m): ``matrix``, acting on the ball, in the frame of a = D^(1/2) A D^(-1/2)."""
+    d = np.sqrt(op.measure_vector)
+    return matrix * d[:, None] / d[None, :]
+
+
+def reference_propagator(op, t):
+    """exp(-ta) = D^(1/2) exp(-tA) D^(-1/2), from scipy's exponential of the original matrix."""
+    return standard(op, scipy.linalg.expm(-t * op.dense()))
+
+
+# -- the propagator exp(-ta) -------------------------------------------------
 
 
 def test_identity_at_time_zero(ladder_sqrt):
@@ -68,8 +81,7 @@ def test_semigroup_law(ladder_sqrt):
     for s, t in RNG.uniform(0.0, 5.0, size=(5, 2)):
         once = _propagator(op, s + t) @ v
         twice = _propagator(op, float(s)) @ (_propagator(op, float(t)) @ v)
-        scale = dl.weighted_norm(once, op.measure_vector)
-        assert dl.weighted_norm(once - twice, op.measure_vector) <= 1e-9 * max(scale, 1.0)
+        assert np.linalg.norm(once - twice) <= 1e-9 * max(np.linalg.norm(once), 1.0)
 
 
 def test_doubled_step_reference(ladder_sqrt):
@@ -109,12 +121,11 @@ def test_fast_decay_unit_ladder(ladder_unit):
 
 
 def test_operator_norm_matches_standard_frame(ladder_sqrt):
-    # The norm is read in the weighted frame, D^(1/2) exp(-tA) D^(-1/2);
-    # the reference exponentiates the similar matrix S = D^(1/2) A D^(-1/2).
+    # The norm is sigma_1 of exp(-ta), a = D^(1/2) A D^(-1/2); the reference moves scipy's
+    # exp(-tA) into that frame, D^(1/2) exp(-tA) D^(-1/2).
     op = laplacian_on_ball(ladder_sqrt, 8)
-    s = dl.similarity_to_standard(op)
     for t in (0.1, 1.0, 5.0):
-        expected = np.linalg.norm(scipy.linalg.expm(-t * s), 2)
+        expected = np.linalg.norm(reference_propagator(op, t), 2)
         assert dl.operator_norm_expm(op, t) == pytest.approx(expected, rel=1e-12)
 
 
@@ -137,8 +148,9 @@ def test_operator_norm_monotone(ladder_unit):
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-def largest_singular_value(op, propagator):
-    return np.linalg.svd(_similar(propagator, op.measure_vector), compute_uv=False)[0]
+def largest_singular_value(propagator):
+    """sigma_1 of a propagator in the frame of a, from the dense SVD: the weighted norm of exp(-tA)."""
+    return np.linalg.svd(propagator, compute_uv=False)[0]
 
 
 @settings(deadline=None, max_examples=20)
@@ -152,7 +164,7 @@ def largest_singular_value(op, propagator):
 def test_norm_matches_the_dense_svd(seed, n, radius, kind, t):
     g = dl.make_random_balanced(n, seed)
     op = dl.assemble(g, dl.ball(g, 0, radius), kind)
-    sigma = largest_singular_value(op, _propagator(op, t))
+    sigma = largest_singular_value(_propagator(op, t))
     assert abs(dl.operator_norm_expm(op, t) - sigma) <= _tolerance(op.n, sigma)
     # A grid of the one time t forms exactly the one-shot propagator.
     trace = dl.evolve_trace(op, np.ones(op.n), t, 1.0, 1)
@@ -169,10 +181,10 @@ def test_norm_scales_exactly_with_the_propagator(k):
     scaled = np.ldexp(p, k)
 
     def norm(propagator):
-        return _largest_singular_value(_similar(propagator, op.measure_vector), "exp(-0.5 A)")
+        return _largest_singular_value(propagator, "exp(-0.5 A)")
 
     assert norm(scaled) == math.ldexp(norm(p), k)
-    sigma = largest_singular_value(op, scaled)
+    sigma = largest_singular_value(scaled)
     assert abs(norm(scaled) - sigma) <= _tolerance(op.n, sigma)
     assert norm(np.zeros_like(p)) == 0.0
 
@@ -192,7 +204,7 @@ def test_norm_of_a_propagator_near_the_identity(monkeypatch):
     assert "ev" in drivers
     assert trace["times"] == [0.0, 1e-20, 2e-20]
     for t, norm in zip(trace["times"], trace["operator_norms"]):
-        sigma = largest_singular_value(op, _propagator(op, t))
+        sigma = largest_singular_value(_propagator(op, t))
         assert abs(dl.operator_norm_expm(op, t) - sigma) <= _tolerance(op.n, sigma)
         assert abs(norm - sigma) <= _tolerance(op.n, sigma)
 
@@ -256,7 +268,8 @@ def band_width(op):
 
 
 def one_norm(op):
-    return float(np.bincount(op.indices, np.abs(op.data), op.n).max())
+    """||a||_1, the largest column sum of |D^(1/2) A D^(-1/2)|, which the propagator's dispatch reads."""
+    return float(np.abs(standard(op, op.dense())).sum(axis=0).max())
 
 
 def benchmark_ladder(measure="unit"):
@@ -291,7 +304,8 @@ def test_band_product_matches_the_dense_product(n, w):
 
 def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
     # The benchmark ladder (w = 2 of 299 rows) at t = 0.25 takes the band; a step too short to
-    # square, and a random graph's wide band, take scipy.linalg.expm, whose output is unchanged.
+    # square, and a random graph's wide band, take scipy.linalg.expm of D^(1/2) A D^(-1/2), whose
+    # output is unchanged.
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(len(a)) or expm(a))
@@ -304,7 +318,7 @@ def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
         p = _propagator(op, t)
         assert len(calls) == expected_calls
         if expected_calls:
-            assert np.array_equal(p, expm(-t * op.dense()))
+            assert np.array_equal(p, expm(-t * standard(op, op.dense())))
 
 
 @settings(deadline=None, max_examples=20)
@@ -316,7 +330,7 @@ def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
     st.floats(_THETA13 * (1 + 1e-9), 1e5),
     st.integers(0, 10**6),
 )
-# Just above 2^k theta_13, where ||tA||_1 asks for k + 1 squarings and the scaling rule takes k: 4, and none.
+# Just above 2^k theta_13, where ||ta||_1 asks for k + 1 squarings and the scaling rule takes k: 4, and none.
 @example(depth=20, measure="unit", kind="laplacian", lowest=None, norm_t=16 * _THETA13 * (1 + 1e-9), seed=0)
 @example(depth=20, measure="sqrt_n", kind="skew_part", lowest=None, norm_t=_THETA13 * (1 + 1e-9), seed=0)
 # Long enough to square the powers in row windows: 4 of 11 squarings at 159 rows, 6 or 7 of 11 at 299.
@@ -324,8 +338,10 @@ def test_propagator_takes_the_band_only_where_a_squaring_follows(monkeypatch):
 @example(depth=80, measure="sqrt_n", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
 @example(depth=150, measure="unit", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
 @example(depth=150, measure="sqrt_n", kind="laplacian", lowest=None, norm_t=1e4, seed=0)
+# Measures 2^j down to 2^-16, where the frames of A and a differ most.
+@example(depth=40, measure="unit", kind="laplacian", lowest=-16, norm_t=1e4, seed=0)
 def test_banded_propagator_matches_scipy(depth, measure, kind, lowest, norm_t, seed):
-    # Ladders are pentadiagonal, so n >= 29 rows take the band once ||tA||_1 > theta_13. None
+    # Ladders are pentadiagonal, so n >= 29 rows take the band once ||ta||_1 > theta_13. None
     # keeps the ladder's own measures; else they are 2^j, j in [lowest, 0].
     g = dl.make_ladder(dl.LadderSpec(depth=depth, measure_mode=measure))
     if lowest is not None:
@@ -333,12 +349,11 @@ def test_banded_propagator_matches_scipy(depth, measure, kind, lowest, norm_t, s
     op = dl.assemble(g, dl.ball(g, 0, depth - 1), kind)
     assert 13 * band_width(op) < op.n - 1
     t = norm_t / one_norm(op)
-    reference = scipy.linalg.expm(-t * op.dense())
+    reference = reference_propagator(op, t)
     tol = per_time_tolerance(op, t)
-    assert abs(dl.operator_norm_expm(op, t) - largest_singular_value(op, reference)) <= tol
+    assert abs(dl.operator_norm_expm(op, t) - largest_singular_value(reference)) <= tol
     v = np.random.default_rng(seed).standard_normal(op.n)
-    error = dl.weighted_norm(_propagator(op, t) @ v - reference @ v, op.measure_vector)
-    assert error <= tol * dl.weighted_norm(v, op.measure_vector)
+    assert np.linalg.norm(_propagator(op, t) @ v - reference @ v) <= tol * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +378,7 @@ def counted_squarings(monkeypatch):
 
 @pytest.mark.parametrize("measure, one_norm_count, count", [("unit", 13, 12), ("sqrt_n", 9, 9)])
 def test_scaling_rule_squares_as_the_powers_of_the_step_require(monkeypatch, measure, one_norm_count, count):
-    # ||tA||_1 = 22126.5 asks the unit ladder for 13 squarings, but min(max(d6, d8), max(d8, d10)) =
+    # ||ta||_1 = 22126.5 asks the unit ladder for 13 squarings, but min(max(d6, d8), max(d8, d10)) =
     # 2.611 * 2^13 needs 12; on the sqrt ladder both give 9. The ell term adds none to either.
     op = benchmark_ladder(measure)
     assert math.ceil(math.log2(0.25 * one_norm(op) / _THETA13)) == one_norm_count
@@ -482,8 +497,8 @@ def test_shifted_norm_lower_bound(ladder_sqrt):
         shifted = a + lam * np.eye(op.n)
         for _ in range(20):
             f = RNG.standard_normal(op.n) + 1j * RNG.standard_normal(op.n)
-            lhs = dl.weighted_norm(shifted @ f, op.measure_vector)
-            rhs = lam.real * dl.weighted_norm(f, op.measure_vector)
+            lhs = weighted_norm(shifted @ f, op.measure_vector)
+            rhs = lam.real * weighted_norm(f, op.measure_vector)
             assert lhs >= rhs * (1.0 - 1e-12)
 
 
@@ -523,13 +538,13 @@ def per_time_tolerance(op, t):
 
 
 def assert_matches_per_time(op, v0, trace):
-    """Each stepped value agrees with the one propagator the per-time functions form."""
-    v0_norm = dl.weighted_norm(v0, op.measure_vector)
+    """Each stepped value agrees with the one reference propagator D^(1/2) exp(-tA) D^(-1/2) of its time."""
+    u0 = np.sqrt(op.measure_vector) * v0
     for i, t in enumerate(trace["times"]):
         tol = per_time_tolerance(op, t)
-        assert abs(trace["operator_norms"][i] - dl.operator_norm_expm(op, t)) <= tol
-        state = dl.weighted_norm(_propagator(op, t) @ v0, op.measure_vector)
-        assert abs(trace["state_norms"][i] - state) <= tol * v0_norm
+        reference = reference_propagator(op, t)
+        assert abs(trace["operator_norms"][i] - largest_singular_value(reference)) <= tol
+        assert abs(trace["state_norms"][i] - np.linalg.norm(reference @ u0)) <= tol * np.linalg.norm(u0)
 
 
 @pytest.fixture
@@ -557,7 +572,7 @@ def test_trace_forms_one_propagator_per_step(ladder_sqrt, ladder_unit, random_gr
             trace = dl.evolve_trace(op, v0, *grid)
             assert len(expm_calls) == 1
             assert trace["operator_norms"][0] == 1.0
-            assert trace["state_norms"][0] == dl.weighted_norm(v0, op.measure_vector)
+            assert trace["state_norms"][0] == math.sqrt(np.sum((np.sqrt(op.measure_vector) * v0) ** 2))
             assert_matches_per_time(op, v0, trace)
 
 
@@ -635,21 +650,21 @@ def test_range_basis_drops_at_most_n_eps_sigma_1(seed, n, radius, kind, h, lowes
     # ~r eps sigma_1 for forming (I - W W^T) Q, and ~eps sigma_1 for the dense SVD.
     g = spread_measures(dl.make_random_balanced(n, seed), seed, lowest)
     op = dl.assemble(g, dl.ball(g, 0, radius), kind)
-    assert_range_certificate(op, _propagator(op, h), h)
+    assert_range_certificate(_propagator(op, h), h)
 
 
-def assert_range_certificate(op, step, h):
-    """``_range_basis`` of ``step`` drops at most n eps sigma_1, up to the rounding of checking it."""
-    q = _similar(step, op.measure_vector)
-    w, sigma = _range_basis(op, step, h)
+def assert_range_certificate(q, h):
+    """``_range_basis`` of the step ``q`` drops at most n eps sigma_1, up to the rounding of checking it."""
+    n = len(q)
+    w, sigma = _range_basis(q, h)
     r = len(sigma)
     reference = np.linalg.svd(q, compute_uv=False)
-    assert w.shape == (op.n, r)
+    assert w.shape == (n, r)
     departure = np.linalg.norm(w.T @ w - np.eye(r), 2) if r else 0.0
-    assert departure <= _tolerance(op.n, 1.0)
+    assert departure <= _tolerance(n, 1.0)
     leak = np.linalg.svd(q - w @ (w.T @ q), compute_uv=False)[0]
-    assert leak <= ((op.n + r + 1) * _EPS + departure) * reference[0]
-    assert np.all(np.abs(sigma - reference[:r]) <= _tolerance(op.n, reference[0]))
+    assert leak <= ((n + r + 1) * _EPS + departure) * reference[0]
+    assert np.all(np.abs(sigma - reference[:r]) <= _tolerance(n, reference[0]))
     return sigma
 
 
@@ -660,7 +675,6 @@ def test_range_basis_doubles_a_sketch_whose_tail_is_already_below_the_cut(monkey
     # to 128, where 2k >= n takes the full SVD.
     n = 200
     tail = np.linspace(n * _EPS / 4, n * _EPS / 8, n - 21)
-    op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
     shapes = []
 
     def svd(matrix, t):
@@ -668,7 +682,7 @@ def test_range_basis_doubles_a_sketch_whose_tail_is_already_below_the_cut(monkey
         return scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
 
     monkeypatch.setattr(semigroup, "_svd", svd)
-    sigma = assert_range_certificate(op, np.diag(np.concatenate([[1.0], tail, np.zeros(20)])), 1.0)
+    sigma = assert_range_certificate(np.diag(np.concatenate([[1.0], tail, np.zeros(20)])), 1.0)
     assert sigma.tolist() == [1.0]
     sketches = [rows for rows, cols in shapes if cols == n and rows < n]
     assert sketches == [_SKETCH, 2 * _SKETCH] and shapes[-1] == (n, n)
@@ -679,7 +693,6 @@ def test_range_basis_takes_the_full_svd_after_a_sketch_without_decay(monkeypatch
     # can be extrapolated and k goes straight to n. Rounding leaves the sorted tail a few eps below
     # the middle, so the patched SVD ties the sketch's values at 1, as exact arithmetic would.
     n = 200
-    op = dl.TruncatedOperator(np.eye(n), np.ones(n), "laplacian")
     shapes = []
 
     def svd(matrix, t):
@@ -688,7 +701,7 @@ def test_range_basis_takes_the_full_svd_after_a_sketch_without_decay(monkeypatch
         return u, (np.ones_like(s) if len(matrix) < n else s), vt
 
     monkeypatch.setattr(semigroup, "_svd", svd)
-    sigma = assert_range_certificate(op, np.eye(n), 1.0)
+    sigma = assert_range_certificate(np.eye(n), 1.0)
     assert sigma.tolist() == [1.0] * n
     assert shapes == [(_SKETCH, n), (n, n)]
 
@@ -732,11 +745,11 @@ def test_trace_in_the_range_of_the_first_step_matches_the_dense_reference(
     start, step = (0.0, first) if from_zero else (first, first if step is None else step)
     v0 = np.random.default_rng(seed).standard_normal(op.n)
     trace = dl.evolve_trace(op, v0, start, step, count)
-    # The reference multiplies the weighted steps in the grid's order, exp(-h_k A) exp(-t_(k-1) A):
-    # the unweighted product would round relative to entries up to 2^12 times those of its result.
+    # The reference multiplies the steps exp(-h_k a) in the grid's order, exp(-h_k a) exp(-t_(k-1) a):
+    # the product in the frame of A would round relative to entries up to 2^12 times those of its result.
     weighted = np.eye(op.n)
     for h, norm in zip(grid_steps(start, step, count), trace["operator_norms"]):
-        weighted = _similar(_propagator(op, h), op.measure_vector) @ weighted
+        weighted = _propagator(op, h) @ weighted
         sigma = np.linalg.svd(weighted, compute_uv=False)[0]
         assert abs(norm - sigma) <= _tolerance(op.n, sigma)
 
@@ -757,8 +770,8 @@ def test_trace_in_the_range_of_the_first_step_on_the_ladders():
             trace = dl.evolve_trace(op, v0, *grid)
             propagator = np.eye(op.n)
             for h, norm in zip(grid_steps(*grid), trace["operator_norms"]):
-                propagator = propagator @ _propagator(op, h)
-                sigma = largest_singular_value(op, propagator)
+                propagator = propagator @ reference_propagator(op, h)
+                sigma = largest_singular_value(propagator)
                 assert abs(norm - sigma) <= _tolerance(op.n, sigma)
             assert_matches_per_time(op, v0, trace)
 
@@ -810,8 +823,8 @@ def test_trace_matches_the_dense_reference(seed, n, radius, kind, from_zero, fir
     # The dense reference: the full n-by-n product of the grid's steps, and its SVD.
     propagator = np.eye(op.n)
     for h, norm in zip(grid_steps(start, step, count), trace["operator_norms"]):
-        propagator = propagator @ _propagator(op, h)
-        sigma = largest_singular_value(op, propagator)
+        propagator = propagator @ reference_propagator(op, h)
+        sigma = largest_singular_value(propagator)
         assert abs(norm - sigma) <= _tolerance(op.n, sigma)
     assert_matches_per_time(op, v0, trace)
 
@@ -834,8 +847,10 @@ def test_trace_steps_a_basis_far_smaller_than_the_truncation(monkeypatch):
 
 def test_trace_rejects_a_vector_of_the_wrong_length(ladder_unit, expm_calls):
     op = laplacian_on_ball(ladder_unit, 4)
-    with pytest.raises(GraphError, match=f"expected a vector of length {op.n}"):
-        dl.evolve_trace(op, np.ones(op.n + 1), 0.5, 0.5, 2)
+    # A block of start vectors is refused too: its columns would be weighted by the wrong axis.
+    for v0 in (np.ones(op.n + 1), np.ones((op.n, 2)), np.ones((op.n, op.n))):
+        with pytest.raises(GraphError, match=f"expected a vector of length {op.n}"):
+            dl.evolve_trace(op, v0, 0.5, 0.5, 2)
     assert expm_calls == []
 
 
