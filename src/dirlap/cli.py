@@ -36,12 +36,14 @@ from .graph import (
 from .operators import assemble
 from .semigroup import evolve_trace
 from .spectral import (
+    _angle_grid,
     _cheeger,
     _require_unit_measure,
+    _sector,
+    _standard_frame,
+    _sweep,
     accretivity_certificate,
-    check_sector,
     cheeger_bruteforce,
-    numrange_boundary,
 )
 
 GENERATORS = ("ladder", "tree", "random")
@@ -166,26 +168,25 @@ def cmd_check(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
 
 
 def cmd_spectrum(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
+    # certify's verdict on one frame; the boundary is swept on that frame only for the CSV.
+    angles = _angle_grid(args.angles)
     op = assemble(g, ball_, "laplacian")
-    sample = numrange_boundary(op, args.angles)
+    frame = _standard_frame(op)
+    points = _sweep(frame, angles) if args.out_csv else None
     constant = check_asymmetry(g, ball_.vertices) if args.constant is None else args.constant
-    sector, ok = check_sector(sample, constant)
+    sector, record = _sector(frame, float(constant))
     if args.dump_matrix:
         _dump_matrix(op, args.dump_matrix)
     if args.out_csv:
-        _write_csv(
-            args.out_csv,
-            ["angle", "re", "im"],
-            ((a, z.real, z.imag) for a, z in zip(sample.angles, sample.points)),
-        )
+        _write_csv(args.out_csv, ["angle", "re", "im"], ((a, z.real, z.imag) for a, z in zip(angles, points)))
     report = {
-        "min_real": sample.min_real,
+        "min_real": frame.unscaled[0],
         "asymmetry_constant": constant,
         "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle},
-        "sector_ok": ok,
+        "sector_ok": record.ok,
         "angles": args.angles,
     }
-    return report, 0 if ok else 1
+    return report, 0 if record.ok else 1
 
 
 def cmd_cheeger(g: DirectedGraph, ball_: Ball, args) -> tuple[dict, int]:
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="numerical range boundary and sector check")
     _add_graph_source(p)
     _add_truncation(p)
-    p.add_argument("--angles", type=int, default=360)
+    p.add_argument("--angles", type=int, default=360, help="boundary points in the CSV (default 360)")
     p.add_argument("--constant", type=_finite_float, default=None, help="asymmetry constant override")
     p.add_argument("--out-csv", dest="out_csv", help="boundary points CSV file")
     p.add_argument("--dump-matrix", dest="dump_matrix", help="matrix dump prefix (.csv, .triplets.txt)")

@@ -77,17 +77,16 @@ __all__ = [
 ]
 
 class Frame(NamedTuple):
-    """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0).
+    """a = 2^-e D^(1/2) A D^(-1/2) with ||a||_F in [1/2, 1) (e = 0 for A = 0), held as its two halves.
 
-    ``a``, S = ``sym`` and K = ``skew`` are CSC matrices on the operator's own
-    CSR pattern, filled in O(nnz) by one transposition with no sort, hash or
-    n-by-n array; ``min_real`` = m and ``delta`` from
+    S = ``sym`` and K = ``skew``, a = S + K, are CSC matrices on the
+    operator's own CSR pattern, filled in O(nnz) by one transposition with
+    no sort, hash or n-by-n array; ``min_real`` = m and ``delta`` from
     :func:`_lowest_eigenvalue`, lambda_min(S) = min Re W(a) in [m - delta, m],
     and ``tol`` is the tolerance of a.  The scaling is exact and every later
     step is homogeneous, so results of a scaled back by 2^e are those of A.
     """
 
-    a: "scipy.sparse.csc_matrix"
     sym: "scipy.sparse.csc_matrix"
     skew: "scipy.sparse.csc_matrix"
     min_real: float
@@ -170,7 +169,7 @@ def _standard_frame(op: TruncatedOperator) -> Frame:
         return sparse.csc_matrix((data, op.indices, op.indptr), shape=(n, n))
 
     sym = csc((a_ij + a_ji) / 2.0)
-    return Frame(csc(a_ij), sym, csc(a_ij / 2.0 - a_ji / 2.0), *_lowest_eigenvalue(sym), _tolerance(n, norm), e)
+    return Frame(sym, csc(a_ij / 2.0 - a_ji / 2.0), *_lowest_eigenvalue(sym), _tolerance(n, norm), e)
 
 
 # Raising a rejected shift ten-fold from a margin >= slack reaches the
@@ -423,36 +422,20 @@ def _lowest_eigenvalue(s) -> tuple[float, float]:
     return -_top_eigenpair(-s, delta, v, math.inf, delta, "for min Re W")[0], delta
 
 
-def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
-    """Sample the numerical range boundary at ``n_angles`` equispaced angles.
-
-    Only the angles phi in [0, pi] are solved.  The operator is real, so its
-    numerical range is symmetric about the real axis, and the point at angle
-    2 pi - phi is the conjugate of the point at phi: ``points[n_angles - k]
-    == conj(points[k])``.  At each solved angle the top eigenvector v of
-    H = cos(phi) S + i sin(phi) K gives the point <Av, v>.
-
-    :func:`_top_eigenpair` certifies lambda_max(H) to within tau, and one
-    more solve on its certifying factors gives v.  phi = 0 starts from the
-    Gershgorin cap; every later angle from the support value its
-    predecessor's point predicts, plus twice the previous prediction error
-    (at least tau).  v is warm-started from the previous angle (Braconnier &
-    Higham, BIT 36, 1996) and at phi = 0 from a fixed vector, so the sweep
-    is deterministic.
-
-    Raises :class:`GraphError` for fewer than 4 angles or more than can be
-    allocated, and :class:`NumericError` on a subnormal entry, when the norm
-    of the operator, an eigenvector or a boundary point is not finite, or
-    when ``min_real`` or a support value does not certify.
-    """
+def _angle_grid(n_angles: int) -> np.ndarray:
+    """The ``n_angles`` equispaced angles 2 pi k / n_angles; fewer than 4, or more than can be allocated, is a :class:`GraphError`."""
     if n_angles < 4:
         raise GraphError("need at least 4 angles")
-    angles = 2.0 * np.pi * _indices(n_angles, "the angle grid") / n_angles
-    frame = _standard_frame(op)
+    return 2.0 * np.pi * _indices(n_angles, "the angle grid") / n_angles
+
+
+def _sweep(frame: Frame, angles: np.ndarray) -> np.ndarray:
+    """The boundary points of W(A) at the ``angles`` of :func:`_angle_grid`, swept on ``frame`` (see :func:`numrange_boundary`)."""
+    n_angles = len(angles)
     solved = angles[: n_angles // 2 + 1]
     half = np.zeros(len(solved), complex)
     herm = frame.sym.astype(complex)
-    v = np.random.default_rng(0).standard_normal(op.n).astype(complex)
+    v = np.random.default_rng(0).standard_normal(frame.sym.shape[0]).astype(complex)
     base, margin = math.inf, frame.tol
     # a has unit size, so tol is 0 only for A = 0, whose points stay 0.
     for k, phi in enumerate(solved if frame.tol else ()):
@@ -463,7 +446,8 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
         where = f"at angle {phi:.6f}"
         _, v, lu = _top_eigenpair(herm, frame.tol, v, base, margin, where)
         v = _inverse_step(lu, v, where)
-        half[k] = np.vdot(v, frame.a @ v)
+        # <a v, v> = <S v, v> + <K v, v>: S is symmetric and K antisymmetric, so the one is real and the other imaginary.
+        half[k] = complex(np.vdot(v, frame.sym @ v).real, np.vdot(v, frame.skew @ v).imag)
         margin = max(2.0 * ((rotation * half[k]).real - base), frame.tol)
     # phi = 0 and phi = pi are their own mirrors.  W is convex and closed
     # under conjugation, so the real part of their point is a point of W
@@ -472,8 +456,34 @@ def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRa
     if n_angles % 2 == 0:
         half[-1] = half[-1].real
     points = np.concatenate([half, np.conj(half[1 : n_angles - len(solved) + 1][::-1])])
-    points = np.ldexp(_finite(points, "the swept boundary").view(float), frame.e).view(complex)
-    return NumericalRangeSample(points, angles, *frame.unscaled, frame)
+    return np.ldexp(_finite(points, "the swept boundary").view(float), frame.e).view(complex)
+
+
+def numrange_boundary(op: TruncatedOperator, n_angles: int = 360) -> NumericalRangeSample:
+    """Sample the numerical range boundary at ``n_angles`` equispaced angles.
+
+    Only the angles phi in [0, pi] are solved.  The operator is real, so its
+    numerical range is symmetric about the real axis, and the point at angle
+    2 pi - phi is the conjugate of the point at phi: ``points[n_angles - k]
+    == conj(points[k])``.  At each solved angle the top eigenvector v of
+    H = cos(phi) S + i sin(phi) K gives the point <Av, v> = <Sv, v> + <Kv, v>.
+
+    :func:`_top_eigenpair` certifies lambda_max(H) to within tau, and one
+    more solve on its certifying factors gives v.  phi = 0 starts from the
+    Gershgorin cap; every later angle from the support value its
+    predecessor's point predicts, plus twice the previous prediction error
+    (at least tau).  v is warm-started from the previous angle (Braconnier &
+    Higham, BIT 36, 1996) and at phi = 0 from a fixed vector, so the sweep
+    is deterministic.  No verdict reads the points: ``spectrum`` sweeps only for its CSV.
+
+    Raises :class:`GraphError` for fewer than 4 angles or more than can be
+    allocated, and :class:`NumericError` on a subnormal entry, when the norm
+    of the operator, an eigenvector or a boundary point is not finite, or
+    when ``min_real`` or a support value does not certify.
+    """
+    angles = _angle_grid(n_angles)
+    frame = _standard_frame(op)
+    return NumericalRangeSample(_sweep(frame, angles), angles, *frame.unscaled, frame)
 
 
 @dataclass(frozen=True)

@@ -798,9 +798,63 @@ def test_spectrum_certifies_where_the_top_eigenvector_jumps(tmp_path, capsys):
 
 
 def test_spectrum_passes_on_the_longer_sqrt_ladder(tmp_path, capsys):
-    # The sweep used to run out of solves near phi = pi/2 from N = 1200 on.
-    code, _, err = run(capsys, "spectrum", "--gen", "ladder", "--N", "1200", "--out", str(tmp_path / "s.json"))
+    # The sweep used to run out of solves near phi = pi/2 from N = 1200 on; it runs only for the CSV.
+    csv = tmp_path / "points.csv"
+    argv = ("--gen", "ladder", "--N", "1200", "--out-csv", str(csv), "--out", str(tmp_path / "s.json"))
+    code, _, err = run(capsys, "spectrum", *argv)
     assert code == 0 and err == ""
+    assert len(csv.read_text().splitlines()) == 1 + 360
+
+
+def scaled_ladder(k):
+    doc = dl.graph_to_dict(dl.make_ladder(dl.LadderSpec(depth=20)))
+    for edge in doc["edges"]:
+        edge["b"] *= 2.0**k
+    return dl.graph_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dl.make_ladder(dl.LadderSpec(depth=20)),
+        lambda: dl.make_tree(dl.TreeSpec(depth=3)),
+        lambda: dl.make_random_balanced(30, 0, 0.5),
+        lambda: scaled_ladder(56),
+    ],
+    ids=["ladder", "tree", "random", "spectrum-2^56"],
+)
+def test_spectrum_decides_on_one_frame_and_sweeps_only_for_the_csv(tmp_path, capsys, monkeypatch, build):
+    import dirlap.cli as cli
+    import dirlap.spectral as spectral
+
+    g = build()
+    dl.save_graph(g, tmp_path / "g.json")
+    argv = ("spectrum", "--graph", str(tmp_path / "g.json"), "--angles", "36")
+    frame, frames = spectral._standard_frame, []
+
+    def counted(*args, **kwargs):
+        frames.append(1)
+        return frame(*args, **kwargs)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the verdict swept the boundary")
+
+    # The verdict reads min_real and the sector from one frame, as the certificate does.
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "_standard_frame", counted, raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_top_eigenpair", no_sweep)
+        code, plain, _ = run(capsys, *argv)
+    assert len(frames) == 1
+
+    frames.clear()
+    csv = tmp_path / "points.csv"
+    assert run(capsys, *argv, "--out-csv", str(csv)) == (code, plain, "")
+    assert len(frames) == 1
+    monkeypatch.undo()
+    sample = dl.numrange_boundary(dl.assemble(g, default_ball(g), "laplacian"), 36)
+    rows = [f"{float(a)!r},{float(z.real)!r},{float(z.imag)!r}" for a, z in zip(sample.angles, sample.points)]
+    assert csv.read_text().splitlines() == ["angle,re,im", *rows]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

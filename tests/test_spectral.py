@@ -163,10 +163,10 @@ def test_frame_neither_sorts_nor_hashes(ladder_sqrt, monkeypatch):
         monkeypatch.setattr(np, name, forbidden)
     frame = spectral._standard_frame(op)
     monkeypatch.undo()
-    for got, want in zip(frame[:3], expected[:3]):
+    for got, want in zip(frame[:2], expected[:2]):
         assert np.array_equal(got.indices, op.indices) and np.array_equal(got.indptr, op.indptr)
         assert got.data.tobytes() == want.data.tobytes()
-    assert frame[3:] == expected[3:]
+    assert frame[2:] == expected[2:]
 
 
 def test_sweep_turns_solver_failures_into_numeric_errors(ladder_sqrt, monkeypatch):
